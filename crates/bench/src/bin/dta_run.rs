@@ -25,7 +25,7 @@
 //! Example program: `examples/asm/dotprod.dtasm`.
 
 use dta_compiler::{prefetch_program, PlanOptions, TransformOptions};
-use dta_core::{run_job, GlobalRead, ObsMode, SimJob, StallCat, SystemConfig, Trace};
+use dta_core::{lifecycle_table, run_job, GlobalRead, ObsMode, SimJob, StallCat, SystemConfig};
 use dta_isa::asm::{assemble, program_to_asm};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -225,9 +225,7 @@ fn main() -> ExitCode {
     }
     if o.trace {
         let stream = out.obs.as_ref().expect("events were forced on");
-        let names: Vec<String> = job.program.threads.iter().map(|t| t.name.clone()).collect();
-        let table = Trace::from_obs(&stream.records, job.config.trace_capacity).render(&names);
-        println!("\n{table}");
+        println!("\n{}", lifecycle_table(&job.program, stream));
     }
     ExitCode::SUCCESS
 }

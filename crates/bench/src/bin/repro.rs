@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--quick] [--pes N] [--threads N] [--out DIR]
-//!       [--sweep-threads N] [--cache-dir DIR] [--deadline-ms N] [--sched MODE] [--memo]
+//!       [--sweep-threads N] [--cache-dir DIR] [--deadline-ms N] [--memo]
 //!       [--fault-seed N] [--fault-rate PPM] [--lse-crash-ppm PPM] [--obs MODE]
 //!       [--metrics-interval N] [--obs-stream N] [--trace-out PATH]
 //!
@@ -28,9 +28,6 @@
 //!             exceeding it completes as a typed host-side `Timeout`
 //!             (never cached); the deterministic backstop remains each
 //!             job's `max_cycles`
-//! --sched MODE  cycle scheduler: fast-forward (default) | dense.
-//!             A pure host-time choice — results are bit-identical —
-//!             mainly for A/B timing; the `speed` experiment pins both
 //! --memo      run every experiment with instance memoization + timing
 //!             replay on. A pure host-time optimisation — results are
 //!             bit-identical — mainly for A/B timing; the `speed`
@@ -86,7 +83,6 @@ struct Options {
     sweep_threads: Option<usize>,
     cache_dir: Option<PathBuf>,
     deadline_ms: Option<u64>,
-    sched: Option<dta_core::SchedMode>,
     memo: bool,
     fault_seed: u64,
     fault_rate: Option<u32>,
@@ -107,7 +103,6 @@ fn parse_args() -> Result<Options, String> {
         sweep_threads: None,
         cache_dir: None,
         deadline_ms: None,
-        sched: None,
         memo: false,
         fault_seed: 0xDA7A,
         fault_rate: None,
@@ -157,13 +152,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|_| "--deadline-ms needs a millisecond count")?,
                 );
-            }
-            "--sched" => {
-                opts.sched = Some(match args.next().ok_or("--sched needs a value")?.as_str() {
-                    "dense" => dta_core::SchedMode::Dense,
-                    "fast-forward" | "ff" => dta_core::SchedMode::FastForward,
-                    other => return Err(format!("--sched: unknown mode {other:?}")),
-                });
             }
             "--memo" => opts.memo = true,
             "--fault-seed" => {
@@ -282,9 +270,6 @@ fn main() -> ExitCode {
         opts.cache_dir.as_deref(),
         opts.deadline_ms,
     );
-    if let Some(sched) = opts.sched {
-        dta_bench::experiments::set_default_sched(sched);
-    }
     if opts.memo {
         dta_bench::experiments::set_default_memo(dta_core::MemoConfig::on());
     }
@@ -334,9 +319,9 @@ fn main() -> ExitCode {
             "speed" => {
                 use dta_workloads::Variant::{Baseline, HandPrefetch};
                 let gather_n = if opts.quick { 256 } else { 2048 };
-                // Fast-forward pays off when many PEs sit idle while a few
-                // work, so the sweep includes a wide-machine gather case on
-                // top of the paper-default width (see DESIGN.md §12).
+                // The wake heap pays off when many PEs sit idle while a
+                // few work, so the sweep includes a wide-machine gather
+                // case on top of the paper-default width (DESIGN.md §12).
                 let wide = if opts.quick { 32 } else { 128 };
                 let cases = [
                     (Bench::Bitcnt(bitcnt_n), HandPrefetch, opts.pes),

@@ -9,7 +9,7 @@ use crate::runner::{
     job_for, run, sweep, sweep_ok, try_run_timed, try_run_timed_stats, try_run_traced, Bench, Row,
     SweepPoint,
 };
-use dta_core::{MemoConfig, ObsConfig, Parallelism, SchedMode, StallCat, SystemConfig};
+use dta_core::{MemoConfig, ObsConfig, Parallelism, StallCat, SystemConfig};
 use dta_workloads::Variant;
 use std::sync::OnceLock;
 
@@ -34,19 +34,6 @@ static DEFAULT_OBS: OnceLock<ObsConfig> = OnceLock::new();
 /// call wins; later calls are ignored.
 pub fn set_default_obs(obs: ObsConfig) {
     let _ = DEFAULT_OBS.set(obs);
-}
-
-/// Process-wide cycle scheduler, applied to every experiment config (set
-/// once by `repro --sched`). Scheduling is a pure host-time optimisation
-/// — results are bit-identical either way — so it composes freely with
-/// the other defaults. The `speed` benchmark ignores it because it pins
-/// both modes explicitly.
-static DEFAULT_SCHED: OnceLock<SchedMode> = OnceLock::new();
-
-/// Sets the cycle scheduler every experiment runs under. First call
-/// wins; later calls are ignored.
-pub fn set_default_sched(sched: SchedMode) {
-    let _ = DEFAULT_SCHED.set(sched);
 }
 
 /// Process-wide memoization config, applied to every experiment run
@@ -89,9 +76,6 @@ fn pes8(suite_pes: u16) -> SystemConfig {
     }
     if let Some(&obs) = DEFAULT_OBS.get() {
         cfg.obs = obs;
-    }
-    if let Some(&sched) = DEFAULT_SCHED.get() {
-        cfg.sched = sched;
     }
     if let Some(&memo) = DEFAULT_MEMO.get() {
         cfg.memo = memo;
@@ -802,21 +786,20 @@ pub fn parallel_bench(mmul_n: usize, pes: u16) -> ExperimentResult {
     }
 }
 
-/// Scheduler benchmark: host wall-clock of the dense cycle loop vs the
-/// event-driven fast-forward scheduler vs fast-forward with instance
-/// memoization, on the paper suite plus the DMA-dominated `gather`
-/// stress. Written as `BENCH_speed.json` so successive PRs can track
-/// simulator performance. Every triple must report a byte-identical
-/// `RunStats` — fast-forward and memoized replay are pure host-time
-/// optimisations — and the table carries the skipped-tick, epoch-merge
-/// and memo counters that explain the speedups.
+/// Scheduler benchmark: host wall-clock of the event-driven scheduler
+/// with and without instance memoization, on the paper suite plus the
+/// DMA-dominated `gather` stress. Written as `BENCH_speed.json` so
+/// successive PRs can track simulator performance. Each pair must report
+/// a byte-identical `RunStats` — memoized replay is a pure host-time
+/// optimisation — and the table carries the skipped-tick, epoch-merge
+/// and memo counters that explain the timings.
 pub fn speed_bench(cases: &[(Bench, Variant, u16)]) -> ExperimentResult {
     let mut rows = Vec::new();
     let mut table = vec![vec![
         "benchmark".to_string(),
         "variant".into(),
         "pes".into(),
-        "sched".into(),
+        "memo".into(),
         "cycles".into(),
         "visited".into(),
         "PE ticks".into(),
@@ -829,45 +812,34 @@ pub fn speed_bench(cases: &[(Bench, Variant, u16)]) -> ExperimentResult {
         "speedup".into(),
     ]];
     for &(bench, variant, pes) in cases {
-        let mut dense = None;
-        for (sched, memo) in [
-            (SchedMode::Dense, false),
-            (SchedMode::FastForward, false),
-            (SchedMode::FastForward, true),
-        ] {
+        let mut plain = None;
+        for memo in [false, true] {
             let mut cfg = pes8(pes);
-            cfg.sched = sched;
-            if memo {
-                cfg.memo = MemoConfig::on();
-            }
+            cfg.memo = if memo {
+                MemoConfig::on()
+            } else {
+                MemoConfig::default()
+            };
             let (mut row, ms, stats) =
                 try_run_timed_stats(bench, variant, cfg).unwrap_or_else(|e| panic!("{e}"));
-            let (base_ms, base_stats) = dense.get_or_insert((ms, stats.clone()));
+            let (base_ms, base_stats) = plain.get_or_insert((ms, stats.clone()));
             // The hard invariance gate: every counter, per-PE breakdown
             // and fault tally of the simulated run must be bit-identical
-            // to the dense interpreter's.
+            // with and without memoization.
             assert_eq!(
                 &stats,
                 base_stats,
-                "{} [{}]: {} changed the simulation",
+                "{} [{}]: memoized replay changed the simulation",
                 bench.name(),
                 row.variant,
-                if memo {
-                    "memoized replay"
-                } else {
-                    "fast-forward"
-                },
             );
             let base_ms = *base_ms;
             row.wall_ms = Some(ms);
-            if memo {
-                row.sched.push_str("+memo");
-            }
             table.push(vec![
                 row.bench.clone(),
                 row.variant.clone(),
                 row.pes.to_string(),
-                row.sched.clone(),
+                if memo { "on" } else { "off" }.into(),
                 row.cycles.to_string(),
                 row.visited_cycles.to_string(),
                 row.pe_ticks.to_string(),
@@ -886,7 +858,7 @@ pub fn speed_bench(cases: &[(Bench, Variant, u16)]) -> ExperimentResult {
         health: None,
         profile: None,
         id: "BENCH_speed".into(),
-        title: "Scheduler wall-clock: dense loop vs fast-forward vs memoized replay".into(),
+        title: "Scheduler wall-clock: memoized replay vs interpretation".into(),
         text: text_table(&table),
         rows,
     }
@@ -1830,24 +1802,23 @@ mod tests {
     fn quick_speed_bench_is_pure_and_skips_ticks() {
         let r = speed_bench(&[(Bench::Gather(64), Variant::Baseline, 4)]);
         assert_eq!(r.id, "BENCH_speed");
-        assert_eq!(r.rows.len(), 3);
-        assert_eq!(r.rows[0].sched, "dense");
-        assert_eq!(r.rows[1].sched, "fast-forward");
-        assert_eq!(r.rows[2].sched, "fast-forward+memo");
-        // Pure host-time optimisations: identical simulated outcome
+        assert_eq!(r.rows.len(), 2);
+        // A pure host-time optimisation: identical simulated outcome
         // (speed_bench itself hard-asserts full RunStats equality)...
         assert_eq!(r.rows[0].cycles, r.rows[1].cycles);
-        assert_eq!(r.rows[0].cycles, r.rows[2].cycles);
-        assert_eq!(r.rows[0].visited_cycles, r.rows[1].visited_cycles);
-        // ...with strictly less engine work.
-        assert_eq!(r.rows[0].skipped_ticks, 0);
-        assert!(r.rows[1].skipped_ticks > 0);
-        assert!(r.rows[1].pe_ticks < r.rows[0].pe_ticks);
-        // The memo row replays segments instead of re-interpreting them.
+        // ...where the wake heap skips blocked/idle PE ticks...
+        let pes = u64::from(r.rows[0].pes);
+        assert_eq!(
+            r.rows[0].pe_ticks + r.rows[0].skipped_ticks,
+            r.rows[0].visited_cycles * pes
+        );
+        assert!(r.rows[0].skipped_ticks > 0);
+        // ...and the memo row replays segments instead of re-interpreting
+        // them.
         assert_eq!(r.rows[0].memo_hits, 0);
-        assert!(r.rows[2].memo_hits > 0);
-        assert!(r.rows[2].memo_replayed_cycles > 0);
-        assert!(r.rows[2].pe_ticks <= r.rows[1].pe_ticks);
+        assert!(r.rows[1].memo_hits > 0);
+        assert!(r.rows[1].memo_replayed_cycles > 0);
+        assert!(r.rows[1].pe_ticks <= r.rows[0].pe_ticks);
     }
 
     #[test]

@@ -46,7 +46,6 @@ impl ToJson for Row {
             ("obs_dropped", self.obs_dropped.to_json()),
             ("overlap_cycles", self.overlap_cycles.to_json()),
             ("overlap_fraction", self.overlap_fraction.to_json()),
-            ("sched", self.sched.to_json()),
             ("visited_cycles", self.visited_cycles.to_json()),
             ("pe_ticks", self.pe_ticks.to_json()),
             ("skipped_ticks", self.skipped_ticks.to_json()),

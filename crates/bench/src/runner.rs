@@ -12,8 +12,8 @@
 //! report a near-zero wall clock and corrupt every measured speedup.
 
 use dta_core::{
-    run_job, Breakdown, GlobalRead, JobResult, MetricsSink, ObsMode, RunStats, SchedMode, SimJob,
-    StallCat, SystemConfig,
+    run_job, Breakdown, GlobalRead, JobResult, MetricsSink, ObsMode, RunStats, SimJob, StallCat,
+    SystemConfig,
 };
 use dta_serve::Service;
 use dta_workloads::{
@@ -221,14 +221,12 @@ pub struct Row {
     pub overlap_cycles: u64,
     /// `overlap_cycles` over total busy cycles (zero unless metrics on).
     pub overlap_fraction: f64,
-    /// Scheduler label (`dense` / `fast-forward`).
-    pub sched: String,
     /// Distinct simulated cycles the engine actually visited (host-side
     /// work counter; simulated results never depend on it).
     pub visited_cycles: u64,
     /// PE ticks the engine performed.
     pub pe_ticks: u64,
-    /// Blocked/idle PE ticks the fast-forward scheduler skipped.
+    /// Blocked/idle PE ticks the wake-heap scheduler skipped.
     pub skipped_ticks: u64,
     /// Barrier epochs the sharded engine ran (zero on the sequential
     /// engine).
@@ -248,9 +246,9 @@ pub struct Row {
     pub dse_deliveries: u64,
     /// Shared memory-system transactions served.
     pub mem_requests: u64,
-    /// Mean fast-forward wake-heap occupancy (0 under dense).
+    /// Mean wake-heap occupancy.
     pub wake_heap_mean: f64,
-    /// Peak fast-forward wake-heap occupancy.
+    /// Peak wake-heap occupancy.
     pub wake_heap_max: u64,
     /// Memoized segment replays fired (0 with memo off).
     pub memo_hits: u64,
@@ -310,10 +308,6 @@ pub(crate) fn row_from_result(
     );
     row.job_key = result.key.hex();
     row.obs_mode = obs_label(cfg.obs.mode);
-    row.sched = match cfg.sched {
-        SchedMode::Dense => "dense".into(),
-        SchedMode::FastForward => "fast-forward".into(),
-    };
     row.visited_cycles = out.engine.visited_cycles;
     row.pe_ticks = out.engine.pe_ticks;
     row.skipped_ticks = out.engine.skipped_ticks;
@@ -504,7 +498,6 @@ fn row_from(bench: &Bench, variant: Variant, pes: u16, mem_latency: u64, stats: 
         obs_dropped: 0,
         overlap_cycles: 0,
         overlap_fraction: 0.0,
-        sched: String::new(),
         visited_cycles: 0,
         pe_ticks: 0,
         skipped_ticks: 0,

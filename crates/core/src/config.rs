@@ -31,27 +31,6 @@ pub enum Parallelism {
     Auto,
 }
 
-/// How the engine advances simulated time on the host.
-///
-/// Both modes produce bit-identical [`RunStats`](crate::stats::RunStats)
-/// and observability streams: fast-forward is a pure optimisation of host
-/// wall-clock, never of simulated behaviour (`fastforward_invariance.rs`
-/// pins this). The scheduler choice is host-side only, exactly like
-/// [`Parallelism`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Tick every PE at every visited cycle (the original dense loop).
-    Dense,
-    /// Event-driven fast-forward: each PE carries a wake horizon
-    /// (`Activity::Blocked(w)` from its own tick, or the delivery time of
-    /// a message addressed to it) held in a per-engine binary heap, and
-    /// only *due* PEs are ticked at each visited cycle. Under the
-    /// `Threads(n)` engine this also enables adaptive epoch widths and
-    /// all-local epoch merging (see DESIGN.md §12).
-    #[default]
-    FastForward,
-}
-
 impl Parallelism {
     /// Canonical encoding (part of the versioned job form; see
     /// [`SystemConfig::canonical_json`]).
@@ -351,16 +330,6 @@ impl ObsMode {
     }
 }
 
-impl SchedMode {
-    /// Canonical string form.
-    pub fn canonical_str(&self) -> &'static str {
-        match self {
-            SchedMode::Dense => "dense",
-            SchedMode::FastForward => "fast-forward",
-        }
-    }
-}
-
 impl ObsConfig {
     /// Whether structured events are recorded.
     pub fn events_on(&self) -> bool {
@@ -508,13 +477,6 @@ pub struct SystemConfig {
     /// Cycles to dispatch a ready thread onto the pipeline.
     pub dispatch_penalty: u64,
 
-    /// Record a scheduler-level execution trace (see
-    /// [`crate::trace::Trace`]). Compatibility shim over the structured
-    /// event bus: implies event recording (see [`ObsConfig`]).
-    pub trace: bool,
-    /// Maximum trace events retained.
-    pub trace_capacity: usize,
-
     /// Structured observability (event bus + cycle-sampled metrics).
     pub obs: ObsConfig,
 
@@ -524,10 +486,6 @@ pub struct SystemConfig {
     /// Host-side execution strategy (simulated results are identical in
     /// every mode).
     pub parallelism: Parallelism,
-
-    /// Host-side time-advance strategy (simulated results are identical
-    /// in every mode; see [`SchedMode`]).
-    pub sched: SchedMode,
 
     /// Deterministic fault injection (`None` = the fault-free model;
     /// recovery machinery and the watchdog are armed only when set).
@@ -575,12 +533,9 @@ impl SystemConfig {
             sp_pf_overlap: false,
             taken_branch_penalty: 2,
             dispatch_penalty: 1,
-            trace: false,
-            trace_capacity: 200_000,
             obs: ObsConfig::default(),
             max_cycles: 2_000_000_000,
             parallelism: Parallelism::Off,
-            sched: SchedMode::FastForward,
             faults: None,
             memo: MemoConfig::default(),
         }
@@ -610,13 +565,6 @@ impl SystemConfig {
         self.nodes * self.pes_per_node
     }
 
-    /// Whether structured events are recorded (the legacy `trace` flag
-    /// rides on the event bus).
-    #[inline]
-    pub fn obs_events_on(&self) -> bool {
-        self.trace || self.obs.events_on()
-    }
-
     /// Effective gauge sampling stride (0 = sampling off).
     #[inline]
     pub fn obs_interval(&self) -> u64 {
@@ -630,7 +578,7 @@ impl SystemConfig {
     /// Whether any observability state is collected at all.
     #[inline]
     pub fn obs_active(&self) -> bool {
-        self.obs_events_on() || self.obs_interval() > 0
+        self.obs.events_on() || self.obs_interval() > 0
     }
 
     /// Effective incremental-streaming stride (0 = post-run merge only).
@@ -707,11 +655,11 @@ impl SystemConfig {
     /// (DESIGN.md §13 records the rules), which invalidates every
     /// previously cached result.
     ///
-    /// Host-side knobs ([`Parallelism`], [`SchedMode`]) are deliberately
-    /// *included* even though simulated results are invariant across
-    /// them: the determinism suites pin that invariance by comparing
-    /// runs across distinct keys, and host-schedule reports
-    /// ([`crate::stats::EngineReport`]) legitimately differ per mode.
+    /// The host-side [`Parallelism`] knob is deliberately *included* even
+    /// though simulated results are invariant across it: the determinism
+    /// suites pin that invariance by comparing runs across distinct keys,
+    /// and host-schedule reports ([`crate::stats::EngineReport`])
+    /// legitimately differ per mode.
     pub fn canonical_json(&self) -> Json {
         Json::obj([
             ("nodes", Json::Num(self.nodes as f64)),
@@ -763,12 +711,9 @@ impl SystemConfig {
             ("sp_pf_overlap", Json::Bool(self.sp_pf_overlap)),
             ("taken_branch_penalty", u64_json(self.taken_branch_penalty)),
             ("dispatch_penalty", u64_json(self.dispatch_penalty)),
-            ("trace", Json::Bool(self.trace)),
-            ("trace_capacity", Json::Num(self.trace_capacity as f64)),
             ("obs", self.obs.canonical_json()),
             ("max_cycles", u64_json(self.max_cycles)),
             ("parallelism", self.parallelism.canonical_json()),
-            ("sched", Json::Str(self.sched.canonical_str().into())),
             (
                 "faults",
                 match &self.faults {
@@ -885,9 +830,9 @@ mod tests {
             .to_string_compact();
         assert_eq!(a, b, "canonical form must be deterministic");
 
-        let mut dense = SystemConfig::paper_default();
-        dense.sched = SchedMode::Dense;
-        assert_ne!(a, dense.canonical_json().to_string_compact());
+        let mut memo = SystemConfig::paper_default();
+        memo.memo = MemoConfig::on();
+        assert_ne!(a, memo.canonical_json().to_string_compact());
 
         let mut threads = SystemConfig::paper_default();
         threads.parallelism = Parallelism::Threads(2);

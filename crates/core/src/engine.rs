@@ -28,7 +28,7 @@
 //! on the calling thread instead of paying barrier rendezvous with no
 //! hardware parallelism behind them.
 
-use crate::config::{FaultPlan, SchedMode, SystemConfig};
+use crate::config::{FaultPlan, SystemConfig};
 use crate::fault::{msg_exempt, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
 use crate::pipeline::{Activity, MemPort, OutMsg, Pe, SysCtx, Ticket, TicketKind};
 use crate::stats::{EngineReport, RunStats};
@@ -114,18 +114,16 @@ struct Shard {
     /// This shard's message-fault counters (merged into the system at
     /// reassembly).
     fault_counts: FaultCounters,
-    /// Host time-advance mode (fast-forward uses the wake heap below).
-    sched: SchedMode,
     /// Cached epoch width (the conservative cross-shard lookahead; also
     /// the adaptive clamp distance).
     epoch_w: u64,
-    /// Fast-forward: each local PE's earliest scheduled tick
-    /// (`u64::MAX` = none; only a delivery can make it runnable).
+    /// Each local PE's earliest scheduled tick (`u64::MAX` = none; only
+    /// a delivery can make it runnable).
     wake: Vec<u64>,
-    /// Fast-forward: (time, local PE) wake entries with lazy
-    /// invalidation — an entry is stale when its time no longer matches
-    /// `wake[pe]`. Pops in (time, pe) order, preserving the dense
-    /// engine's within-cycle PE tick order.
+    /// (time, local PE) wake entries with lazy invalidation — an entry
+    /// is stale when its time no longer matches `wake[pe]`. Pops in
+    /// (time, pe) order, so PEs tick in ascending index order within a
+    /// cycle, as in the sequential engine.
     wheap: BinaryHeap<Reverse<(u64, u16)>>,
     /// This shard's visited-cycle/tick counters (merged at reassembly).
     report: EngineReport,
@@ -188,33 +186,24 @@ impl Shard {
     /// this shard's units, with event-based time skipping inside the
     /// window.
     ///
-    /// In fast-forward mode only *due* PEs tick (see the wake-heap notes
-    /// on `System::run_sequential_ff`; the skipped ticks are the dense
-    /// loop's blocked/idle no-ops). When `adaptive` widening granted a
-    /// window beyond one lookahead, the shard self-clamps: the first
-    /// cycle `c` that initiates any cross-epoch interaction (a deferred
-    /// shared-memory ticket, whose completion is synthesized only at the
-    /// barrier, or a cross-shard post) shrinks the window to `c +
-    /// epoch_w`, since nothing initiated at `c` can take effect — or
-    /// provoke a response — before `c + epoch_w` (DESIGN.md §12).
-    fn run_epoch(&mut self, e_start: u64, mut e_end: u64, adaptive: bool, program: &Program) {
+    /// Only *due* PEs tick (see the wake-heap notes on
+    /// `System::run_sequential`; the skipped ticks are blocked/idle
+    /// no-ops). When adaptive widening granted a window beyond one
+    /// lookahead, the shard self-clamps: the first cycle `c` that
+    /// initiates any cross-epoch interaction (a deferred shared-memory
+    /// ticket, whose completion is synthesized only at the barrier, or a
+    /// cross-shard post) shrinks the window to `c + epoch_w`, since
+    /// nothing initiated at `c` can take effect — or provoke a response —
+    /// before `c + epoch_w` (DESIGN.md §12).
+    fn run_epoch(&mut self, e_start: u64, mut e_end: u64, program: &Program) {
         let wall = std::time::Instant::now();
-        let ff = self.sched == SchedMode::FastForward;
         let mut t = self.next_ready().max(e_start);
         while t < e_end {
             self.last_t = t;
             self.report.visited_cycles += 1;
-            if ff {
-                // Host-side heap pressure, sampled once per visited
-                // cycle (stale lazy-invalidation entries are real
-                // occupancy).
-                self.report.wake_heap_occupancy.add(self.wheap.len() as u64);
-            } else {
-                // Dense shards tick every PE each visited cycle; sample
-                // the same "wake set" notion so host-profile occupancy
-                // tables compare like with like across engines.
-                self.report.wake_heap_occupancy.add(self.pes.len() as u64);
-            }
+            // Host-side heap pressure, sampled once per visited cycle
+            // (stale lazy-invalidation entries are real occupancy).
+            self.report.wake_heap_occupancy.add(self.wheap.len() as u64);
 
             while self.events.peek().is_some_and(|e| e.time <= t) {
                 let e = self.events.pop().expect("peeked");
@@ -224,21 +213,16 @@ impl Shard {
                     continue;
                 }
                 match e.to {
-                    Dest::Lse(_) | Dest::Pipeline(_) => self.report.pe_deliveries += 1,
-                    Dest::Dse(_) => self.report.dse_deliveries += 1,
-                }
-                if ff {
-                    // A delivery to a PE means it must tick this cycle.
-                    match e.to {
-                        Dest::Lse(p) | Dest::Pipeline(p) => {
-                            let slot = &mut self.wake[(p - self.pe_base) as usize];
-                            if t < *slot {
-                                *slot = t;
-                                self.wheap.push(Reverse((t, p - self.pe_base)));
-                            }
+                    Dest::Lse(p) | Dest::Pipeline(p) => {
+                        self.report.pe_deliveries += 1;
+                        // A delivery to a PE means it must tick this cycle.
+                        let slot = &mut self.wake[(p - self.pe_base) as usize];
+                        if t < *slot {
+                            *slot = t;
+                            self.wheap.push(Reverse((t, p - self.pe_base)));
                         }
-                        Dest::Dse(_) => {}
                     }
+                    Dest::Dse(_) => self.report.dse_deliveries += 1,
                 }
                 let mut env = DeliverEnv {
                     pes: &mut self.pes,
@@ -259,8 +243,6 @@ impl Shard {
                 self.route_posts(t);
             }
 
-            let mut any_active = false;
-            let mut next_wake = u64::MAX;
             {
                 let mut ctx = SysCtx {
                     port: MemPort::Deferred {
@@ -271,68 +253,47 @@ impl Shard {
                     drain_until: &mut self.scratch_drain,
                     failover: self.failover.as_deref(),
                 };
-                if ff {
-                    while let Some(&Reverse((wt, p))) = self.wheap.peek() {
-                        if wt > t {
-                            break;
-                        }
-                        self.wheap.pop();
-                        let pi = p as usize;
-                        if self.wake[pi] != wt {
-                            continue; // stale entry
-                        }
-                        self.wake[pi] = u64::MAX;
-                        self.report.pe_ticks += 1;
-                        let next = match self.pes[pi].tick(t, &mut ctx) {
-                            Activity::Active => t + 1,
-                            Activity::Blocked(w) => w,
-                            Activity::Idle => u64::MAX,
-                        };
-                        if next < u64::MAX {
-                            debug_assert!(next > t, "wake must be in the future");
-                            self.wake[pi] = next;
-                            self.wheap.push(Reverse((next, p)));
-                        }
+                while let Some(&Reverse((wt, p))) = self.wheap.peek() {
+                    if wt > t {
+                        break;
                     }
-                } else {
-                    self.report.pe_ticks += self.pes.len() as u64;
-                    for pe in self.pes.iter_mut() {
-                        match pe.tick(t, &mut ctx) {
-                            Activity::Active => any_active = true,
-                            Activity::Blocked(w) => next_wake = next_wake.min(w),
-                            Activity::Idle => {}
-                        }
+                    self.wheap.pop();
+                    let pi = p as usize;
+                    if self.wake[pi] != wt {
+                        continue; // stale entry
+                    }
+                    self.wake[pi] = u64::MAX;
+                    self.report.pe_ticks += 1;
+                    let next = match self.pes[pi].tick(t, &mut ctx) {
+                        Activity::Active => t + 1,
+                        Activity::Blocked(w) => w,
+                        Activity::Idle => u64::MAX,
+                    };
+                    if next < u64::MAX {
+                        debug_assert!(next > t, "wake must be in the future");
+                        self.wake[pi] = next;
+                        self.wheap.push(Reverse((next, p)));
                     }
                 }
             }
             self.route_posts(t);
 
-            if adaptive
-                && e_end > t + self.epoch_w
-                && (!self.tickets.is_empty() || !self.remote.is_empty())
-            {
+            if e_end > t + self.epoch_w && (!self.tickets.is_empty() || !self.remote.is_empty()) {
                 // First cross-epoch initiation in this widened window.
                 e_end = t + self.epoch_w;
             }
 
-            if ff {
-                let nw = loop {
-                    match self.wheap.peek() {
-                        Some(&Reverse((wt, p))) if self.wake[p as usize] != wt => {
-                            self.wheap.pop(); // stale
-                        }
-                        Some(&Reverse((wt, _))) => break wt,
-                        None => break u64::MAX,
+            let nw = loop {
+                match self.wheap.peek() {
+                    Some(&Reverse((wt, p))) if self.wake[p as usize] != wt => {
+                        self.wheap.pop(); // stale
                     }
-                };
-                let peek = self.events.peek().map_or(u64::MAX, |e| e.time);
-                t = nw.min(peek).max(t + 1);
-            } else if any_active {
-                t += 1;
-            } else {
-                let peek = self.events.peek().map_or(u64::MAX, |e| e.time);
-                t = next_wake.min(peek).max(t + 1);
-            }
+                    Some(&Reverse((wt, _))) => break wt,
+                    None => break u64::MAX,
+                }
+            };
+            let peek = self.events.peek().map_or(u64::MAX, |e| e.time);
+            t = nw.min(peek).max(t + 1);
         }
         self.next_hint = t;
         // Accumulate this epoch's body wall time into the shard total
@@ -577,19 +538,19 @@ enum Outcome {
 
 /// Chooses the end of the epoch starting at `e`.
 ///
-/// Fixed width `w` in dense mode. Under fast-forward, when the
-/// second-earliest shard activity `r2` lies at least one lookahead past
-/// `e`, the window widens to `r2`: exactly one shard can run before `r2`,
-/// so the only deliveries that could land in a visited past are that
-/// shard's own barrier-resolved responses — and its body self-clamps to
-/// one lookahead past its first cross-epoch initiation, keeping every
-/// such delivery strictly in its future (see `Shard::run_epoch` and
-/// DESIGN.md §12). Every other shard first acts at `≥ r2 ≥` the window
-/// end, so it simulates nothing inside the window at all.
-fn epoch_end_cycle(e: u64, r2: u64, w: u64, adaptive: bool, max_cycles: u64) -> u64 {
+/// Fixed width `w`, unless the second-earliest shard activity `r2` lies
+/// at least one lookahead past `e`; then the window widens to `r2`:
+/// exactly one shard can run before `r2`, so the only deliveries that
+/// could land in a visited past are that shard's own barrier-resolved
+/// responses — and its body self-clamps to one lookahead past its first
+/// cross-epoch initiation, keeping every such delivery strictly in its
+/// future (see `Shard::run_epoch` and DESIGN.md §12). Every other shard
+/// first acts at `≥ r2 ≥` the window end, so it simulates nothing inside
+/// the window at all.
+fn epoch_end_cycle(e: u64, r2: u64, w: u64, max_cycles: u64) -> u64 {
     let cap = max_cycles.saturating_add(1);
     let fixed = e.saturating_add(w);
-    if adaptive && r2 >= fixed {
+    if r2 >= fixed {
         r2.min(cap)
     } else {
         fixed.min(cap)
@@ -626,9 +587,8 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
     let mut dses = std::mem::take(&mut sys.dses);
     let mut dse_stamps = std::mem::take(&mut sys.dse_stamps);
     let mut dse_obs_all = std::mem::take(&mut sys.dse_obs);
-    let obs_events = sys.config.obs_events_on();
+    let obs_events = sys.config.obs.events_on();
     let w = epoch_width(&sys.config);
-    let sched = sys.config.sched;
     let base = total / nshards;
     let extra = total % nshards;
     let mut pe_owner = vec![0usize; total];
@@ -665,7 +625,6 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                 faults: sys.config.faults,
                 failover: sys.failover.clone(),
                 fault_counts: FaultCounters::default(),
-                sched,
                 epoch_w: w,
                 // Every PE is due at cycle 0.
                 wake: vec![0; n],
@@ -703,9 +662,6 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
     }
 
     let max_cycles = sys.config.max_cycles;
-    // Adaptive widening needs the self-clamp, which only the fast-forward
-    // epoch body implements; dense keeps the fixed lookahead.
-    let adaptive = sched == SchedMode::FastForward;
     let program = sys.program.clone();
     let mut drain_until = sys.drain_until;
     let engine_obs = &mut sys.engine_obs;
@@ -737,7 +693,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
         let mut e = 0u64;
         let mut r2 = 0u64;
         outcome = loop {
-            let e_end = epoch_end_cycle(e, r2, w, adaptive, max_cycles);
+            let e_end = epoch_end_cycle(e, r2, w, max_cycles);
             epochs += 1;
             engine_obs.emit(
                 e,
@@ -747,7 +703,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                 },
             );
             for shard in shards.iter_mut() {
-                shard.run_epoch(e, e_end, adaptive, &program);
+                shard.run_epoch(e, e_end, &program);
             }
             let mut refs: Vec<&mut Shard> = shards.iter_mut().collect();
             let merge_t0 = std::time::Instant::now();
@@ -786,7 +742,6 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
         let mutexes: Vec<Mutex<Shard>> = shards.drain(..).map(Mutex::new).collect();
         let program_ref: &Program = &program;
 
-        let adaptive_flag = adaptive;
         outcome = std::thread::scope(|scope| {
             for i in 1..nshards {
                 let (barrier, stop) = (&barrier, &stop);
@@ -800,7 +755,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                     let s = epoch_start.load(Ordering::Acquire);
                     let e = epoch_end.load(Ordering::Acquire);
                     let mut shard = mutexes[i].lock().expect("shard mutex poisoned");
-                    shard.run_epoch(s, e, adaptive_flag, program_ref);
+                    shard.run_epoch(s, e, program_ref);
                     drop(shard);
                     barrier.wait();
                 });
@@ -812,7 +767,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
             let mut e = 0u64;
             let mut r2 = 0u64;
             loop {
-                let e_end = epoch_end_cycle(e, r2, w, adaptive, max_cycles);
+                let e_end = epoch_end_cycle(e, r2, w, max_cycles);
                 epochs += 1;
                 engine_obs.emit(
                     e,
@@ -824,12 +779,10 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                 epoch_start.store(e, Ordering::Release);
                 epoch_end.store(e_end, Ordering::Release);
                 barrier.wait();
-                mutexes[0].lock().expect("shard mutex poisoned").run_epoch(
-                    e,
-                    e_end,
-                    adaptive_flag,
-                    program_ref,
-                );
+                mutexes[0]
+                    .lock()
+                    .expect("shard mutex poisoned")
+                    .run_epoch(e, e_end, program_ref);
                 barrier.wait();
 
                 let mut guards: Vec<_> = mutexes

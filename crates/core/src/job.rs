@@ -5,7 +5,7 @@
 //! complete [`SystemConfig`] — and [`run_job`] maps it to a
 //! self-contained [`JobResult`]. Because the simulator is deterministic
 //! (same job → bit-identical [`RunStats`] and observability stream,
-//! across engines and sched modes), a job's identity *is* its content:
+//! across engines and parallelism modes), a job's identity *is* its content:
 //!
 //! ```text
 //! JobKey = fnv1a128("dta-job\0" ‖ format ‖ program bytes ‖ args ‖ canonical config)
@@ -28,8 +28,11 @@ use crate::system::{RunError, System};
 use dta_isa::{encode_program, Program};
 use dta_json::{fnv1a128, u64_from_json, u64_json, Json, ToJson};
 use dta_obs::codec as obs_codec;
-use dta_obs::{ObsSink, ObsStream, PerfettoWriter, TrackLayout};
+use dta_obs::{ObsEvent, ObsSink, ObsStream, PerfettoWriter, ThreadEvent, TrackLayout};
+use dta_sched::InstanceId;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Version of the canonical job/result encoding.
@@ -40,7 +43,7 @@ use std::sync::Arc;
 /// stored format disagrees are discarded on load). Bump it whenever the
 /// canonical config form, the program byte encoding, or the result
 /// encoding changes meaning.
-pub const JOB_FORMAT_VERSION: u32 = 4;
+pub const JOB_FORMAT_VERSION: u32 = 5;
 
 /// Content hash identifying a job (see the module docs for the exact
 /// preimage). Rendered as 32 lowercase hex digits in reports and file
@@ -480,8 +483,8 @@ impl JobError {
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobOutput {
     /// Engine-invariant simulation results (bit-identical across
-    /// [`crate::config::Parallelism`] and [`crate::config::SchedMode`]
-    /// for a fixed job — but those knobs are part of the key anyway).
+    /// [`crate::config::Parallelism`] modes for a fixed job — but that
+    /// knob is part of the key anyway).
     pub stats: RunStats,
     /// How the host engine advanced time. Deterministic for a fixed job
     /// on a fixed host, except under `Parallelism::Auto` where the host
@@ -681,10 +684,88 @@ pub fn perfetto_trace(config: &SystemConfig, program: &Program, stream: &ObsStre
     writer.finish()
 }
 
+/// Renders the per-instance lifecycle table of a finished run — birth,
+/// first dispatch, dispatch/DMA/wait counts, stop — straight from the
+/// [`ThreadEvent`]s of its observability stream (events must have been
+/// recorded; see [`crate::ObsConfig`]). A trailing line flags a stream
+/// whose per-unit rings dropped records, since the oldest lifecycle
+/// events may then be missing.
+pub fn lifecycle_table(program: &Program, stream: &ObsStream) -> String {
+    #[derive(Default)]
+    struct Life {
+        thread: usize,
+        pe: u16,
+        born: Option<u64>,
+        dispatches: u64,
+        first_dispatch: Option<u64>,
+        dma: u64,
+        waits: u64,
+        stopped: Option<u64>,
+    }
+    let mut lives: BTreeMap<u64, Life> = BTreeMap::new();
+    for r in &stream.records {
+        let ObsEvent::Thread {
+            pe,
+            instance,
+            thread,
+            what,
+        } = r.ev
+        else {
+            continue;
+        };
+        let l = lives.entry(instance).or_default();
+        l.thread = thread as usize;
+        l.pe = pe;
+        match what {
+            ThreadEvent::FrameGranted { .. } => l.born = Some(r.cycle),
+            ThreadEvent::Dispatched => {
+                l.dispatches += 1;
+                l.first_dispatch.get_or_insert(r.cycle);
+            }
+            ThreadEvent::DmaIssued { .. } => l.dma += 1,
+            ThreadEvent::WaitDma => l.waits += 1,
+            ThreadEvent::Stopped => l.stopped = Some(r.cycle),
+            _ => {}
+        }
+    }
+    let mut out = format!(
+        "{:<10} {:<12} {:>3} {:>9} {:>9} {:>5} {:>4} {:>5} {:>9}\n",
+        "instance", "thread", "pe", "born", "dispatch", "disp#", "dma", "waits", "stopped"
+    );
+    let opt = |v: Option<u64>| v.map_or_else(|| "-".into(), |c| c.to_string());
+    for (&id, l) in &lives {
+        let name = program
+            .threads
+            .get(l.thread)
+            .map_or("?", |t| t.name.as_str());
+        let _ = writeln!(
+            out,
+            "{:<10} {:<12} {:>3} {:>9} {:>9} {:>5} {:>4} {:>5} {:>9}",
+            InstanceId(id).to_string(),
+            name,
+            l.pe,
+            opt(l.born),
+            opt(l.first_dispatch),
+            l.dispatches,
+            l.dma,
+            l.waits,
+            opt(l.stopped),
+        );
+    }
+    if stream.dropped > 0 {
+        let _ = writeln!(
+            out,
+            "(trace truncated: {} oldest records dropped by the event rings)",
+            stream.dropped
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ObsMode, Parallelism, SchedMode};
+    use crate::config::{ObsMode, Parallelism};
     use dta_isa::{reg::r, ProgramBuilder, ThreadBuilder};
 
     fn tiny_program() -> Arc<Program> {
@@ -724,9 +805,9 @@ mod tests {
         other_pes.config.pes_per_node = 2;
         assert_ne!(k, other_pes.key());
 
-        let mut other_sched = base.clone();
-        other_sched.config.sched = SchedMode::Dense;
-        assert_ne!(k, other_sched.key());
+        let mut other_memo = base.clone();
+        other_memo.config.memo = crate::config::MemoConfig::on();
+        assert_ne!(k, other_memo.key());
 
         let mut other_par = base.clone();
         other_par.config.parallelism = Parallelism::Threads(2);

@@ -54,19 +54,17 @@ pub mod memo;
 pub mod pipeline;
 pub mod stats;
 pub mod system;
-pub mod trace;
 
-pub use config::{FaultPlan, MemoConfig, ObsConfig, ObsMode, Parallelism, SchedMode, SystemConfig};
+pub use config::{FaultPlan, MemoConfig, ObsConfig, ObsMode, Parallelism, SystemConfig};
 pub use fault::FaultCounters;
 pub use job::{
-    perfetto_trace, run_job, run_job_with_sink, GlobalRead, GlobalSnapshot, JobError, JobKey,
-    JobOutput, JobResult, SimJob, JOB_FORMAT_VERSION,
+    lifecycle_table, perfetto_trace, run_job, run_job_with_sink, GlobalRead, GlobalSnapshot,
+    JobError, JobKey, JobOutput, JobResult, SimJob, JOB_FORMAT_VERSION,
 };
 pub use memo::MemoCounters;
 pub use pipeline::{Activity, Pe, PipelineParams};
 pub use stats::{Breakdown, EngineReport, PeStats, RunStats, StallCat};
 pub use system::{simulate, RunError, System};
-pub use trace::{Trace, TraceKind, TraceRecord};
 
 // The structured observability layer (event bus, metrics, Perfetto
 // export). Re-exported so downstream crates need no direct `dta-obs`

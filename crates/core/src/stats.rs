@@ -322,12 +322,11 @@ impl fmt::Display for Breakdown {
 /// Host-engine execution report: how the engine advanced simulated time.
 ///
 /// Deliberately *not* part of [`RunStats`]: these counters describe the
-/// host-side schedule (which differs across [`SchedMode`] and
-/// [`Parallelism`] by design), while `RunStats` is compared bit-for-bit
+/// host-side schedule (which differs across [`Parallelism`] modes by
+/// design), while `RunStats` is compared bit-for-bit
 /// across engines by the determinism suites. Read it from
 /// [`System::engine_report`] after a run.
 ///
-/// [`SchedMode`]: crate::config::SchedMode
 /// [`Parallelism`]: crate::config::Parallelism
 /// [`System::engine_report`]: crate::system::System::engine_report
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -337,15 +336,15 @@ pub struct EngineReport {
     pub visited_cycles: u64,
     /// `Pe::tick` calls actually made.
     pub pe_ticks: u64,
-    /// Ticks a dense engine would have made at the visited cycles but
-    /// fast-forward skipped (`Σ visited_cycles × shard PEs − pe_ticks`;
-    /// zero in dense mode).
+    /// Ticks a tick-every-PE loop would have made at the visited cycles
+    /// but the wake-heap scheduler skipped (`Σ visited_cycles × shard
+    /// PEs − pe_ticks`).
     pub skipped_ticks: u64,
     /// Epoch barriers executed by the sharded engine (zero sequential).
     pub epochs: u64,
     /// Fixed-width epochs that adaptive widening merged away — how many
     /// extra barrier rendezvous a fixed-width schedule would have run
-    /// (zero when dense or sequential).
+    /// (zero for the sequential engine).
     pub merged_epochs: u64,
     /// Wall-clock µs each shard spent ticking its PEs (one entry per
     /// shard; a single entry covering the whole loop for the sequential
@@ -354,9 +353,9 @@ pub struct EngineReport {
     /// Wall-clock µs the coordinator spent resolving epoch barriers
     /// (ticket merge + rendezvous); zero for the sequential engine.
     pub merge_wall_us: u64,
-    /// Occupancy of the fast-forward wake heap, sampled once per
-    /// visited cycle per shard (empty in dense mode). Quantifies the
-    /// pending-wakeup population the event-driven scheduler carries.
+    /// Occupancy of the wake heap, sampled once per visited cycle per
+    /// shard. Quantifies the pending-wakeup population the event-driven
+    /// scheduler carries.
     pub wake_heap_occupancy: dta_obs::Histogram,
     /// Host-side message deliveries to PE-owned units (LSE + pipeline).
     pub pe_deliveries: u64,

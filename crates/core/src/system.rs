@@ -8,22 +8,22 @@
 //! is used to initiate the DTA TLP activities" (§4.1).
 //!
 //! Simulation is cycle-driven with event-based time skipping: scheduler
-//! messages and DMA completions sit in a time-ordered queue, and when
-//! every pipeline is blocked or idle the clock jumps straight to the next
-//! event. Arbitration everywhere is deterministic, so a given
-//! (program, config) pair always produces identical results.
+//! messages and DMA completions sit in a time-ordered queue, each PE
+//! carries a wake time, only PEs that are due tick at a visited cycle,
+//! and the clock jumps straight to the next due wake or event.
+//! Arbitration everywhere is deterministic, so a given (program, config)
+//! pair always produces identical results.
 
-use crate::config::{FaultPlan, Parallelism, SchedMode, SystemConfig};
+use crate::config::{FaultPlan, Parallelism, SystemConfig};
 use crate::fault::{msg_exempt, transform, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
 use crate::pipeline::{Activity, MemPort, OutMsg, Pe, PipelineParams, SysCtx};
 use crate::stats::{EngineReport, PeStats, RunStats};
-use crate::trace::Trace;
 use dta_isa::{validate_program, Program, ValidationError};
 use dta_mem::fault::{roll, SITE_FALLOC_DENY};
 use dta_mem::{MainMemory, MemorySystem};
 use dta_obs::{
-    MetricsReport, MetricsSink, ObsEvent, ObsLog, ObsRecord, ObsSink, ObsStream, PerfettoWriter,
-    ThreadEvent, TrackLayout, ENGINE_UNIT, MSG_DELAY_SEQ_BIT, MSG_DUP_SEQ_BIT, MSG_SEQ_BIT,
+    MetricsReport, MetricsSink, ObsEvent, ObsLog, ObsRecord, ObsSink, ObsStream, ThreadEvent,
+    ENGINE_UNIT, MSG_DELAY_SEQ_BIT, MSG_DUP_SEQ_BIT, MSG_SEQ_BIT,
 };
 use dta_sched::dse::FallocDecision;
 use dta_sched::{Dest, Dse, InstanceId, Message, MsgSeq, PendingFalloc, ThreadState};
@@ -1155,9 +1155,6 @@ pub struct System {
     pub(crate) now: u64,
     pub(crate) drain_until: u64,
     launched: bool,
-    /// Legacy lifecycle trace, derived from the event stream at
-    /// finalisation when [`SystemConfig::trace`] is set.
-    pub(crate) trace: Option<Trace>,
     /// Per-DSE observability logs (unit rank = total PEs + node).
     pub(crate) dse_obs: Vec<ObsLog>,
     /// Message-fault records (engine-invariant stamps; see `post`).
@@ -1220,7 +1217,7 @@ impl System {
             ls_ports: config.ls_ports,
             cache: config.cache,
             sp_pf_overlap: config.sp_pf_overlap,
-            obs_events: config.obs_events_on(),
+            obs_events: config.obs.events_on(),
             obs_interval: config.obs_interval(),
             obs_capacity: config.obs.event_capacity,
             memo: config.memo,
@@ -1265,7 +1262,7 @@ impl System {
                 ObsLog::new(
                     total + node as u32,
                     config.obs.event_capacity,
-                    config.obs_events_on(),
+                    config.obs.events_on(),
                     0,
                 )
             })
@@ -1273,7 +1270,7 @@ impl System {
         let engine_obs = ObsLog::new(
             ENGINE_UNIT,
             config.obs.event_capacity,
-            config.obs_events_on(),
+            config.obs.events_on(),
             0,
         );
         let dse_stamps = (0..config.nodes)
@@ -1367,7 +1364,6 @@ impl System {
             now: 0,
             drain_until: 0,
             launched: false,
-            trace: None,
             dse_obs,
             obs_misc: Vec::new(),
             engine_obs,
@@ -1402,22 +1398,6 @@ impl System {
     /// Read-only view of main memory (for verifying results after a run).
     pub fn memory(&self) -> &MainMemory {
         &self.mem
-    }
-
-    /// The recorded trace, when tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Renders the recorded trace as a per-instance lifecycle table.
-    pub fn render_trace(&self) -> Option<String> {
-        let names: Vec<String> = self
-            .program
-            .threads
-            .iter()
-            .map(|t| t.name.clone())
-            .collect();
-        self.trace.as_ref().map(|t| t.render(&names))
     }
 
     /// Reads 32-bit word `index` of global `name`.
@@ -1457,7 +1437,7 @@ impl System {
                     time,
                     stamp,
                     &mut self.fault_counts,
-                    self.config.obs_events_on(),
+                    self.config.obs.events_on(),
                     &mut self.obs_misc,
                 );
                 if let Some((t2, s2)) = dup {
@@ -1618,10 +1598,10 @@ impl System {
     ///
     /// Dispatches on [`SystemConfig::parallelism`]: `Off` runs the
     /// sequential engine; `Threads`/`Auto` run the epoch-sharded engine
-    /// (which produces bit-identical results). Tracing and the
-    /// `sp_pf_overlap` extension force the sequential engine (the SP
-    /// pipeline replays instructions at future cycles, which the epoch
-    /// ticket protocol does not model).
+    /// (which produces bit-identical results). The `sp_pf_overlap`
+    /// extension forces the sequential engine (the SP pipeline replays
+    /// instructions at future cycles, which the epoch ticket protocol
+    /// does not model).
     pub fn run(&mut self) -> Result<RunStats, RunError> {
         assert!(self.launched, "run() before launch()");
         let threads = match self.config.parallelism {
@@ -1636,22 +1616,15 @@ impl System {
         }
     }
 
-    pub(crate) fn run_sequential(&mut self) -> Result<RunStats, RunError> {
-        match self.config.sched {
-            SchedMode::Dense => self.run_sequential_dense(),
-            SchedMode::FastForward => self.run_sequential_ff(),
-        }
-    }
-
     /// Drains and delivers every event due at `self.now`, feeding the
-    /// resulting posts back into the queue. With `wakes`, each delivery
-    /// addressed to a PE (LSE or pipeline) also reports the PE index so
-    /// the fast-forward engine can tick it this cycle.
+    /// resulting posts back into the queue. Each delivery addressed to a
+    /// PE (LSE or pipeline) also reports the PE index to `wake`, so the
+    /// engine ticks that PE this cycle.
     fn deliver_due(
         &mut self,
         posts: &mut Vec<OutMsg>,
         report: &mut EngineReport,
-        mut wake: Option<&mut dyn FnMut(u16)>,
+        wake: &mut dyn FnMut(u16),
     ) {
         while self.events.peek().is_some_and(|e| e.time <= self.now) {
             let e = self.events.pop().expect("peeked");
@@ -1662,14 +1635,11 @@ impl System {
                 continue;
             }
             match e.to {
-                Dest::Lse(_) | Dest::Pipeline(_) => report.pe_deliveries += 1,
-                Dest::Dse(_) => report.dse_deliveries += 1,
-            }
-            if let Some(wake) = wake.as_deref_mut() {
-                match e.to {
-                    Dest::Lse(pe) | Dest::Pipeline(pe) => wake(pe),
-                    Dest::Dse(_) => {}
+                Dest::Lse(pe) | Dest::Pipeline(pe) => {
+                    report.pe_deliveries += 1;
+                    wake(pe);
                 }
+                Dest::Dse(_) => report.dse_deliveries += 1,
             }
             let mut env = DeliverEnv {
                 pes: &mut self.pes,
@@ -1709,102 +1679,6 @@ impl System {
         self.engine_report = report;
     }
 
-    /// The original dense loop: every PE ticks at every visited cycle.
-    fn run_sequential_dense(&mut self) -> Result<RunStats, RunError> {
-        let wall = std::time::Instant::now();
-        let mut outbox: Vec<OutMsg> = Vec::new();
-        let mut posts: Vec<OutMsg> = Vec::new();
-        let mut report = EngineReport::default();
-        let stream_every = self.config.obs_stream_interval();
-        let mut stream_next = stream_every;
-
-        loop {
-            if self.now > self.config.max_cycles {
-                self.seal_report(report, wall);
-                self.finalize_obs(self.now);
-                return Err(self.cycle_limit_error());
-            }
-            report.visited_cycles += 1;
-
-            // Deliver everything due now. Deliveries only post messages
-            // for strictly later cycles, so flushing afterwards is safe.
-            self.deliver_due(&mut posts, &mut report, None);
-
-            // Tick every PE.
-            let mut any_active = false;
-            let mut next_wake = u64::MAX;
-            {
-                let System {
-                    pes,
-                    memsys,
-                    mem,
-                    program,
-                    drain_until,
-                    failover,
-                    ..
-                } = self;
-                let mut ctx = SysCtx {
-                    port: MemPort::Direct { sys: memsys, mem },
-                    program,
-                    out: &mut outbox,
-                    drain_until,
-                    failover: failover.as_deref(),
-                };
-                report.pe_ticks += pes.len() as u64;
-                // The dense engine's "wake set" is every PE, every
-                // visited cycle; sampling it keeps the host-profile
-                // occupancy tables comparable with fast-forward's.
-                report.wake_heap_occupancy.add(pes.len() as u64);
-                for pe in pes.iter_mut() {
-                    match pe.tick(self.now, &mut ctx) {
-                        Activity::Active => any_active = true,
-                        Activity::Blocked(t) => next_wake = next_wake.min(t),
-                        Activity::Idle => {}
-                    }
-                }
-            }
-            for (time, to, msg, stamp) in outbox.drain(..) {
-                self.post(time, to, msg, stamp);
-            }
-            // Cycle `now` is fully simulated (posts only target later
-            // cycles), so it is a safe streaming horizon.
-            if stream_every > 0 && self.now >= stream_next {
-                self.stream_obs_through(self.now);
-                stream_next = self.now + stream_every;
-            }
-
-            if any_active {
-                self.now += 1;
-                continue;
-            }
-            // Jump to the next interesting time.
-            let next_event = self.events.peek().map(|e| e.time).unwrap_or(u64::MAX);
-            let target = next_event.min(next_wake);
-            if target == u64::MAX {
-                // Nothing will ever happen again. A quiet machine with
-                // lost work (tainted kills, orphaned adoptions) is a
-                // fault outcome, not a completed program.
-                let live: usize = self.pes.iter().map(|p| p.lse.live_instances()).sum();
-                if live > 0 || self.unrecovered_work() > 0 {
-                    self.seal_report(report, wall);
-                    self.finalize_obs(self.now);
-                    return Err(self.quiescence_error());
-                }
-                break;
-            }
-            debug_assert!(target > self.now, "time must advance");
-            self.now = target;
-        }
-
-        self.seal_report(report, wall);
-        let final_cycle = self.now.max(self.drain_until);
-        for pe in &mut self.pes {
-            pe.finish(final_cycle);
-        }
-        self.finalize_obs(final_cycle);
-        Ok(self.collect(final_cycle))
-    }
-
     /// Event-driven fast-forward: each PE carries a wake time in a binary
     /// heap and only *due* PEs tick at a visited cycle.
     ///
@@ -1820,14 +1694,14 @@ impl System {
     /// * `Activity::Blocked(u64::MAX)` / `Activity::Idle` → no wake: only
     ///   a delivery can make the PE runnable again.
     ///
-    /// Ticks this schedule skips are exactly the dense loop's no-ops —
-    /// blocked/idle early returns whose only effect, gauge-boundary
-    /// flushing, is a pure function of simulated time and unchanged unit
-    /// state, so it emits identical samples whenever it runs (DESIGN.md
-    /// §12 has the full argument; `fastforward_invariance.rs` pins it).
-    /// Within a cycle the heap pops in ascending PE order, preserving the
-    /// dense loop's memory-port reservation order.
-    fn run_sequential_ff(&mut self) -> Result<RunStats, RunError> {
+    /// Ticks this schedule skips are exactly the no-ops a tick-every-PE
+    /// loop would make — blocked/idle early returns whose only effect,
+    /// gauge-boundary flushing, is a pure function of simulated time and
+    /// unchanged unit state, so it emits identical samples whenever it
+    /// runs (DESIGN.md §12 has the full argument; the golden digests in
+    /// `tests/golden.rs` pin the results). Within a cycle the heap pops
+    /// in ascending PE order, which is the memory-port reservation order.
+    pub(crate) fn run_sequential(&mut self) -> Result<RunStats, RunError> {
         let wall = std::time::Instant::now();
         let npes = self.pes.len();
         let mut outbox: Vec<OutMsg> = Vec::new();
@@ -1864,17 +1738,13 @@ impl System {
             // Deliver everything due now; every delivery addressed to a
             // PE schedules a tick of that PE this cycle.
             let now = self.now;
-            self.deliver_due(
-                &mut posts,
-                &mut report,
-                Some(&mut |pe: u16| {
-                    let slot = &mut wake[pe as usize];
-                    if now < *slot {
-                        *slot = now;
-                        heap.push(Reverse((now, pe)));
-                    }
-                }),
-            );
+            self.deliver_due(&mut posts, &mut report, &mut |pe: u16| {
+                let slot = &mut wake[pe as usize];
+                if now < *slot {
+                    *slot = now;
+                    heap.push(Reverse((now, pe)));
+                }
+            });
 
             // Tick the due PEs, in ascending PE order within the cycle.
             {
@@ -1939,8 +1809,9 @@ impl System {
             let next_event = self.events.peek().map(|e| e.time).unwrap_or(u64::MAX);
             let target = next_event.min(next_wake);
             if target == u64::MAX {
-                // Nothing will ever happen again. Same lost-work gate as
-                // the dense loop: quiet-but-lossy runs are fault outcomes.
+                // Nothing will ever happen again. A quiet machine with
+                // lost work (tainted kills, orphaned adoptions) is a
+                // fault outcome, not a completed program.
                 let live: usize = self.pes.iter().map(|p| p.lse.live_instances()).sum();
                 if live > 0 || self.unrecovered_work() > 0 {
                     self.seal_report(finish(report), wall);
@@ -1963,8 +1834,7 @@ impl System {
     }
 
     /// Merges every unit's observability log into the wall-order stream
-    /// (idempotent; called once at the end of either engine). Builds the
-    /// legacy [`Trace`] view when [`SystemConfig::trace`] is set.
+    /// (idempotent; called once at the end of either engine).
     pub(crate) fn finalize_obs(&mut self, final_cycle: u64) {
         if self.obs_finalized {
             return;
@@ -2000,11 +1870,7 @@ impl System {
         }
         let mut records = std::mem::take(&mut self.streamed);
         records.append(&mut tail);
-        let stream = ObsStream::from_records(records, dropped);
-        if self.config.trace {
-            self.trace = Some(Trace::from_obs(&stream.records, self.config.trace_capacity));
-        }
-        self.obs = Some(stream);
+        self.obs = Some(ObsStream::from_records(records, dropped));
     }
 
     /// Drains every record stamped `<= h` out of the per-unit rings into
@@ -2081,20 +1947,11 @@ impl System {
     /// document (one track per PE, MFC and DSE).
     pub fn perfetto_trace(&self) -> Option<String> {
         let stream = self.obs.as_ref()?;
-        let layout = TrackLayout {
-            total_pes: self.config.total_pes(),
-            pes_per_node: self.config.pes_per_node,
-            nodes: self.config.nodes,
-            thread_names: self
-                .program
-                .threads
-                .iter()
-                .map(|t| t.name.clone())
-                .collect(),
-        };
-        let mut writer = PerfettoWriter::new(layout);
-        stream.feed(&mut writer);
-        Some(writer.finish())
+        Some(crate::job::perfetto_trace(
+            &self.config,
+            &self.program,
+            stream,
+        ))
     }
 
     pub(crate) fn collect(&self, final_cycle: u64) -> RunStats {

@@ -3,35 +3,31 @@
 //! Instance memoization + timing replay is a pure *host-time*
 //! optimisation: `RunStats`, the deterministic observability stream,
 //! and every typed `RunError` must be **bit-identical** across the full
-//! `{Dense, FastForward} × {Off, Threads(2), Threads(4)} × memo {on,
-//! off}` matrix — on the paper's benchmarks and under seeded fault
-//! plans (where the memo layer must disarm itself entirely). A final
+//! `{Off, Threads(2), Threads(4)} × memo {on, off}` matrix — on the
+//! paper's benchmarks and under seeded fault plans (where the memo layer
+//! must disarm itself entirely). The memo-off `Off` oracle is itself
+//! pinned by the golden digests in `golden.rs`. A final
 //! group of tests pins that the layer actually does something: replays
 //! fire on the paper workloads, and an open contention window
 //! (concurrent DMA on the same MFC) correctly suppresses firing.
 
 use dta_core::{
-    simulate, FaultPlan, MemoConfig, ObsMode, Parallelism, RunError, RunStats, SchedMode, System,
-    SystemConfig,
+    simulate, FaultPlan, MemoConfig, ObsMode, Parallelism, RunError, RunStats, System, SystemConfig,
 };
 use dta_workloads::{bitcnt, mmul, zoom, Variant, WorkloadProgram};
 use std::sync::Arc;
 
 /// Every engine configuration the invariance property quantifies over.
-/// `(Dense, Off)` with memo off is the oracle; every other point of the
+/// `Off` with memo off is the oracle; every other point of the
 /// `MATRIX × {memo on, memo off}` product must match it exactly.
-const MATRIX: [(SchedMode, Parallelism); 6] = [
-    (SchedMode::Dense, Parallelism::Off),
-    (SchedMode::Dense, Parallelism::Threads(2)),
-    (SchedMode::Dense, Parallelism::Threads(4)),
-    (SchedMode::FastForward, Parallelism::Off),
-    (SchedMode::FastForward, Parallelism::Threads(2)),
-    (SchedMode::FastForward, Parallelism::Threads(4)),
+const MATRIX: [Parallelism; 3] = [
+    Parallelism::Off,
+    Parallelism::Threads(2),
+    Parallelism::Threads(4),
 ];
 
-fn cfg(sched: SchedMode, par: Parallelism, faults: Option<FaultPlan>, memo: bool) -> SystemConfig {
+fn cfg(par: Parallelism, faults: Option<FaultPlan>, memo: bool) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
-    cfg.sched = sched;
     cfg.parallelism = par;
     cfg.obs.mode = ObsMode::All;
     cfg.obs.metrics_interval = 500;
@@ -45,21 +41,16 @@ fn cfg(sched: SchedMode, par: Parallelism, faults: Option<FaultPlan>, memo: bool
 
 fn run(
     build: &dyn Fn() -> WorkloadProgram,
-    sched: SchedMode,
     par: Parallelism,
     faults: Option<FaultPlan>,
     memo: bool,
 ) -> (RunStats, System) {
     let wp = build();
-    simulate(
-        cfg(sched, par, faults, memo),
-        Arc::new(wp.program),
-        &wp.args,
-    )
-    .unwrap_or_else(|e| panic!("{sched:?}/{par:?}/memo={memo} failed: {e}"))
+    simulate(cfg(par, faults, memo), Arc::new(wp.program), &wp.args)
+        .unwrap_or_else(|e| panic!("{par:?}/memo={memo} failed: {e}"))
 }
 
-/// Same mixed recoverable plan as the fast-forward invariance suite:
+/// Same mixed recoverable plan as the golden suite:
 /// transient DMA failures, every message-fault kind, FALLOC denials.
 /// Non-benign, so the memo layer must disarm itself under it.
 fn mixed_plan() -> FaultPlan {
@@ -79,40 +70,39 @@ fn assert_memo_invariant(
     verify: &dyn Fn(&System) -> Result<(), String>,
     faults: Option<FaultPlan>,
 ) {
-    let (oracle_stats, oracle_sys) = run(build, SchedMode::Dense, Parallelism::Off, faults, false);
-    verify(&oracle_sys).unwrap_or_else(|e| panic!("{name}: dense oracle result wrong: {e}"));
+    let (oracle_stats, oracle_sys) = run(build, Parallelism::Off, faults, false);
+    verify(&oracle_sys).unwrap_or_else(|e| panic!("{name}: oracle result wrong: {e}"));
     let oracle = oracle_sys.obs().expect("observability on");
     let oracle_det = oracle.deterministic();
     assert!(!oracle_det.is_empty(), "{name}: empty event stream");
 
     for memo in [false, true] {
-        for (sched, par) in MATRIX {
-            if !memo && (sched, par) == (SchedMode::Dense, Parallelism::Off) {
+        for par in MATRIX {
+            if !memo && par == Parallelism::Off {
                 continue; // the oracle itself
             }
-            let (stats, sys) = run(build, sched, par, faults, memo);
-            verify(&sys).unwrap_or_else(|e| {
-                panic!("{name}: {sched:?}/{par:?}/memo={memo} result wrong: {e}")
-            });
+            let (stats, sys) = run(build, par, faults, memo);
+            verify(&sys)
+                .unwrap_or_else(|e| panic!("{name}: {par:?}/memo={memo} result wrong: {e}"));
             assert_eq!(
                 oracle_stats, stats,
-                "{name}: {sched:?}/{par:?}/memo={memo} stats diverged"
+                "{name}: {par:?}/memo={memo} stats diverged"
             );
             let stream = sys.obs().expect("observability on");
             assert_eq!(
                 oracle.dropped, stream.dropped,
-                "{name}: {sched:?}/{par:?}/memo={memo} ring-drop count diverged"
+                "{name}: {par:?}/memo={memo} ring-drop count diverged"
             );
             let det = stream.deterministic();
             assert_eq!(
                 oracle_det.len(),
                 det.len(),
-                "{name}: {sched:?}/{par:?}/memo={memo} stream length diverged"
+                "{name}: {par:?}/memo={memo} stream length diverged"
             );
             for (i, (a, b)) in oracle_det.iter().zip(det.iter()).enumerate() {
                 assert_eq!(
                     a, b,
-                    "{name}: {sched:?}/{par:?}/memo={memo} stream diverged at record {i}"
+                    "{name}: {par:?}/memo={memo} stream diverged at record {i}"
                 );
             }
             if memo && faults.is_some() {
@@ -122,7 +112,7 @@ fn assert_memo_invariant(
                 assert_eq!(
                     (r.memo_hits, r.memo_misses),
                     (0, 0),
-                    "{name}: {sched:?}/{par:?} memo ran under a fault plan"
+                    "{name}: {par:?} memo ran under a fault plan"
                 );
             }
         }
@@ -187,53 +177,51 @@ fn bitcnt_under_faults_disarms_memo_and_stays_invariant() {
 /// cross the cycle budget precisely so this holds.)
 #[test]
 fn cycle_limit_error_is_memo_invariant() {
-    let go = |sched: SchedMode, par: Parallelism, memo: bool| {
-        let mut c = cfg(sched, par, None, memo);
+    let go = |par: Parallelism, memo: bool| {
+        let mut c = cfg(par, None, memo);
         c.max_cycles = 2_000; // far too small for bitcnt(1024)
         let wp = bitcnt::build(1024, Variant::HandPrefetch);
         simulate(c, Arc::new(wp.program), &wp.args)
     };
-    let oracle = go(SchedMode::Dense, Parallelism::Off, false)
-        .expect_err("a 2k-cycle budget cannot complete bitcnt(1024)");
+    let oracle =
+        go(Parallelism::Off, false).expect_err("a 2k-cycle budget cannot complete bitcnt(1024)");
     assert!(
         matches!(oracle, RunError::CycleLimit { .. }),
         "expected a cycle-limit trip, got: {oracle}"
     );
     let oracle_dbg = format!("{oracle:?}");
     for memo in [false, true] {
-        for (sched, par) in MATRIX {
-            if !memo && (sched, par) == (SchedMode::Dense, Parallelism::Off) {
+        for par in MATRIX {
+            if !memo && par == Parallelism::Off {
                 continue;
             }
-            let err = go(sched, par, memo).expect_err("all engines must fail alike");
+            let err = go(par, memo).expect_err("all engines must fail alike");
             assert_eq!(
                 format!("{err:?}"),
                 oracle_dbg,
-                "{sched:?}/{par:?}/memo={memo} error diverged"
+                "{par:?}/memo={memo} error diverged"
             );
         }
     }
 }
 
 /// The layer must actually do something on the paper workloads: hits
-/// land and replayed cycles accumulate on both engines.
+/// land and replayed cycles accumulate.
 #[test]
 fn memo_fires_on_paper_workloads() {
     let build = || bitcnt::build(10_000, Variant::HandPrefetch);
-    for sched in [SchedMode::Dense, SchedMode::FastForward] {
-        let (stats, sys) = run(&build, sched, Parallelism::Off, None, true);
-        let r = sys.engine_report();
-        assert!(
-            r.memo_hits > 0 && r.memo_replayed_cycles > 0,
-            "{sched:?}: memo never fired: {r:?}"
-        );
-        assert!(
-            r.memo_hits > stats.instances * 9 / 10,
-            "{sched:?}: hit rate too low: {} hits for {} instances",
-            r.memo_hits,
-            stats.instances
-        );
-    }
+    let (stats, sys) = run(&build, Parallelism::Off, None, true);
+    let r = sys.engine_report();
+    assert!(
+        r.memo_hits > 0 && r.memo_replayed_cycles > 0,
+        "memo never fired: {r:?}"
+    );
+    assert!(
+        r.memo_hits > stats.instances * 9 / 10,
+        "hit rate too low: {} hits for {} instances",
+        r.memo_hits,
+        stats.instances
+    );
 }
 
 /// The pure span must outlast the DMA completion latency so that a
@@ -293,7 +281,7 @@ fn contention_window_suppresses_firing() {
     let iters = 32;
     let program = contended_loop(iters);
     let go = |memo: bool| {
-        let mut c = cfg(SchedMode::Dense, Parallelism::Off, None, memo);
+        let mut c = cfg(Parallelism::Off, None, memo);
         c.pes_per_node = 1;
         simulate(c, Arc::clone(&program), &[]).expect("contended loop failed")
     };

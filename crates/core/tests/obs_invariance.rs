@@ -1,179 +1,29 @@
-//! Engine-invariance property for the observability layer (PR 4).
+//! Observability-layer properties.
 //!
-//! The merged event stream — sorted by the simulator's deterministic
-//! wall order `(cycle, unit, seq)` and stripped of the engine's own
-//! epoch records — must be **bit-identical** across `Parallelism::Off`
-//! and `Threads(2|4)`, on the paper's three benchmarks, with and
-//! without a seeded `FaultPlan`. Also checks the layer is pure
-//! observation (identical `RunStats` with sinks on or off) and that the
-//! Perfetto export of mmul(32) PF actually shows the paper's Fig. 4
-//! overlap: DMA-in-flight spans overlapping other threads' EX slices on
-//! the same PE.
+//! Checks the layer is pure observation (identical `RunStats` with
+//! sinks on or off), that the metrics and the Perfetto export of
+//! mmul(32) PF actually show the paper's Fig. 4 overlap — DMA-in-flight
+//! spans overlapping other threads' EX slices on the same PE — and that
+//! the lifecycle table is a view of the stream. Bit-identity of the
+//! stream across `Parallelism::Off` and `Threads(2|4)`, with and without
+//! a seeded `FaultPlan`, is pinned by the golden digests in `golden.rs`.
 
-use dta_core::{
-    simulate, FaultPlan, ObsMode, Parallelism, RunStats, System, SystemConfig, ThreadEvent,
-};
-use dta_workloads::{bitcnt, mmul, zoom, Variant, WorkloadProgram};
+use dta_core::{simulate, ObsMode, RunStats, System, SystemConfig, ThreadEvent};
+use dta_workloads::{bitcnt, mmul, Variant, WorkloadProgram};
 use std::sync::Arc;
 
-fn cfg(par: Parallelism, mode: ObsMode, faults: Option<FaultPlan>) -> SystemConfig {
+fn cfg(mode: ObsMode) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
-    cfg.parallelism = par;
     cfg.obs.mode = mode;
     cfg.obs.metrics_interval = 500;
-    cfg.faults = faults;
     cfg.max_cycles = 50_000_000;
     cfg
 }
 
-fn run(
-    build: &dyn Fn() -> WorkloadProgram,
-    par: Parallelism,
-    mode: ObsMode,
-    faults: Option<FaultPlan>,
-) -> (RunStats, System) {
+fn run(build: &dyn Fn() -> WorkloadProgram, mode: ObsMode) -> (RunStats, System) {
     let wp = build();
-    simulate(cfg(par, mode, faults), Arc::new(wp.program), &wp.args)
-        .unwrap_or_else(|e| panic!("{par:?}/{mode:?} failed: {e}"))
-}
-
-/// A mixed recoverable plan: transient DMA failures, every message-fault
-/// kind, and FALLOC denials — rates low enough that the paper benchmarks
-/// complete with verified results.
-fn mixed_plan() -> FaultPlan {
-    let mut plan = FaultPlan::seeded(0x0B5E_11A7);
-    plan.dma_fail_ppm = 30_000;
-    plan.dma_backoff_base = 16;
-    plan.msg_drop_ppm = 10_000;
-    plan.msg_dup_ppm = 10_000;
-    plan.msg_delay_ppm = 10_000;
-    plan.falloc_deny_ppm = 50_000;
-    plan
-}
-
-fn assert_stream_invariant(
-    name: &str,
-    build: &dyn Fn() -> WorkloadProgram,
-    verify: &dyn Fn(&System) -> Result<(), String>,
-    faults: Option<FaultPlan>,
-) {
-    let (oracle_stats, oracle_sys) = run(build, Parallelism::Off, ObsMode::All, faults);
-    verify(&oracle_sys).unwrap_or_else(|e| panic!("{name}: sequential result wrong: {e}"));
-    // Conservation: every simulated PE-cycle lands in exactly one fine
-    // attribution category — with or without injected faults. (The fine
-    // array rides in `PeStats`, so the `assert_eq!` below also proves
-    // attribution is bit-identical across engines.)
-    for (pe, p) in oracle_stats.per_pe.iter().enumerate() {
-        assert_eq!(
-            p.total_fine_cycles(),
-            p.total_cycles(),
-            "{name}: fine-attribution conservation violated on PE {pe}"
-        );
-    }
-    // Reconciliation: the attribution-side overlap census (compute with
-    // DMA open) can never exceed the busy-span overlap the metrics fold
-    // reports, which also counts intra-span stall cycles.
-    let attr_overlap: u64 = oracle_stats
-        .per_pe
-        .iter()
-        .map(|p| p.attr_overlap_cycles)
-        .sum();
-    let metrics = oracle_sys.metrics().expect("metrics on");
-    assert!(
-        attr_overlap <= metrics.overlap_cycles,
-        "{name}: attribution overlap {attr_overlap} exceeds metrics overlap {}",
-        metrics.overlap_cycles
-    );
-    let oracle = oracle_sys.obs().expect("observability on");
-    let oracle_det = oracle.deterministic();
-    assert!(!oracle_det.is_empty(), "{name}: empty event stream");
-
-    for threads in [2u16, 4] {
-        let (stats, sys) = run(build, Parallelism::Threads(threads), ObsMode::All, faults);
-        verify(&sys).unwrap_or_else(|e| panic!("{name}: Threads({threads}) result wrong: {e}"));
-        assert_eq!(
-            oracle_stats, stats,
-            "{name}: Threads({threads}) stats diverged"
-        );
-        let stream = sys.obs().expect("observability on");
-        assert_eq!(
-            oracle.dropped, stream.dropped,
-            "{name}: Threads({threads}) ring-drop count diverged"
-        );
-        let det = stream.deterministic();
-        assert_eq!(
-            oracle_det.len(),
-            det.len(),
-            "{name}: Threads({threads}) stream length diverged"
-        );
-        // Bit-identical wall order: first divergence reported precisely.
-        for (i, (a, b)) in oracle_det.iter().zip(det.iter()).enumerate() {
-            assert_eq!(
-                a, b,
-                "{name}: Threads({threads}) stream diverged at record {i}"
-            );
-        }
-    }
-}
-
-#[test]
-fn bitcnt_stream_is_engine_invariant() {
-    assert_stream_invariant(
-        "bitcnt(10000)",
-        &|| bitcnt::build(10_000, Variant::HandPrefetch),
-        &|s| bitcnt::verify(s, 10_000),
-        None,
-    );
-}
-
-#[test]
-fn mmul_stream_is_engine_invariant() {
-    assert_stream_invariant(
-        "mmul(32)",
-        &|| mmul::build(32, Variant::HandPrefetch),
-        &|s| mmul::verify(s, 32),
-        None,
-    );
-}
-
-#[test]
-fn zoom_stream_is_engine_invariant() {
-    assert_stream_invariant(
-        "zoom(32)",
-        &|| zoom::build(32, Variant::HandPrefetch),
-        &|s| zoom::verify(s, 32),
-        None,
-    );
-}
-
-#[test]
-fn bitcnt_stream_is_engine_invariant_under_faults() {
-    assert_stream_invariant(
-        "bitcnt(10000)+faults",
-        &|| bitcnt::build(10_000, Variant::HandPrefetch),
-        &|s| bitcnt::verify(s, 10_000),
-        Some(mixed_plan()),
-    );
-}
-
-#[test]
-fn mmul_stream_is_engine_invariant_under_faults() {
-    assert_stream_invariant(
-        "mmul(32)+faults",
-        &|| mmul::build(32, Variant::HandPrefetch),
-        &|s| mmul::verify(s, 32),
-        Some(mixed_plan()),
-    );
-}
-
-#[test]
-fn zoom_stream_is_engine_invariant_under_faults() {
-    assert_stream_invariant(
-        "zoom(32)+faults",
-        &|| zoom::build(32, Variant::HandPrefetch),
-        &|s| zoom::verify(s, 32),
-        Some(mixed_plan()),
-    );
+    simulate(cfg(mode), Arc::new(wp.program), &wp.args)
+        .unwrap_or_else(|e| panic!("{mode:?} failed: {e}"))
 }
 
 /// Observation is free: enabling the full observability stack (events +
@@ -182,10 +32,10 @@ fn zoom_stream_is_engine_invariant_under_faults() {
 #[test]
 fn observability_is_pure_observation() {
     let build = || mmul::build(16, Variant::HandPrefetch);
-    let (off, sys_off) = run(&build, Parallelism::Off, ObsMode::Off, None);
+    let (off, sys_off) = run(&build, ObsMode::Off);
     assert!(sys_off.obs().is_none(), "mode Off must collect nothing");
     for mode in [ObsMode::Events, ObsMode::Metrics, ObsMode::All] {
-        let (on, _) = run(&build, Parallelism::Off, mode, None);
+        let (on, _) = run(&build, mode);
         assert_eq!(off, on, "{mode:?} perturbed the simulation");
         assert_eq!(off.cycles, on.cycles);
     }
@@ -196,12 +46,7 @@ fn observability_is_pure_observation() {
 /// PE's MFC has DMA in flight (Fig. 4 overlap).
 #[test]
 fn mmul_pf_metrics_show_nonblocking_overlap() {
-    let (stats, sys) = run(
-        &|| mmul::build(32, Variant::HandPrefetch),
-        Parallelism::Off,
-        ObsMode::All,
-        None,
-    );
+    let (stats, sys) = run(&|| mmul::build(32, Variant::HandPrefetch), ObsMode::All);
     let m = sys.metrics().expect("metrics on");
     assert!(m.busy_cycles > 0, "no busy cycles measured");
     assert!(
@@ -233,12 +78,7 @@ fn mmul_pf_metrics_show_nonblocking_overlap() {
 /// visual form of the acceptance criterion.
 #[test]
 fn mmul_pf_perfetto_trace_shows_dma_overlapping_foreign_ex() {
-    let (_, sys) = run(
-        &|| mmul::build(32, Variant::HandPrefetch),
-        Parallelism::Off,
-        ObsMode::All,
-        None,
-    );
+    let (_, sys) = run(&|| mmul::build(32, Variant::HandPrefetch), ObsMode::All);
     let text = sys.perfetto_trace().expect("observability on");
     let doc = dta_json::parse(&text).expect("trace.json must parse");
     let events = match doc.get("traceEvents") {
@@ -299,47 +139,43 @@ fn mmul_pf_perfetto_trace_shows_dma_overlapping_foreign_ex() {
     );
 }
 
-/// The lifecycle events on the bus match what the legacy `Trace` shim
-/// reconstructs: every retained trace record originates from a `Thread`
-/// event in the stream.
+/// The lifecycle table is a view of the stream: one row per instance
+/// with a `Thread` event, and its dispatch and wait-DMA columns sum to
+/// the stream's counts of those events.
 #[test]
-fn trace_shim_is_a_view_of_the_stream() {
-    let build = || bitcnt::build(1024, Variant::HandPrefetch);
-    let wp = build();
-    let mut c = cfg(Parallelism::Off, ObsMode::Events, None);
-    c.trace = true;
-    let (_, sys) = simulate(c, Arc::new(wp.program), &wp.args).expect("run");
-    let trace = sys.trace().expect("trace shim built");
+fn lifecycle_table_is_a_view_of_the_stream() {
+    let wp = bitcnt::build(1024, Variant::HandPrefetch);
+    let program = Arc::new(wp.program);
+    let (_, sys) = simulate(cfg(ObsMode::Events), Arc::clone(&program), &wp.args).expect("run");
     let stream = sys.obs().expect("events on");
-    let lifecycle = stream
-        .records
-        .iter()
-        .filter(|r| matches!(r.ev, dta_core::ObsEvent::Thread { .. }))
-        .count();
+    assert_eq!(stream.dropped, 0, "nothing dropped at default capacity");
+    let mut instances = std::collections::BTreeSet::new();
+    let (mut dispatches, mut waits) = (0u64, 0u64);
+    for r in &stream.records {
+        if let dta_core::ObsEvent::Thread { instance, what, .. } = r.ev {
+            instances.insert(instance);
+            dispatches += u64::from(what == ThreadEvent::Dispatched);
+            waits += u64::from(what == ThreadEvent::WaitDma);
+        }
+    }
+    assert!(dispatches > 0 && waits > 0);
+
+    let table = dta_core::lifecycle_table(&program, stream);
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .skip(1)
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert_eq!(rows.len(), instances.len(), "one row per instance");
+    let column = |i: usize| -> u64 { rows.iter().map(|r| r[i].parse::<u64>().unwrap()).sum() };
     assert_eq!(
-        trace.events().len() as u64 + trace.dropped,
-        lifecycle as u64,
-        "trace shim must retain exactly the stream's lifecycle events"
+        column(5),
+        dispatches,
+        "table and stream disagree on dispatches"
     );
-    assert!(trace.count(|e| matches!(e.kind, dta_core::TraceKind::Dispatched)) > 0);
-    // Nothing dropped at default capacity, so the counts match exactly.
-    assert_eq!(trace.dropped, 0);
-    let waits = stream
-        .records
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.ev,
-                dta_core::ObsEvent::Thread {
-                    what: ThreadEvent::WaitDma,
-                    ..
-                }
-            )
-        })
-        .count();
     assert_eq!(
-        trace.count(|e| matches!(e.kind, dta_core::TraceKind::WaitDma)),
+        column(7),
         waits,
-        "trace and stream disagree on wait-DMA count"
+        "table and stream disagree on wait-DMA count"
     );
 }

@@ -1,7 +1,8 @@
-//! End-to-end tests of the execution trace: the recorded events must
-//! follow the thread lifecycle of the paper's Fig. 4.
+//! End-to-end tests of the thread lifecycle as recorded on the event
+//! bus: the `Thread` events must follow the paper's Fig. 4, and the
+//! lifecycle table renders straight from them.
 
-use dta_core::{simulate, SystemConfig, TraceKind};
+use dta_core::{lifecycle_table, simulate, ObsMode, System, SystemConfig, ThreadEvent};
 use dta_isa::{reg::r, ProgramBuilder, ThreadBuilder};
 use std::sync::Arc;
 
@@ -49,45 +50,66 @@ fn traced_program() -> Arc<dta_isa::Program> {
     Arc::new(pb.build())
 }
 
+fn events_cfg() -> SystemConfig {
+    let mut cfg = SystemConfig::with_pes(2);
+    cfg.obs.mode = ObsMode::Events;
+    cfg
+}
+
+/// Every lifecycle event of the run as `(instance, event)`, in wall order.
+fn lifecycle(sys: &System) -> Vec<(u64, ThreadEvent)> {
+    let stream = sys.obs().expect("events recorded");
+    stream
+        .records
+        .iter()
+        .filter_map(|r| match r.ev {
+            dta_core::ObsEvent::Thread { instance, what, .. } => Some((instance, what)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn trace_records_the_fig4_lifecycle() {
-    let mut cfg = SystemConfig::with_pes(2);
-    cfg.trace = true;
-    let (_, sys) = simulate(cfg, traced_program(), &[]).unwrap();
+    let program = traced_program();
+    let (_, sys) = simulate(events_cfg(), Arc::clone(&program), &[]).unwrap();
     assert_eq!(sys.read_global_word("out", 0), Some(10));
-    let trace = sys.trace().expect("tracing enabled");
-    assert!(!trace.truncated);
+    assert_eq!(sys.obs().unwrap().dropped, 0);
+    let events = lifecycle(&sys);
 
     // Find the worker instance: it issued DMA.
-    let dma_issue = trace
-        .events()
-        .into_iter()
-        .find(|e| matches!(e.kind, TraceKind::DmaIssued { .. }))
-        .expect("worker issued DMA");
-    let worker = dma_issue.instance;
-    let kinds: Vec<_> = trace.for_instance(worker).iter().map(|e| e.kind).collect();
+    let worker = events
+        .iter()
+        .find(|(_, e)| matches!(e, ThreadEvent::DmaIssued { .. }))
+        .expect("worker issued DMA")
+        .0;
+    let kinds: Vec<ThreadEvent> = events
+        .iter()
+        .filter(|(i, _)| *i == worker)
+        .map(|&(_, e)| e)
+        .collect();
 
     // Fig. 4 order: frame granted -> store (ready) -> dispatched
     // (Program DMA) -> DMA issued -> Wait for DMA -> DMA completed ->
     // dispatched again (Execution) -> stopped -> frame freed.
-    let pos = |k: fn(&TraceKind) -> bool| kinds.iter().position(&k);
-    let granted = pos(|k| matches!(k, TraceKind::FrameGranted { .. })).expect("granted");
+    let pos = |k: fn(&ThreadEvent) -> bool| kinds.iter().position(&k);
+    let granted = pos(|k| matches!(k, ThreadEvent::FrameGranted { .. })).expect("granted");
     let store = pos(|k| {
         matches!(
             k,
-            TraceKind::StoreApplied {
+            ThreadEvent::StoreApplied {
                 became_ready: true,
                 ..
             }
         )
     })
     .expect("store made it ready");
-    let first_dispatch = pos(|k| matches!(k, TraceKind::Dispatched)).expect("dispatched");
-    let issued = pos(|k| matches!(k, TraceKind::DmaIssued { .. })).expect("dma");
-    let wait = pos(|k| matches!(k, TraceKind::WaitDma)).expect("wait-dma");
-    let done = pos(|k| matches!(k, TraceKind::DmaCompleted { .. })).expect("dma done");
-    let stopped = pos(|k| matches!(k, TraceKind::Stopped)).expect("stopped");
-    let freed = pos(|k| matches!(k, TraceKind::FrameFreed)).expect("freed");
+    let first_dispatch = pos(|k| matches!(k, ThreadEvent::Dispatched)).expect("dispatched");
+    let issued = pos(|k| matches!(k, ThreadEvent::DmaIssued { .. })).expect("dma");
+    let wait = pos(|k| matches!(k, ThreadEvent::WaitDma)).expect("wait-dma");
+    let done = pos(|k| matches!(k, ThreadEvent::DmaCompleted { .. })).expect("dma done");
+    let stopped = pos(|k| matches!(k, ThreadEvent::Stopped)).expect("stopped");
+    let freed = pos(|k| matches!(k, ThreadEvent::FrameFreed)).expect("freed");
     assert!(granted < store, "{kinds:?}");
     assert!(store < first_dispatch, "{kinds:?}");
     assert!(first_dispatch < issued, "{kinds:?}");
@@ -100,63 +122,62 @@ fn trace_records_the_fig4_lifecycle() {
     assert_eq!(
         kinds
             .iter()
-            .filter(|k| matches!(k, TraceKind::Dispatched))
+            .filter(|k| matches!(k, ThreadEvent::Dispatched))
             .count(),
         2
     );
 
-    // The rendered table names the worker thread.
-    let rendered = sys.render_trace().unwrap();
+    // The rendered table names both threads and is not truncated.
+    let rendered = lifecycle_table(&program, sys.obs().unwrap());
     assert!(rendered.contains("worker"), "{rendered}");
     assert!(rendered.contains("main"), "{rendered}");
+    assert!(!rendered.contains("truncated"), "{rendered}");
 }
 
 #[test]
 fn tracing_off_records_nothing_and_changes_nothing() {
     let cfg = SystemConfig::with_pes(2);
-    let (a, sys) = simulate(cfg.clone(), traced_program(), &[]).unwrap();
-    assert!(sys.trace().is_none());
-    let mut traced = cfg;
-    traced.trace = true;
-    let (b, _) = simulate(traced, traced_program(), &[]).unwrap();
-    // Tracing is observation only: identical timing and counters.
+    let (a, sys) = simulate(cfg, traced_program(), &[]).unwrap();
+    assert!(sys.obs().is_none());
+    let (b, _) = simulate(events_cfg(), traced_program(), &[]).unwrap();
+    // Event recording is observation only: identical timing and counters.
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.aggregate, b.aggregate);
 }
 
 #[test]
-fn trace_capacity_truncates_gracefully() {
+fn ring_overflow_flags_a_truncated_table() {
     use dta_workloads::{bitcnt, Variant};
-    let mut cfg = SystemConfig::with_pes(2);
-    cfg.trace = true;
-    cfg.trace_capacity = 50;
+    let mut cfg = events_cfg();
+    cfg.obs.event_capacity = 50;
     let wp = bitcnt::build(96, Variant::Baseline);
-    let (_, sys) = simulate(cfg, Arc::new(wp.program), &wp.args).unwrap();
-    let trace = sys.trace().unwrap();
-    assert!(trace.truncated);
-    assert_eq!(trace.events().len(), 50);
-    assert!(sys.render_trace().unwrap().contains("truncated"));
+    let program = Arc::new(wp.program);
+    let (_, sys) = simulate(cfg, Arc::clone(&program), &wp.args).unwrap();
+    let stream = sys.obs().unwrap();
+    assert!(stream.dropped > 0);
+    let rendered = lifecycle_table(&program, stream);
+    assert!(
+        rendered.contains(&format!("truncated: {} oldest records", stream.dropped)),
+        "{rendered}"
+    );
 }
 
 #[test]
 fn sp_offload_appears_in_the_trace() {
-    let mut cfg = SystemConfig::with_pes(2);
-    cfg.trace = true;
+    let mut cfg = events_cfg();
     cfg.sp_pf_overlap = true;
     let (_, sys) = simulate(cfg, traced_program(), &[]).unwrap();
-    let trace = sys.trace().unwrap();
-    assert!(trace.count(|e| matches!(e.kind, TraceKind::PfOffloaded)) > 0);
+    let events = lifecycle(&sys);
     // Offloaded PF means only ONE pipeline dispatch for the worker.
-    let off = trace
-        .events()
-        .into_iter()
-        .find(|e| matches!(e.kind, TraceKind::PfOffloaded))
-        .unwrap();
+    let off = events
+        .iter()
+        .find(|(_, e)| matches!(e, ThreadEvent::PfOffloaded))
+        .expect("PF block offloaded")
+        .0;
     assert_eq!(
-        trace
-            .for_instance(off.instance)
+        events
             .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Dispatched))
+            .filter(|&&(i, e)| i == off && matches!(e, ThreadEvent::Dispatched))
             .count(),
         1
     );

@@ -6,8 +6,7 @@
 //!
 //! Everything here is a pure function of the deterministic stream plus
 //! the per-PE attribution counters, so the analysis inherits the
-//! engine-invariance guarantee: identical across `{dense, fast-forward}
-//! × {Off, Threads(n)}`.
+//! engine-invariance guarantee: identical across `{Off, Threads(n)}`.
 
 use crate::{FineCat, ObsEvent, ObsRecord, ThreadEvent, NUM_FINE};
 use dta_json::Json;

@@ -1,7 +1,6 @@
 //! Deterministic observability for the DTA simulator.
 //!
-//! This crate defines the structured event bus that replaces the ad-hoc
-//! `Trace` of early revisions: every unit of the simulated machine (PE,
+//! This crate defines the structured event bus: every unit of the simulated machine (PE,
 //! DSE, the engine itself) appends [`ObsRecord`]s to a private
 //! [`ObsLog`]; after the run the logs are merged and sorted by the
 //! simulator's deterministic wall order `(cycle, unit, seq)` into an
@@ -69,7 +68,7 @@ pub const MSG_DUP_SEQ_BIT: u64 = 1 << 59;
 /// category sums equal the total attributed cycles *by construction*
 /// (the conservation invariant) and — because each charge is a pure
 /// function of simulated state — the tables are bit-identical across
-/// `{dense, fast-forward} × {Off, Threads(n)}` engines.
+/// `{Off, Threads(n)}` engines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum FineCat {
@@ -136,7 +135,7 @@ impl FineCat {
 }
 
 /// Per-thread-instance lifecycle events (the Fig. 4 states of the
-/// paper, as recorded by the legacy `Trace`).
+/// paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ThreadEvent {
     /// A frame was granted (encoded `FramePtr`).

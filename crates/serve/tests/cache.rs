@@ -3,13 +3,13 @@
 //! Pins the three cache-correctness contracts:
 //!
 //! 1. identical jobs hit the cache with **byte-identical** canonical
-//!    `JobResult`s, across `dense|fast-forward` × `Off|Threads(2|4)`;
+//!    `JobResult`s, across `Off|Threads(2|4)` × memo `off|on`;
 //! 2. any single behavioural field perturbation (fault seed, ppm, PE
-//!    count, sched mode, argument) changes the `JobKey`;
+//!    count, memo, argument) changes the `JobKey`;
 //! 3. cached replay of a faulting job returns the same typed error,
 //!    from memory and from disk.
 
-use dta_core::{FaultPlan, JobError, ObsMode, Parallelism, SchedMode, SimJob, SystemConfig};
+use dta_core::{FaultPlan, JobError, MemoConfig, ObsMode, Parallelism, SimJob, SystemConfig};
 use dta_serve::{CacheStatus, Service};
 use dta_workloads::{vecscale, Variant};
 use std::collections::HashSet;
@@ -34,20 +34,20 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn identical_jobs_hit_cache_byte_identical_across_engine_modes() {
-    let modes = [
-        (SchedMode::Dense, Parallelism::Off),
-        (SchedMode::Dense, Parallelism::Threads(2)),
-        (SchedMode::Dense, Parallelism::Threads(4)),
-        (SchedMode::FastForward, Parallelism::Off),
-        (SchedMode::FastForward, Parallelism::Threads(2)),
-        (SchedMode::FastForward, Parallelism::Threads(4)),
+    let pars = [
+        Parallelism::Off,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
     ];
+    let modes = pars.into_iter().flat_map(|p| [(p, false), (p, true)]);
     let mut all_stats = Vec::new();
     let mut all_deterministic_obs = Vec::new();
-    for (sched, par) in modes {
+    for (par, memo) in modes {
         let mut cfg = base_config(4);
-        cfg.sched = sched;
         cfg.parallelism = par;
+        if memo {
+            cfg.memo = MemoConfig::on();
+        }
         let job = job_with(cfg);
         let service = Service::in_memory(1);
 
@@ -57,12 +57,12 @@ fn identical_jobs_hit_cache_byte_identical_across_engine_modes() {
         assert_eq!(
             warm.status,
             CacheStatus::Memory,
-            "{sched:?}/{par:?}: second submission must hit"
+            "{par:?}/memo={memo}: second submission must hit"
         );
         assert_eq!(
             warm.result.canonical_string(),
             cold.result.canonical_string(),
-            "{sched:?}/{par:?}: cached result must be byte-identical"
+            "{par:?}/memo={memo}: cached result must be byte-identical"
         );
 
         let out = cold.result.outcome.as_ref().expect("vecscale succeeds");
@@ -112,8 +112,8 @@ fn any_single_field_perturbation_changes_the_key() {
     variants.push(("PE count", j));
 
     let mut j = base.clone();
-    j.config.sched = SchedMode::Dense;
-    variants.push(("sched mode", j));
+    j.config.memo = MemoConfig::on();
+    variants.push(("memo", j));
 
     let mut j = base.clone();
     j.config.parallelism = Parallelism::Threads(2);

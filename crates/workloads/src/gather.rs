@@ -5,8 +5,9 @@
 //! of an index array and sum `D[IDX[i]]`: every element costs a
 //! main-memory round-trip whose address is only known after the index
 //! arrives, so the baseline variant spends almost all of its cycles
-//! blocked in decoupled READs while most PEs sit idle. A dense engine
-//! ticks every PE through all of that dead time; fast-forward skips it.
+//! blocked in decoupled READs while most PEs sit idle. A tick-every-PE
+//! engine would tick every PE through all of that dead time; the wake
+//! heap skips it.
 //! The hand variant DMAs each index slice into the local store up front
 //! (the data reads stay irreducibly indirect), halving the round-trips —
 //! the paper's PF discipline applied to the part of the pattern DMA can
