@@ -362,51 +362,24 @@ impl ObsConfig {
 /// instruction. Replay is an optimization only: `RunStats`, the
 /// deterministic `ObsStream`, and typed errors are bit-identical with
 /// memoization on or off (pinned by `memo_invariance`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoConfig {
     /// Master switch (off reproduces the PR 5 interpreter exactly —
-    /// trivially, since nothing else runs).
+    /// trivially, since nothing else runs). The cache capacity, minimum
+    /// span and pre-execution step cap are fixed constants in
+    /// [`memo`](crate::memo).
     pub enabled: bool,
-    /// Per-PE skeleton cache capacity (entries). When full, new segments
-    /// are no longer recorded (existing entries keep firing).
-    pub max_entries: usize,
-    /// Minimum segment length, in instructions, worth memoizing; shorter
-    /// segments are interpreted (counted as neither hit nor miss).
-    pub min_span: u32,
-    /// Functional pre-execution step cap: a segment whose pure prefix
-    /// exceeds this many instructions is not memoized (guards against
-    /// unbounded pure loops).
-    pub max_steps: u32,
-}
-
-impl Default for MemoConfig {
-    fn default() -> Self {
-        MemoConfig {
-            enabled: false,
-            max_entries: 1024,
-            min_span: 3,
-            max_steps: 4096,
-        }
-    }
 }
 
 impl MemoConfig {
-    /// The default tuning with the master switch on.
+    /// Memoization on.
     pub fn on() -> Self {
-        MemoConfig {
-            enabled: true,
-            ..Self::default()
-        }
+        MemoConfig { enabled: true }
     }
 
     /// Canonical encoding (part of the versioned job form).
     pub fn canonical_json(&self) -> Json {
-        Json::obj([
-            ("enabled", Json::Bool(self.enabled)),
-            ("max_entries", Json::Num(self.max_entries as f64)),
-            ("min_span", Json::Num(self.min_span as f64)),
-            ("max_steps", Json::Num(self.max_steps as f64)),
-        ])
+        Json::obj([("enabled", Json::Bool(self.enabled))])
     }
 }
 

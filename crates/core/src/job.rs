@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// stored format disagrees are discarded on load). Bump it whenever the
 /// canonical config form, the program byte encoding, or the result
 /// encoding changes meaning.
-pub const JOB_FORMAT_VERSION: u32 = 5;
+pub const JOB_FORMAT_VERSION: u32 = 6;
 
 /// Content hash identifying a job (see the module docs for the exact
 /// preimage). Rendered as 32 lowercase hex digits in reports and file

@@ -53,6 +53,7 @@ pub mod job;
 pub mod memo;
 pub mod pipeline;
 pub mod stats;
+pub(crate) mod step;
 pub mod system;
 
 pub use config::{FaultPlan, MemoConfig, ObsConfig, ObsMode, Parallelism, SystemConfig};

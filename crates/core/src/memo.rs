@@ -15,10 +15,11 @@
 //!    branches, frame/local-store accesses) depend only on the instance's
 //!    registers, its frame slots and local-store bytes — state that
 //!    nothing else mutates while the instance runs. At a segment entry the
-//!    PE *functionally* interprets the span in one host pass, producing
-//!    the final registers, the outbound `STORE`/`FFREE` effects, and the
-//!    local-store writes. Data values are therefore always fresh — only
-//!    *timing* is cached.
+//!    PE *functionally* interprets the span in one host pass, through the
+//!    same pure-instruction step the pipeline uses, producing the final
+//!    registers, the outbound `STORE`/`FFREE` effects, and the local-store
+//!    writes. Data values are therefore always fresh — only *timing* is
+//!    cached.
 //! 2. **Path-signature keying.** Segment timing is a pure function of the
 //!    executed path (pc sequence — branch decisions included), the
 //!    register scoreboard's *relative* ready times and stall buckets, the
@@ -36,14 +37,25 @@
 //! (which depends on the fire-time `dma_open`) is normalised out of the
 //! recorded stats delta and re-added at fire time.
 
-use crate::config::MemoConfig;
 use crate::stats::{PeStats, StallCat};
+use crate::step::{self, Effect, Step};
 use dta_isa::program::ThreadCode;
-use dta_isa::{FramePtr, Instr, Reg, Src, NUM_REGS, ZERO_REG};
+use dta_isa::{Instr, NUM_REGS, ZERO_REG};
 use dta_mem::LocalStore;
 use dta_sched::{Instance, InstanceId};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Per-PE skeleton cache capacity (entries). When full, new segments are
+/// no longer recorded (existing entries keep firing).
+pub(crate) const MAX_ENTRIES: usize = 1024;
+/// Minimum segment length, in instructions, worth memoizing; shorter
+/// segments are interpreted (counted as neither hit nor miss).
+pub(crate) const MIN_SPAN: u32 = 3;
+/// Functional pre-execution step cap: a segment whose pure prefix exceeds
+/// this many instructions is not memoized (guards against unbounded pure
+/// loops).
+pub(crate) const MAX_STEPS: u32 = 4096;
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
@@ -84,27 +96,6 @@ impl Fnv128 {
     fn finish(&self) -> u128 {
         self.0
     }
-}
-
-/// An outbound message a pure segment produces, with fresh (fire-time)
-/// values. Delivery targets and delays are derived from the decoded frame
-/// at emission, exactly as in interpretation.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Effect {
-    /// `STORE`: a frame-slot write posted to the owning LSE.
-    Store {
-        /// Destination frame.
-        frame: FramePtr,
-        /// Destination slot.
-        slot: u16,
-        /// Stored value.
-        value: i64,
-    },
-    /// `FFREE`: a frame release posted to the owning LSE.
-    Ffree {
-        /// Released frame.
-        frame: FramePtr,
-    },
 }
 
 /// Is `i` a segment boundary regardless of dynamic state? Boundary
@@ -173,11 +164,13 @@ fn overlay_i32(ls: &LocalStore, overlay: &[(u32, u32)], addr: u32) -> i64 {
     u32::from_le_bytes(b) as i32 as i64
 }
 
-/// Functionally interprets the pure segment starting at `inst.pc`,
-/// hashing the path signature as it goes. Returns `None` — caller falls
-/// back to interpretation — on anything the real pipeline would fault on
-/// (bad frame pointer, out-of-range LS access, pc escape) or that exceeds
-/// the step budget. Defensive `None`s are always sound: a miss only costs
+/// Functionally interprets the pure segment starting at `inst.pc` through
+/// the shared [`step`](crate::step::step), hashing the path signature as
+/// it goes. Local-store reads see the segment's own earlier writes
+/// through the overlay. Returns `None` — caller falls back to
+/// interpretation — on anything the real pipeline would fault on (bad
+/// frame pointer, out-of-range LS access, pc escape) or that exceeds
+/// [`MAX_STEPS`]. Defensive `None`s are always sound: a miss only costs
 /// time.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fn_exec(
@@ -189,7 +182,6 @@ pub(crate) fn fn_exec(
     ls_free: &[u64],
     degraded: bool,
     now: u64,
-    max_steps: u32,
 ) -> Option<FnExec> {
     let mut h = Fnv128::new();
     h.u32(inst.thread.0);
@@ -221,31 +213,8 @@ pub(crate) fn fn_exec(
     let mut steps = 0u32;
     let dma_pending = inst.outstanding_dma > 0;
 
-    let reg = |regs: &[i64; NUM_REGS], r: Reg| if r.is_zero() { 0 } else { regs[r.index()] };
-    let src = |regs: &[i64; NUM_REGS], s: Src| match s {
-        Src::Reg(r) => {
-            if r.is_zero() {
-                0
-            } else {
-                regs[r.index()]
-            }
-        }
-        Src::Imm(i) => i as i64,
-    };
-    let ls_addr = |regs: &[i64; NUM_REGS], ra: Reg, off: i32| -> Option<u32> {
-        let base = if ra.is_zero() { 0 } else { regs[ra.index()] };
-        let addr = base.checked_add(off as i64)? as u32;
-        if (addr as usize) + 4 > ls.size() {
-            return None;
-        }
-        Some(addr)
-    };
-
     loop {
-        if pc as usize >= code.len() {
-            return None;
-        }
-        let i = code[pc as usize];
+        let &i = code.get(pc as usize)?;
         if is_boundary(&i) || (matches!(i, Instr::DmaYield) && dma_pending) {
             h.u8(0xFF);
             h.u32(pc);
@@ -258,91 +227,35 @@ pub(crate) fn fn_exec(
                 overlay,
             });
         }
-        if steps >= max_steps {
+        if steps >= MAX_STEPS {
             return None;
         }
         steps += 1;
         h.u32(pc);
-        match i {
-            Instr::Alu { op, rd, ra, rb } => {
-                let v = op.eval(reg(&regs, ra), src(&regs, rb));
-                if !rd.is_zero() {
-                    regs[rd.index()] = v;
-                }
-                pc += 1;
-            }
-            Instr::Li { rd, imm } => {
-                if !rd.is_zero() {
-                    regs[rd.index()] = imm;
-                }
-                pc += 1;
-            }
-            Instr::Mov { rd, ra } => {
-                let v = reg(&regs, ra);
-                if !rd.is_zero() {
-                    regs[rd.index()] = v;
-                }
-                pc += 1;
-            }
-            Instr::Nop | Instr::DmaYield => pc += 1,
-            Instr::Br {
-                cond,
-                ra,
-                rb,
-                target,
-            } => {
-                pc = if cond.eval(reg(&regs, ra), src(&regs, rb)) {
-                    target
-                } else {
-                    pc + 1
-                };
-            }
-            Instr::Jmp { target } => pc = target,
-            Instr::Load { rd, slot } => {
-                if slot as usize >= inst.slots.len() {
-                    return None;
-                }
-                if !rd.is_zero() {
-                    regs[rd.index()] = inst.slots[slot as usize];
-                }
-                pc += 1;
-            }
-            Instr::Store { rs, rframe, slot } => {
-                let frame = FramePtr::decode(reg(&regs, rframe) as u64)?;
-                effects.push(Effect::Store {
-                    frame,
-                    slot,
-                    value: reg(&regs, rs),
-                });
-                pc += 1;
-            }
-            Instr::Ffree { rframe } => {
-                let frame = FramePtr::decode(reg(&regs, rframe) as u64)?;
-                effects.push(Effect::Ffree { frame });
-                pc += 1;
-            }
-            Instr::LsLoad { rd, ra, off } => {
-                let addr = ls_addr(&regs, ra, off)?;
-                let v = overlay_i32(ls, &overlay, addr);
-                if !rd.is_zero() {
-                    regs[rd.index()] = v;
-                }
-                pc += 1;
-            }
-            Instr::LsStore { rs, ra, off } => {
-                let addr = ls_addr(&regs, ra, off)?;
-                overlay.push((addr, reg(&regs, rs) as u32));
-                pc += 1;
-            }
-            Instr::Read { .. }
-            | Instr::Write { .. }
-            | Instr::Falloc { .. }
-            | Instr::Stop
-            | Instr::DmaGet { .. }
-            | Instr::DmaGetStrided { .. }
-            | Instr::DmaPut { .. }
-            | Instr::DmaWait { .. } => unreachable!("boundary handled above"),
+        if matches!(i, Instr::DmaYield) {
+            pc += 1; // nothing outstanding: falls through
+            continue;
         }
+        let done = step::step(i, &regs, &inst.slots, ls.size(), |a| {
+            overlay_i32(ls, &overlay, a)
+        });
+        pc = match done {
+            Step::Fault(_) => return None,
+            Step::Jump(target) => target,
+            Step::Next => pc + 1,
+            Step::Set(rd, v) | Step::Load(rd, v) => {
+                step::set(&mut regs, rd, v);
+                pc + 1
+            }
+            Step::LsStore { addr, value } => {
+                overlay.push((addr, value));
+                pc + 1
+            }
+            Step::Post(effect) => {
+                effects.push(effect);
+                pc + 1
+            }
+        };
     }
 }
 
@@ -443,8 +356,6 @@ pub struct MemoCounters {
 pub(crate) struct MemoState {
     /// Master switch (config on, no SP offload, fault plan benign).
     pub active: bool,
-    /// Tuning knobs.
-    pub cfg: MemoConfig,
     cache: HashMap<u128, Arc<Skeleton>>,
     /// A segment entry was observed; attempt memoization at the next
     /// issue opportunity.
@@ -458,10 +369,9 @@ pub(crate) struct MemoState {
 }
 
 impl MemoState {
-    pub fn new(cfg: MemoConfig, active: bool) -> Self {
+    pub fn new(active: bool) -> Self {
         MemoState {
             active,
-            cfg,
             cache: HashMap::new(),
             armed: false,
             recording: None,
@@ -483,7 +393,7 @@ impl MemoState {
     }
 
     pub fn can_insert(&self) -> bool {
-        self.cache.len() < self.cfg.max_entries
+        self.cache.len() < MAX_ENTRIES
     }
 
     pub fn insert(&mut self, key: u128, skel: Skeleton) {
@@ -494,7 +404,7 @@ impl MemoState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dta_isa::{AluOp, BlockMap};
+    use dta_isa::{AluOp, BlockMap, FramePtr, Src};
 
     #[test]
     fn fnv128_is_deterministic_and_sensitive() {
@@ -603,8 +513,8 @@ mod tests {
         let ls = LocalStore::new(64);
         let ready = [0u64; NUM_REGS];
         let stall = [StallCat::Working; NUM_REGS];
-        let fx = fn_exec(&thread, &inst, &ls, &ready, &stall, &[0, 0], false, 100, 64)
-            .expect("pure prefix");
+        let fx =
+            fn_exec(&thread, &inst, &ls, &ready, &stall, &[0, 0], false, 100).expect("pure prefix");
         assert_eq!(fx.stop_pc, 2);
         assert_eq!(fx.steps, 2);
         assert_eq!(fx.regs[3], 5);
@@ -612,22 +522,12 @@ mod tests {
         assert!(fx.effects.is_empty());
         // The key is invariant to the absolute entry cycle (everything is
         // hashed relative to `now`).
-        let fx2 = fn_exec(&thread, &inst, &ls, &ready, &stall, &[0, 0], false, 0, 64)
-            .expect("pure prefix");
+        let fx2 =
+            fn_exec(&thread, &inst, &ls, &ready, &stall, &[0, 0], false, 0).expect("pure prefix");
         assert_ne!(fx.key, 0);
         let ready_hi = [u64::MAX; NUM_REGS]; // all pending: different key
         assert_eq!(fx.key, fx2.key);
-        let fx3 = fn_exec(
-            &thread,
-            &inst,
-            &ls,
-            &ready_hi,
-            &stall,
-            &[0, 0],
-            false,
-            100,
-            64,
-        );
+        let fx3 = fn_exec(&thread, &inst, &ls, &ready_hi, &stall, &[0, 0], false, 100);
         assert_ne!(fx.key, fx3.expect("still pure").key);
     }
 
@@ -641,10 +541,19 @@ mod tests {
         let ls = LocalStore::new(64);
         let ready = [0u64; NUM_REGS];
         let stall = [StallCat::Working; NUM_REGS];
-        assert!(fn_exec(&looping, &inst, &ls, &ready, &stall, &[0], false, 0, 100).is_none());
+        let run = |t: &ThreadCode| fn_exec(t, &inst, &ls, &ready, &stall, &[0], false, 0);
+        assert!(run(&looping).is_none());
+        // A span of exactly MAX_STEPS pure instructions is the longest
+        // that pre-executes.
+        let span = |n: u32| {
+            let mut code = vec![Instr::Nop; n as usize];
+            code.push(Instr::Stop);
+            pure_thread(code)
+        };
+        assert_eq!(run(&span(MAX_STEPS)).expect("at the cap").steps, MAX_STEPS);
+        assert!(run(&span(MAX_STEPS + 1)).is_none());
         // Code that runs off the end (no boundary) bails too.
-        let open = pure_thread(vec![Instr::Nop]);
-        assert!(fn_exec(&open, &inst, &ls, &ready, &stall, &[0], false, 0, 100).is_none());
+        assert!(run(&pure_thread(vec![Instr::Nop])).is_none());
     }
 
     #[test]
@@ -673,8 +582,7 @@ mod tests {
         let ls = LocalStore::new(64);
         let ready = [0u64; NUM_REGS];
         let stall = [StallCat::Working; NUM_REGS];
-        let fx =
-            fn_exec(&thread, &inst, &ls, &ready, &stall, &[0], false, 0, 64).expect("pure prefix");
+        let fx = fn_exec(&thread, &inst, &ls, &ready, &stall, &[0], false, 0).expect("pure prefix");
         assert_eq!(fx.overlay, vec![(16, 0x1234)]);
         assert_eq!(fx.regs[4], 0x1234);
         // Out-of-range LS access bails instead of panicking.
@@ -686,39 +594,35 @@ mod tests {
             },
             Instr::Stop,
         ]);
-        assert!(fn_exec(&oob, &inst, &ls, &ready, &stall, &[0], false, 0, 64).is_none());
+        assert!(fn_exec(&oob, &inst, &ls, &ready, &stall, &[0], false, 0).is_none());
     }
 
     #[test]
     fn memo_state_cache_bounds() {
-        let cfg = MemoConfig {
-            enabled: true,
-            max_entries: 1,
-            min_span: 1,
-            max_steps: 16,
-        };
-        let mut m = MemoState::new(cfg, true);
-        assert!(m.can_insert());
-        m.insert(
-            1,
-            Skeleton {
-                len: 1,
-                stop_pc: 0,
-                post_rels: vec![],
-                stats_delta: PeStats::default(),
-                overlap_cycles: 0,
-                end_reg_rel: [0; NUM_REGS],
-                end_reg_stall: [StallCat::Working; NUM_REGS],
-                ls_rel: vec![0],
-                ls_busy_delta: 0,
-            },
-        );
+        let mut m = MemoState::new(true);
+        for key in 0..MAX_ENTRIES as u128 {
+            assert!(m.can_insert());
+            m.insert(
+                key,
+                Skeleton {
+                    len: 1,
+                    stop_pc: 0,
+                    post_rels: vec![],
+                    stats_delta: PeStats::default(),
+                    overlap_cycles: 0,
+                    end_reg_rel: [0; NUM_REGS],
+                    end_reg_stall: [StallCat::Working; NUM_REGS],
+                    ls_rel: vec![0],
+                    ls_busy_delta: 0,
+                },
+            );
+        }
         assert!(!m.can_insert());
         assert!(m.lookup(1).is_some());
-        assert!(m.lookup(2).is_none());
+        assert!(m.lookup(MAX_ENTRIES as u128).is_none());
         m.arm();
         assert!(m.armed);
-        let mut off = MemoState::new(cfg, false);
+        let mut off = MemoState::new(false);
         off.arm();
         assert!(!off.armed);
     }

@@ -14,9 +14,9 @@
 //! spent anywhere inside a PF code block (including waiting for a full MFC
 //! queue) are *Prefetching* overhead, as in the paper's Fig. 5.
 
-use crate::config::MemoConfig;
-use crate::memo::{self, Effect, MemoCounters, MemoState, Recording, Replay, Skeleton};
+use crate::memo::{self, MemoCounters, MemoState, Recording, Replay, Skeleton};
 use crate::stats::{FineCat, PeStats, StallCat};
+use crate::step::{self, ea, Effect, Step};
 use dta_isa::{
     CodeBlock, FramePtr, IClass, Instr, Program, Reg, Src, FRAME_PTR_REG, NUM_REGS,
     PREFETCH_BASE_REG, ZERO_REG,
@@ -128,8 +128,6 @@ pub struct PipelineParams {
     pub obs_interval: u64,
     /// Per-unit observability ring capacity.
     pub obs_capacity: usize,
-    /// Instance-memoization tuning knobs.
-    pub memo: MemoConfig,
     /// Memoization may actually run on this PE (config on, no SP
     /// offload, fault plan benign).
     pub memo_active: bool,
@@ -313,7 +311,7 @@ impl Pe {
             watchdog_parks: 0,
             parked_hint: false,
             dma_open: 0,
-            memo: MemoState::new(params.memo, params.memo_active),
+            memo: MemoState::new(params.memo_active),
             stats: PeStats::default(),
             obs: ObsLog::new(
                 pe as u32,
@@ -563,29 +561,28 @@ impl Pe {
 
     #[inline]
     fn reg(&self, id: InstanceId, r: Reg) -> i64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.lse.instance(id).regs[r.index()]
-        }
+        step::reg(&self.lse.instance(id).regs, r)
     }
 
     #[inline]
     fn set_reg(&mut self, id: InstanceId, r: Reg, v: i64, ready_at: u64, stall: StallCat) {
-        if r.is_zero() {
-            return;
+        step::set(&mut self.lse.instance_mut(id).regs, r, v);
+        self.mark_ready(r, ready_at, stall);
+    }
+
+    /// Scoreboards register `r` as usable from `ready_at`; a too-early
+    /// consumer charges `stall`.
+    #[inline]
+    fn mark_ready(&mut self, r: Reg, ready_at: u64, stall: StallCat) {
+        if !r.is_zero() {
+            self.reg_ready[r.index()] = ready_at;
+            self.reg_stall[r.index()] = stall;
         }
-        self.lse.instance_mut(id).regs[r.index()] = v;
-        self.reg_ready[r.index()] = ready_at;
-        self.reg_stall[r.index()] = stall;
     }
 
     #[inline]
     fn src_val(&self, id: InstanceId, s: Src) -> i64 {
-        match s {
-            Src::Reg(r) => self.reg(id, r),
-            Src::Imm(i) => i as i64,
-        }
+        step::src(&self.lse.instance(id).regs, s)
     }
 
     /// If an operand of `instr` is not yet ready, returns the coarse and
@@ -943,12 +940,11 @@ impl Pe {
             self.ls_ports.free_times(),
             self.degraded,
             now,
-            self.memo.cfg.max_steps,
         ) else {
             self.memo.counters.aborts += 1;
             return;
         };
-        if fx.steps < self.memo.cfg.min_span {
+        if fx.steps < memo::MIN_SPAN {
             return; // too short to be worth caching: neither miss nor abort
         }
         if let Some(skel) = self.memo.lookup(fx.key) {
@@ -1035,8 +1031,8 @@ impl Pe {
         None
     }
 
-    /// Emits one replayed effect with fresh values, stamped and routed
-    /// exactly as [`Self::exec`] would have.
+    /// Posts a `STORE`/`FFREE` effect to the owning LSE: the one post path
+    /// for interpreted and replayed effects alike.
     fn emit_effect(&mut self, now: u64, id: InstanceId, effect: Effect, ctx: &mut SysCtx<'_>) {
         let (dest_pe, msg) = match effect {
             Effect::Store { frame, slot, value } => {
@@ -1139,54 +1135,6 @@ impl Pe {
         ctx: &mut SysCtx<'_>,
     ) -> Exec {
         match i {
-            Instr::Alu { op, rd, ra, rb } => {
-                let v = op.eval(self.reg(id, ra), self.src_val(id, rb));
-                self.set_reg(id, rd, v, now + 1, StallCat::Working);
-                Exec::Next
-            }
-            Instr::Li { rd, imm } => {
-                self.set_reg(id, rd, imm, now + 1, StallCat::Working);
-                Exec::Next
-            }
-            Instr::Mov { rd, ra } => {
-                let v = self.reg(id, ra);
-                self.set_reg(id, rd, v, now + 1, StallCat::Working);
-                Exec::Next
-            }
-            Instr::Nop => Exec::Next,
-            Instr::Br {
-                cond,
-                ra,
-                rb,
-                target,
-            } => {
-                if cond.eval(self.reg(id, ra), self.src_val(id, rb)) {
-                    Exec::Redirect(target)
-                } else {
-                    Exec::Next
-                }
-            }
-            Instr::Jmp { target } => Exec::Redirect(target),
-            Instr::Load { rd, slot } => {
-                let v = self.lse.instance(id).slot(slot);
-                let ready = self.ls_ports.reserve(now, 1).end + self.params.ls_latency;
-                self.set_reg(id, rd, v, ready, StallCat::LsStall);
-                Exec::Next
-            }
-            Instr::Store { rs, rframe, slot } => {
-                let frame = FramePtr::decode_expect(self.reg(id, rframe) as u64);
-                let value = self.reg(id, rs);
-                let delay = self.msg_delay(frame.pe);
-                let stamp = self.stamp.bump();
-                self.lse.instance_mut(id).tainted = true;
-                ctx.out.push((
-                    now + delay,
-                    Dest::Lse(frame.pe),
-                    Message::Store { frame, slot, value },
-                    stamp,
-                ));
-                Exec::Next
-            }
             Instr::Falloc { rd, thread, sc } => {
                 let stamp = self.stamp.bump();
                 self.lse.instance_mut(id).tainted = true;
@@ -1206,22 +1154,9 @@ impl Pe {
                 self.waiting_falloc = Some(rd);
                 Exec::BlockFalloc
             }
-            Instr::Ffree { rframe } => {
-                let frame = FramePtr::decode_expect(self.reg(id, rframe) as u64);
-                let delay = self.msg_delay(frame.pe);
-                let stamp = self.stamp.bump();
-                self.lse.instance_mut(id).tainted = true;
-                ctx.out.push((
-                    now + delay,
-                    Dest::Lse(frame.pe),
-                    Message::Ffree { frame },
-                    stamp,
-                ));
-                Exec::Next
-            }
             Instr::Stop => Exec::Stop,
             Instr::Read { rd, ra, off } => {
-                let addr = (self.reg(id, ra) + off as i64) as u64;
+                let addr = ea(self.reg(id, ra), off) as u64;
                 let (cat, fine) = if in_pf {
                     (StallCat::Prefetch, FineCat::PfGated)
                 } else {
@@ -1261,7 +1196,7 @@ impl Pe {
                 }
             }
             Instr::Write { rs, ra, off } => {
-                let addr = (self.reg(id, ra) + off as i64) as u64;
+                let addr = ea(self.reg(id, ra), off) as u64;
                 let value = self.reg(id, rs) as u32;
                 self.lse.instance_mut(id).tainted = true;
                 match &mut ctx.port {
@@ -1285,19 +1220,6 @@ impl Pe {
                 }
                 Exec::Next
             }
-            Instr::LsLoad { rd, ra, off } => {
-                let addr = (self.reg(id, ra) + off as i64) as u32;
-                let v = self.ls.read_i32_sext(addr);
-                let ready = self.ls_ports.reserve(now, 1).end + self.params.ls_latency;
-                self.set_reg(id, rd, v, ready, StallCat::LsStall);
-                Exec::Next
-            }
-            Instr::LsStore { rs, ra, off } => {
-                let addr = (self.reg(id, ra) + off as i64) as u32;
-                self.ls.write_u32(addr, self.reg(id, rs) as u32);
-                self.ls_ports.reserve(now, 1);
-                Exec::Next
-            }
             Instr::DmaGet {
                 rls,
                 ls_off,
@@ -1309,8 +1231,8 @@ impl Pe {
                 let cmd = DmaCommand {
                     owner: id.token(),
                     tag,
-                    ls_addr: (self.reg(id, rls) + ls_off as i64) as u32,
-                    mem_addr: (self.reg(id, rmem) + mem_off as i64) as u64,
+                    ls_addr: ea(self.reg(id, rls), ls_off) as u32,
+                    mem_addr: ea(self.reg(id, rmem), mem_off) as u64,
                     kind: DmaKind::Get {
                         bytes: self.src_val(id, bytes) as u32,
                     },
@@ -1330,8 +1252,8 @@ impl Pe {
                 let cmd = DmaCommand {
                     owner: id.token(),
                     tag,
-                    ls_addr: (self.reg(id, rls) + ls_off as i64) as u32,
-                    mem_addr: (self.reg(id, rmem) + mem_off as i64) as u64,
+                    ls_addr: ea(self.reg(id, rls), ls_off) as u32,
+                    mem_addr: ea(self.reg(id, rmem), mem_off) as u64,
                     kind: DmaKind::GetStrided {
                         elem_bytes: elem_bytes as u32,
                         count: self.src_val(id, count) as u32,
@@ -1351,8 +1273,8 @@ impl Pe {
                 let cmd = DmaCommand {
                     owner: id.token(),
                     tag,
-                    ls_addr: (self.reg(id, rls) + ls_off as i64) as u32,
-                    mem_addr: (self.reg(id, rmem) + mem_off as i64) as u64,
+                    ls_addr: ea(self.reg(id, rls), ls_off) as u32,
+                    mem_addr: ea(self.reg(id, rmem), mem_off) as u64,
                     kind: DmaKind::Put {
                         bytes: self.src_val(id, bytes) as u32,
                     },
@@ -1383,7 +1305,49 @@ impl Pe {
                     Exec::Next
                 }
             }
+            pure => match self.pure_step(id, pure) {
+                Step::Next => Exec::Next,
+                Step::Jump(target) => Exec::Redirect(target),
+                Step::Set(rd, _) => {
+                    self.mark_ready(rd, now + 1, StallCat::Working);
+                    Exec::Next
+                }
+                Step::Load(rd, _) => {
+                    let ready = self.ls_ports.reserve(now, 1).end + self.params.ls_latency;
+                    self.mark_ready(rd, ready, StallCat::LsStall);
+                    Exec::Next
+                }
+                Step::LsStore { .. } => {
+                    self.ls_ports.reserve(now, 1);
+                    Exec::Next
+                }
+                Step::Post(effect) => {
+                    self.emit_effect(now, id, effect, ctx);
+                    Exec::Next
+                }
+                Step::Fault(_) => unreachable!("pure_step panics on a fault"),
+            },
         }
+    }
+
+    /// Runs pure instruction `i` of instance `id` through the shared
+    /// [`step::step`] and applies its register and local-store writes;
+    /// the caller adds timing and posts effects. An invalid operand is a
+    /// program bug.
+    #[inline(always)]
+    fn pure_step(&mut self, id: InstanceId, i: Instr) -> Step {
+        let inst = self.lse.instance_mut(id);
+        let ls = &self.ls;
+        let done = step::step(i, &inst.regs, &inst.slots, ls.size(), |a| {
+            ls.read_i32_sext(a)
+        });
+        match done {
+            Step::Set(rd, v) | Step::Load(rd, v) => step::set(&mut inst.regs, rd, v),
+            Step::LsStore { addr, value } => self.ls.write_u32(addr, value),
+            Step::Next | Step::Jump(_) | Step::Post(_) => {}
+            Step::Fault(f) => panic!("PE {}: {f}", self.pe),
+        }
+        done
     }
 
     fn enqueue_dma(
@@ -1523,43 +1487,6 @@ impl Pe {
             self.stats.record_issue(i.class());
             self.count_mem_op(&i);
             match i {
-                Instr::Alu { op, rd, ra, rb } => {
-                    let v = op.eval(self.reg(id, ra), self.src_val(id, rb));
-                    if !rd.is_zero() {
-                        self.lse.instance_mut(id).regs[rd.index()] = v;
-                    }
-                }
-                Instr::Li { rd, imm } => {
-                    if !rd.is_zero() {
-                        self.lse.instance_mut(id).regs[rd.index()] = imm;
-                    }
-                }
-                Instr::Mov { rd, ra } => {
-                    let v = self.reg(id, ra);
-                    if !rd.is_zero() {
-                        self.lse.instance_mut(id).regs[rd.index()] = v;
-                    }
-                }
-                Instr::Load { rd, slot } => {
-                    let v = self.lse.instance(id).slot(slot);
-                    if !rd.is_zero() {
-                        self.lse.instance_mut(id).regs[rd.index()] = v;
-                    }
-                    t += self.params.ls_latency; // serial SP: no scoreboard
-                }
-                Instr::LsLoad { rd, ra, off } => {
-                    let addr = (self.reg(id, ra) + off as i64) as u32;
-                    let v = self.ls.read_i32_sext(addr);
-                    if !rd.is_zero() {
-                        self.lse.instance_mut(id).regs[rd.index()] = v;
-                    }
-                    t += self.params.ls_latency;
-                }
-                Instr::LsStore { rs, ra, off } => {
-                    let addr = (self.reg(id, ra) + off as i64) as u32;
-                    let v = self.reg(id, rs) as u32;
-                    self.ls.write_u32(addr, v);
-                }
                 Instr::DmaGet { .. } | Instr::DmaGetStrided { .. } | Instr::DmaPut { .. } => {
                     // Re-use the pipeline's command construction, retrying
                     // on a full MFC queue at SP pace. Under fault injection
@@ -1600,8 +1527,14 @@ impl Pe {
                         }
                     }
                 }
-                Instr::Nop | Instr::DmaYield => {}
-                _ => unreachable!("sp_offloadable filtered the PF block"),
+                Instr::DmaYield => {}
+                pure => match self.pure_step(id, pure) {
+                    Step::Load(..) => t += self.params.ls_latency, // serial SP: no scoreboard
+                    Step::Next | Step::Set(..) | Step::LsStore { .. } => {}
+                    Step::Jump(_) | Step::Post(_) | Step::Fault(_) => {
+                        unreachable!("sp_offloadable filtered the PF block")
+                    }
+                },
             }
             t += 1;
         }

@@ -1220,7 +1220,6 @@ impl System {
             obs_events: config.obs.events_on(),
             obs_interval: config.obs_interval(),
             obs_capacity: config.obs.event_capacity,
-            memo: config.memo,
             // Memoization only runs where it is provably inert: the SP
             // offload mutates LS bytes asynchronously mid-segment, and a
             // non-benign fault plan perturbs latencies/liveness in ways

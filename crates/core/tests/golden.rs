@@ -237,6 +237,29 @@ fn zoom_under_faults_matches_golden() {
     );
 }
 
+/// The SP offload extension runs bitcnt's straight-line PF blocks on the
+/// LSE's SP pipeline (`Pe::run_pf_on_sp`); the stats digest pins its
+/// `sp_pf_cycles`. The extension forces the sequential engine, so every
+/// row runs it. These digests were taken before the pure-instruction
+/// semantics moved into the shared step.
+#[test]
+fn bitcnt_sp_offload_matches_golden() {
+    assert_golden(
+        "bitcnt(10000)+sp-offload",
+        Golden::Run(
+            0xc5bef7ee4c42f981361a5ec371e45241,
+            0x1076af24b061948fc986ff61369ce660,
+        ),
+        &|par| {
+            let mut c = cfg(par, None);
+            c.sp_pf_overlap = true;
+            let wp = bitcnt::build(10_000, Variant::HandPrefetch);
+            simulate(c, Arc::new(wp.program), &wp.args)
+        },
+        &|s| bitcnt::verify(s, 10_000),
+    );
+}
+
 /// Runs `build` on two nodes of four PEs under `plan`.
 fn two_nodes(
     plan: FaultPlan,

@@ -53,17 +53,6 @@ impl FramePtr {
             index: raw as u32,
         })
     }
-
-    /// Decodes, panicking with a diagnostic on malformed values. Used by
-    /// the simulator where a malformed frame pointer is a program bug.
-    #[inline]
-    #[track_caller]
-    pub fn decode_expect(raw: u64) -> Self {
-        match Self::decode(raw) {
-            Some(fp) => fp,
-            None => panic!("value {raw:#x} is not an encoded frame pointer"),
-        }
-    }
 }
 
 impl fmt::Display for FramePtr {
@@ -104,12 +93,6 @@ mod tests {
         let a = FramePtr::new(0, 5).encode();
         let b = FramePtr::new(1, 5).encode();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an encoded frame pointer")]
-    fn decode_expect_panics_on_garbage() {
-        FramePtr::decode_expect(123);
     }
 
     #[test]

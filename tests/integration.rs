@@ -2,7 +2,7 @@
 //! validator → prefetch compiler → simulator → verified results.
 
 use dta::compiler::{prefetch_program, TransformOptions};
-use dta::core::{simulate, RunError, StallCat, System, SystemConfig};
+use dta::core::{simulate, MemoConfig, RunError, StallCat, System, SystemConfig};
 use dta::isa::asm::{assemble, program_to_asm};
 use dta::isa::validate_program;
 use dta::workloads::{bitcnt, colsum, mmul, stencil, vecscale, zoom, Variant};
@@ -51,6 +51,42 @@ done:
     for prog in [program, prefetched] {
         let (_, sys) = simulate(SystemConfig::with_pes(2), Arc::new(prog), &[]).unwrap();
         assert_eq!(sys.read_global_word("out", 0), Some(expected));
+    }
+}
+
+/// Effective addresses wrap: `base + off` past `i64::MAX` lands on the
+/// low 32 bits for the local store, in debug and release builds alike,
+/// and the memo layer's pre-executor agrees with the pipeline (it keeps
+/// the segment instead of bailing).
+#[test]
+fn effective_addresses_wrap_in_every_executor() {
+    let src = r#"
+.global out zeroed 4
+.entry main 0
+
+.thread main
+.frame_slots 0
+.block ex
+    li r4, 0x7ffffffffffffffc
+    li r6, 77
+    lsstore r6, 8(r4)
+    lsload r5, 8(r4)
+    li r7, 0x100000
+.block ps
+    write r5, 0(r7)
+    ffree r1
+    stop
+.end
+"#;
+    let program = Arc::new(assemble(src).expect("assembles"));
+    for memo in [MemoConfig::default(), MemoConfig::on()] {
+        let mut cfg = SystemConfig::with_pes(1);
+        cfg.memo = memo;
+        let (_, sys) = simulate(cfg, program.clone(), &[]).unwrap();
+        assert_eq!(sys.read_global_word("out", 0), Some(77), "{memo:?}");
+        let report = sys.engine_report();
+        assert_eq!(report.memo_aborts, 0, "{memo:?}");
+        assert_eq!(report.memo_misses, memo.enabled as u64, "{memo:?}");
     }
 }
 
