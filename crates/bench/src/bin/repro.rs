@@ -319,7 +319,7 @@ fn main() -> ExitCode {
             "speed" => {
                 use dta_workloads::Variant::{Baseline, HandPrefetch};
                 let gather_n = if opts.quick { 256 } else { 2048 };
-                // The wake heap pays off when many PEs sit idle while a
+                // The wake set pays off when many PEs sit idle while a
                 // few work, so the sweep includes a wide-machine gather
                 // case on top of the paper-default width (DESIGN.md §12).
                 let wide = if opts.quick { 32 } else { 128 };

@@ -1806,7 +1806,7 @@ mod tests {
         // A pure host-time optimisation: identical simulated outcome
         // (speed_bench itself hard-asserts full RunStats equality)...
         assert_eq!(r.rows[0].cycles, r.rows[1].cycles);
-        // ...where the wake heap skips blocked/idle PE ticks...
+        // ...where the wake set skips blocked/idle PE ticks...
         let pes = u64::from(r.rows[0].pes);
         assert_eq!(
             r.rows[0].pe_ticks + r.rows[0].skipped_ticks,

@@ -226,7 +226,7 @@ pub struct Row {
     pub visited_cycles: u64,
     /// PE ticks the engine performed.
     pub pe_ticks: u64,
-    /// Blocked/idle PE ticks the wake-heap scheduler skipped.
+    /// Blocked/idle PE ticks the wake-set scheduler skipped.
     pub skipped_ticks: u64,
     /// Barrier epochs the sharded engine ran (zero on the sequential
     /// engine).
@@ -246,9 +246,9 @@ pub struct Row {
     pub dse_deliveries: u64,
     /// Shared memory-system transactions served.
     pub mem_requests: u64,
-    /// Mean wake-heap occupancy.
+    /// Mean wake-set occupancy (`EngineReport::wake_heap_occupancy`).
     pub wake_heap_mean: f64,
-    /// Peak wake-heap occupancy.
+    /// Peak wake-set occupancy.
     pub wake_heap_max: u64,
     /// Memoized segment replays fired (0 with memo off).
     pub memo_hits: u64,

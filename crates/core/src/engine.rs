@@ -30,14 +30,14 @@
 
 use crate::config::{FaultPlan, SystemConfig};
 use crate::fault::{msg_exempt, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
-use crate::pipeline::{Activity, MemPort, OutMsg, Pe, SysCtx, Ticket, TicketKind};
+use crate::pipeline::{MemPort, OutMsg, Pe, SysCtx, Ticket, TicketKind};
 use crate::stats::{EngineReport, RunStats};
 use crate::system::{deliver, transform_obs, DeliverEnv, Event, RunError, System};
+use crate::wake::WakeSet;
 use dta_isa::Program;
 use dta_mem::{MainMemory, MemorySystem, TransferKind};
 use dta_obs::{ObsEvent, ObsLog, ObsRecord, ObsSink};
 use dta_sched::{Dest, Dse, Message, MsgSeq};
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -117,14 +117,9 @@ struct Shard {
     /// Cached epoch width (the conservative cross-shard lookahead; also
     /// the adaptive clamp distance).
     epoch_w: u64,
-    /// Each local PE's earliest scheduled tick (`u64::MAX` = none; only
-    /// a delivery can make it runnable).
-    wake: Vec<u64>,
-    /// (time, local PE) wake entries with lazy invalidation — an entry
-    /// is stale when its time no longer matches `wake[pe]`. Pops in
-    /// (time, pe) order, so PEs tick in ascending index order within a
-    /// cycle, as in the sequential engine.
-    wheap: BinaryHeap<Reverse<(u64, u16)>>,
+    /// The local PEs' wake times (local indices); due PEs tick in
+    /// ascending index order within a cycle, as in the sequential engine.
+    wakes: WakeSet,
     /// This shard's visited-cycle/tick counters (merged at reassembly).
     report: EngineReport,
 }
@@ -186,7 +181,7 @@ impl Shard {
     /// this shard's units, with event-based time skipping inside the
     /// window.
     ///
-    /// Only *due* PEs tick (see the wake-heap notes on
+    /// Only *due* PEs tick (see `WakeSet` and the notes on
     /// `System::run_sequential`; the skipped ticks are blocked/idle
     /// no-ops). When adaptive widening granted a window beyond one
     /// lookahead, the shard self-clamps: the first cycle `c` that
@@ -201,9 +196,9 @@ impl Shard {
         while t < e_end {
             self.last_t = t;
             self.report.visited_cycles += 1;
-            // Host-side heap pressure, sampled once per visited cycle
+            // Host-side wake-set pressure, sampled once per visited cycle
             // (stale lazy-invalidation entries are real occupancy).
-            self.report.wake_heap_occupancy.add(self.wheap.len() as u64);
+            self.report.wake_heap_occupancy.add(self.wakes.occupancy());
 
             while self.events.peek().is_some_and(|e| e.time <= t) {
                 let e = self.events.pop().expect("peeked");
@@ -216,11 +211,7 @@ impl Shard {
                     Dest::Lse(p) | Dest::Pipeline(p) => {
                         self.report.pe_deliveries += 1;
                         // A delivery to a PE means it must tick this cycle.
-                        let slot = &mut self.wake[(p - self.pe_base) as usize];
-                        if t < *slot {
-                            *slot = t;
-                            self.wheap.push(Reverse((t, p - self.pe_base)));
-                        }
+                        self.wakes.deliver(p - self.pe_base, t);
                     }
                     Dest::Dse(_) => self.report.dse_deliveries += 1,
                 }
@@ -253,28 +244,10 @@ impl Shard {
                     drain_until: &mut self.scratch_drain,
                     failover: self.failover.as_deref(),
                 };
-                while let Some(&Reverse((wt, p))) = self.wheap.peek() {
-                    if wt > t {
-                        break;
-                    }
-                    self.wheap.pop();
-                    let pi = p as usize;
-                    if self.wake[pi] != wt {
-                        continue; // stale entry
-                    }
-                    self.wake[pi] = u64::MAX;
-                    self.report.pe_ticks += 1;
-                    let next = match self.pes[pi].tick(t, &mut ctx) {
-                        Activity::Active => t + 1,
-                        Activity::Blocked(w) => w,
-                        Activity::Idle => u64::MAX,
-                    };
-                    if next < u64::MAX {
-                        debug_assert!(next > t, "wake must be in the future");
-                        self.wake[pi] = next;
-                        self.wheap.push(Reverse((next, p)));
-                    }
-                }
+                let pes = &mut self.pes;
+                self.report.pe_ticks += self
+                    .wakes
+                    .tick_due(t, |p| pes[p as usize].tick(t, &mut ctx));
             }
             self.route_posts(t);
 
@@ -283,15 +256,7 @@ impl Shard {
                 e_end = t + self.epoch_w;
             }
 
-            let nw = loop {
-                match self.wheap.peek() {
-                    Some(&Reverse((wt, p))) if self.wake[p as usize] != wt => {
-                        self.wheap.pop(); // stale
-                    }
-                    Some(&Reverse((wt, _))) => break wt,
-                    None => break u64::MAX,
-                }
-            };
+            let nw = self.wakes.next();
             let peek = self.events.peek().map_or(u64::MAX, |e| e.time);
             t = nw.min(peek).max(t + 1);
         }
@@ -626,9 +591,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                 failover: sys.failover.clone(),
                 fault_counts: FaultCounters::default(),
                 epoch_w: w,
-                // Every PE is due at cycle 0.
-                wake: vec![0; n],
-                wheap: (0..n).map(|p| Reverse((0u64, p as u16))).collect(),
+                wakes: WakeSet::new(n),
                 report: EngineReport::default(),
             });
             next_pe += n;

@@ -40,7 +40,7 @@
 use crate::stats::{PeStats, StallCat};
 use crate::step::{self, Effect, Step};
 use dta_isa::program::ThreadCode;
-use dta_isa::{Instr, NUM_REGS, ZERO_REG};
+use dta_isa::{IdBuild, Instr, NUM_REGS, ZERO_REG};
 use dta_mem::LocalStore;
 use dta_sched::{Instance, InstanceId};
 use std::collections::HashMap;
@@ -356,7 +356,7 @@ pub struct MemoCounters {
 pub(crate) struct MemoState {
     /// Master switch (config on, no SP offload, fault plan benign).
     pub active: bool,
-    cache: HashMap<u128, Arc<Skeleton>>,
+    cache: HashMap<u128, Arc<Skeleton>, IdBuild>,
     /// A segment entry was observed; attempt memoization at the next
     /// issue opportunity.
     pub armed: bool,
@@ -372,7 +372,7 @@ impl MemoState {
     pub fn new(active: bool) -> Self {
         MemoState {
             active,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             armed: false,
             recording: None,
             replay: None,

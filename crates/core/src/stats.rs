@@ -337,7 +337,7 @@ pub struct EngineReport {
     /// `Pe::tick` calls actually made.
     pub pe_ticks: u64,
     /// Ticks a tick-every-PE loop would have made at the visited cycles
-    /// but the wake-heap scheduler skipped (`Σ visited_cycles × shard
+    /// but the wake-set scheduler skipped (`Σ visited_cycles × shard
     /// PEs − pe_ticks`).
     pub skipped_ticks: u64,
     /// Epoch barriers executed by the sharded engine (zero sequential).
@@ -353,9 +353,10 @@ pub struct EngineReport {
     /// Wall-clock µs the coordinator spent resolving epoch barriers
     /// (ticket merge + rendezvous); zero for the sequential engine.
     pub merge_wall_us: u64,
-    /// Occupancy of the wake heap, sampled once per visited cycle per
-    /// shard. Quantifies the pending-wakeup population the event-driven
-    /// scheduler carries.
+    /// Occupancy of the wake set: scheduled wake entries (the active
+    /// list plus the `Blocked` heap, stale lazy-invalidation entries
+    /// included), sampled once per visited cycle per shard. Quantifies
+    /// the pending-wakeup population the event-driven scheduler carries.
     pub wake_heap_occupancy: dta_obs::Histogram,
     /// Host-side message deliveries to PE-owned units (LSE + pipeline).
     pub pe_deliveries: u64,

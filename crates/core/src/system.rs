@@ -16,8 +16,9 @@
 
 use crate::config::{FaultPlan, Parallelism, SystemConfig};
 use crate::fault::{msg_exempt, transform, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
-use crate::pipeline::{Activity, MemPort, OutMsg, Pe, PipelineParams, SysCtx};
+use crate::pipeline::{MemPort, OutMsg, Pe, PipelineParams, SysCtx};
 use crate::stats::{EngineReport, PeStats, RunStats};
+use crate::wake::WakeSet;
 use dta_isa::{validate_program, Program, ValidationError};
 use dta_mem::fault::{roll, SITE_FALLOC_DENY};
 use dta_mem::{MainMemory, MemorySystem};
@@ -1617,13 +1618,13 @@ impl System {
 
     /// Drains and delivers every event due at `self.now`, feeding the
     /// resulting posts back into the queue. Each delivery addressed to a
-    /// PE (LSE or pipeline) also reports the PE index to `wake`, so the
-    /// engine ticks that PE this cycle.
+    /// PE (LSE or pipeline) also wakes that PE in `wakes`, so the engine
+    /// ticks it this cycle.
     fn deliver_due(
         &mut self,
         posts: &mut Vec<OutMsg>,
         report: &mut EngineReport,
-        wake: &mut dyn FnMut(u16),
+        wakes: &mut WakeSet,
     ) {
         while self.events.peek().is_some_and(|e| e.time <= self.now) {
             let e = self.events.pop().expect("peeked");
@@ -1636,7 +1637,7 @@ impl System {
             match e.to {
                 Dest::Lse(pe) | Dest::Pipeline(pe) => {
                     report.pe_deliveries += 1;
-                    wake(pe);
+                    wakes.deliver(pe, self.now);
                 }
                 Dest::Dse(_) => report.dse_deliveries += 1,
             }
@@ -1678,8 +1679,8 @@ impl System {
         self.engine_report = report;
     }
 
-    /// Event-driven fast-forward: each PE carries a wake time in a binary
-    /// heap and only *due* PEs tick at a visited cycle.
+    /// Event-driven fast-forward: each PE carries a wake time in a
+    /// [`WakeSet`] and only *due* PEs tick at a visited cycle.
     ///
     /// Wake sources, covering every way a PE can need a tick:
     /// * `Activity::Active` → the PE must tick again at `now + 1` (this
@@ -1698,7 +1699,7 @@ impl System {
     /// gauge-boundary flushing, is a pure function of simulated time and
     /// unchanged unit state, so it emits identical samples whenever it
     /// runs (DESIGN.md §12 has the full argument; the golden digests in
-    /// `tests/golden.rs` pin the results). Within a cycle the heap pops
+    /// `tests/golden.rs` pin the results). Within a cycle the due PEs tick
     /// in ascending PE order, which is the memory-port reservation order.
     pub(crate) fn run_sequential(&mut self) -> Result<RunStats, RunError> {
         let wall = std::time::Instant::now();
@@ -1706,12 +1707,7 @@ impl System {
         let mut outbox: Vec<OutMsg> = Vec::new();
         let mut posts: Vec<OutMsg> = Vec::new();
         let mut report = EngineReport::default();
-        // `wake[p]` is PE p's earliest scheduled tick (u64::MAX = none);
-        // the heap holds (time, pe) entries with lazy invalidation:
-        // entries whose time no longer matches `wake[p]` are stale.
-        let mut wake: Vec<u64> = vec![0; npes];
-        let mut heap: BinaryHeap<Reverse<(u64, u16)>> =
-            (0..npes).map(|p| Reverse((0u64, p as u16))).collect();
+        let mut wakes = WakeSet::new(npes);
         let stream_every = self.config.obs_stream_interval();
         let mut stream_next = stream_every;
 
@@ -1730,20 +1726,14 @@ impl System {
                 return Err(self.cycle_limit_error());
             }
             report.visited_cycles += 1;
-            // Host-side heap pressure, sampled once per visited cycle
+            // Host-side wake-set pressure, sampled once per visited cycle
             // (stale lazy-invalidation entries are real occupancy).
-            report.wake_heap_occupancy.add(heap.len() as u64);
+            report.wake_heap_occupancy.add(wakes.occupancy());
 
             // Deliver everything due now; every delivery addressed to a
             // PE schedules a tick of that PE this cycle.
+            self.deliver_due(&mut posts, &mut report, &mut wakes);
             let now = self.now;
-            self.deliver_due(&mut posts, &mut report, &mut |pe: u16| {
-                let slot = &mut wake[pe as usize];
-                if now < *slot {
-                    *slot = now;
-                    heap.push(Reverse((now, pe)));
-                }
-            });
 
             // Tick the due PEs, in ascending PE order within the cycle.
             {
@@ -1763,28 +1753,7 @@ impl System {
                     drain_until,
                     failover: failover.as_deref(),
                 };
-                while let Some(&Reverse((t, p))) = heap.peek() {
-                    if t > now {
-                        break;
-                    }
-                    heap.pop();
-                    let pi = p as usize;
-                    if wake[pi] != t {
-                        continue; // stale entry
-                    }
-                    wake[pi] = u64::MAX;
-                    report.pe_ticks += 1;
-                    let next = match pes[pi].tick(now, &mut ctx) {
-                        Activity::Active => now + 1,
-                        Activity::Blocked(t) => t,
-                        Activity::Idle => u64::MAX,
-                    };
-                    if next < u64::MAX {
-                        debug_assert!(next > now, "wake must be in the future");
-                        wake[pi] = next;
-                        heap.push(Reverse((next, p)));
-                    }
-                }
+                report.pe_ticks += wakes.tick_due(now, |p| pes[p as usize].tick(now, &mut ctx));
             }
             for (time, to, msg, stamp) in outbox.drain(..) {
                 self.post(time, to, msg, stamp);
@@ -1796,15 +1765,7 @@ impl System {
             }
 
             // Jump to the next due wake or event.
-            let next_wake = loop {
-                match heap.peek() {
-                    Some(&Reverse((t, p))) if wake[p as usize] != t => {
-                        heap.pop(); // stale
-                    }
-                    Some(&Reverse((t, _))) => break t,
-                    None => break u64::MAX,
-                }
-            };
+            let next_wake = wakes.next();
             let next_event = self.events.peek().map(|e| e.time).unwrap_or(u64::MAX);
             let target = next_event.min(next_wake);
             if target == u64::MAX {

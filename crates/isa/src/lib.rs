@@ -37,6 +37,7 @@ pub mod asm;
 pub mod builder;
 pub mod encode;
 pub mod frame;
+pub mod hash;
 pub mod instr;
 pub mod program;
 pub mod reg;
@@ -45,6 +46,7 @@ pub mod validate;
 pub use builder::{ProgramBuilder, ThreadBuilder};
 pub use encode::{decode_program, encode_program, DecodeError};
 pub use frame::FramePtr;
+pub use hash::{IdBuild, IdHasher};
 pub use instr::{AluOp, BrCond, IClass, Instr, Src};
 pub use program::{BlockMap, CodeBlock, GlobalDef, Program, ThreadCode, ThreadId};
 pub use reg::{Reg, FRAME_PTR_REG, NUM_REGS, PREFETCH_BASE_REG, ZERO_REG};

@@ -5,7 +5,7 @@
 //! Accesses are little-endian; the machine's scalar access width is 32
 //! bits (the paper: "each READ instruction fetches only 4 bytes").
 
-use dta_isa::GlobalDef;
+use dta_isa::{GlobalDef, IdBuild};
 use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
@@ -20,7 +20,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 #[derive(Clone, Debug, Default)]
 pub struct MainMemory {
     size: u64,
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, IdBuild>,
 }
 
 impl MainMemory {
@@ -28,7 +28,7 @@ impl MainMemory {
     pub fn new(size: u64) -> Self {
         MainMemory {
             size,
-            pages: HashMap::new(),
+            pages: HashMap::default(),
         }
     }
 
