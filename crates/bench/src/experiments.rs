@@ -1813,12 +1813,14 @@ mod tests {
             r.rows[0].visited_cycles * pes
         );
         assert!(r.rows[0].skipped_ticks > 0);
-        // ...and the memo row replays segments instead of re-interpreting
-        // them.
+        // ...the memo row replays segments instead of re-interpreting
+        // them...
         assert_eq!(r.rows[0].memo_hits, 0);
         assert!(r.rows[1].memo_hits > 0);
         assert!(r.rows[1].memo_replayed_cycles > 0);
-        assert!(r.rows[1].pe_ticks <= r.rows[0].pe_ticks);
+        // ...and the memo-off row issues runs of pure cycles in one tick
+        // (spans stay off while memo runs), so it ticks no more often.
+        assert!(r.rows[0].pe_ticks <= r.rows[1].pe_ticks);
     }
 
     #[test]

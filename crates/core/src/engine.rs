@@ -33,6 +33,7 @@ use crate::fault::{msg_exempt, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
 use crate::pipeline::{MemPort, OutMsg, Pe, SysCtx, Ticket, TicketKind};
 use crate::stats::{EngineReport, RunStats};
 use crate::system::{deliver, transform_obs, DeliverEnv, Event, RunError, System};
+use crate::uop::UopTable;
 use crate::wake::WakeSet;
 use dta_isa::Program;
 use dta_mem::{MainMemory, MemorySystem, TransferKind};
@@ -190,7 +191,7 @@ impl Shard {
     /// cross-shard post) shrinks the window to `c + epoch_w`, since
     /// nothing initiated at `c` can take effect — or provoke a response —
     /// before `c + epoch_w` (DESIGN.md §12).
-    fn run_epoch(&mut self, e_start: u64, mut e_end: u64, program: &Program) {
+    fn run_epoch(&mut self, e_start: u64, mut e_end: u64, program: &Program, uops: &UopTable) {
         let wall = std::time::Instant::now();
         let mut t = self.next_ready().max(e_start);
         while t < e_end {
@@ -240,6 +241,7 @@ impl Shard {
                         tickets: &mut self.tickets,
                     },
                     program,
+                    uops,
                     out: &mut self.posts,
                     drain_until: &mut self.scratch_drain,
                     failover: self.failover.as_deref(),
@@ -626,6 +628,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
 
     let max_cycles = sys.config.max_cycles;
     let program = sys.program.clone();
+    let uops = sys.uops.clone();
     let mut drain_until = sys.drain_until;
     let engine_obs = &mut sys.engine_obs;
     let mut mctx = MergeCtx {
@@ -666,7 +669,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                 },
             );
             for shard in shards.iter_mut() {
-                shard.run_epoch(e, e_end, &program);
+                shard.run_epoch(e, e_end, &program, &uops);
             }
             let mut refs: Vec<&mut Shard> = shards.iter_mut().collect();
             let merge_t0 = std::time::Instant::now();
@@ -704,6 +707,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
         let barrier = SpinBarrier::new(nshards);
         let mutexes: Vec<Mutex<Shard>> = shards.drain(..).map(Mutex::new).collect();
         let program_ref: &Program = &program;
+        let uops_ref: &UopTable = &uops;
 
         outcome = std::thread::scope(|scope| {
             for i in 1..nshards {
@@ -718,7 +722,7 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                     let s = epoch_start.load(Ordering::Acquire);
                     let e = epoch_end.load(Ordering::Acquire);
                     let mut shard = mutexes[i].lock().expect("shard mutex poisoned");
-                    shard.run_epoch(s, e, program_ref);
+                    shard.run_epoch(s, e, program_ref, uops_ref);
                     drop(shard);
                     barrier.wait();
                 });
@@ -742,10 +746,12 @@ pub(crate) fn run_sharded(sys: &mut System, threads: usize) -> Result<RunStats, 
                 epoch_start.store(e, Ordering::Release);
                 epoch_end.store(e_end, Ordering::Release);
                 barrier.wait();
-                mutexes[0]
-                    .lock()
-                    .expect("shard mutex poisoned")
-                    .run_epoch(e, e_end, program_ref);
+                mutexes[0].lock().expect("shard mutex poisoned").run_epoch(
+                    e,
+                    e_end,
+                    program_ref,
+                    uops_ref,
+                );
                 barrier.wait();
 
                 let mut guards: Vec<_> = mutexes

@@ -55,6 +55,7 @@ pub mod pipeline;
 pub mod stats;
 pub(crate) mod step;
 pub mod system;
+pub mod uop;
 pub(crate) mod wake;
 
 pub use config::{FaultPlan, MemoConfig, ObsConfig, ObsMode, Parallelism, SystemConfig};

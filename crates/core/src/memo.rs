@@ -29,7 +29,7 @@
 //! 3. **Contention windows.** A recorded skeleton is only *fired* when
 //!    nothing external can perturb the span: either the PE has no DMA in
 //!    flight, or its in-flight set provably stays constant through the
-//!    span ([`Mfc::quiet_until`](dta_mem::Mfc)). Otherwise the attempt
+//!    span ([`Mfc::quiet_horizon`](dta_mem::Mfc)). Otherwise the attempt
 //!    falls back to normal interpretation — a miss, never an error.
 //!
 //! Recorded skeletons are *shift-invariant*: every in-span timestamp is

@@ -17,9 +17,10 @@
 use crate::memo::{self, MemoCounters, MemoState, Recording, Replay, Skeleton};
 use crate::stats::{FineCat, PeStats, StallCat};
 use crate::step::{self, ea, Effect, Step};
+use crate::uop::{Uop, UopTable};
 use dta_isa::{
-    CodeBlock, FramePtr, IClass, Instr, Program, Reg, Src, FRAME_PTR_REG, NUM_REGS,
-    PREFETCH_BASE_REG, ZERO_REG,
+    CodeBlock, FramePtr, Instr, Program, Reg, Src, FRAME_PTR_REG, NUM_REGS, PREFETCH_BASE_REG,
+    ZERO_REG,
 };
 use dta_mem::{
     Cache, CacheParams, DmaCommand, DmaKind, DmaPlan, LocalStore, MainMemory, MemorySystem, Mfc,
@@ -28,6 +29,7 @@ use dta_mem::{
 use dta_obs::{GaugeKind, ObsEvent, ObsLog, ThreadEvent};
 use dta_sched::{CrashReport, Dest, InstanceId, Lse, LseParams, Message, MsgSeq, ThreadState};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// A stamped outbox entry: `(absolute delivery cycle, destination,
 /// message, deterministic source stamp)`.
@@ -131,15 +133,20 @@ pub struct PipelineParams {
     /// Memoization may actually run on this PE (config on, no SP
     /// offload, fault plan benign).
     pub memo_active: bool,
-    /// Run cycle budget: replays never extend past it, so the
-    /// cycle-limit error path is memo-invariant.
+    /// A tick may issue a span of quiet cycles ahead of global time
+    /// (memoization off, no SP offload, fault plan benign; DESIGN.md
+    /// §12).
+    pub spans: bool,
+    /// Run cycle budget: replays and spans never extend past it, so the
+    /// cycle-limit error path is memo- and span-invariant.
     pub max_cycles: u64,
 }
 
-/// What a PE did this cycle — drives the system loop's time skipping.
+/// What a PE did in a tick — drives the system loop's time skipping.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Activity {
-    /// Issued/stalled productively; tick again next cycle.
+    /// Issued/stalled productively; tick again next cycle (the pipeline
+    /// is due at `now + 1`, never later).
     Active,
     /// Blocked until the given cycle (stall cycles already attributed) or
     /// until an external event (`u64::MAX`).
@@ -154,6 +161,8 @@ pub struct SysCtx<'a> {
     pub port: MemPort<'a>,
     /// The program being executed.
     pub program: &'a Program,
+    /// The program's threads, decoded once ([`UopTable`]).
+    pub uops: &'a UopTable,
     /// Outbox: stamped `(absolute delivery cycle, destination, message)`.
     pub out: &'a mut Vec<OutMsg>,
     /// Latest cycle at which posted writes will have drained.
@@ -585,34 +594,62 @@ impl Pe {
         step::src(&self.lse.instance(id).regs, s)
     }
 
-    /// If an operand of `instr` is not yet ready, returns the coarse and
-    /// fine stall buckets to charge. The fine twin is derived from the
-    /// producer's coarse bucket — `LsStall` operands come from
-    /// local-store loads, `MemStall` operands from blocking READs — so
-    /// the mapping is a pure function of simulated state.
-    fn operand_stall(&self, instr: &Instr, now: u64, in_pf: bool) -> Option<(StallCat, FineCat)> {
+    /// If an operand in use-mask `uses` is not yet ready at `now`, returns
+    /// when the latest one is, and the coarse and fine stall buckets to
+    /// charge until then. The fine twin is derived from the producer's
+    /// coarse bucket — `LsStall` operands come from local-store loads,
+    /// `MemStall` operands from blocking READs — so the mapping is a
+    /// pure function of simulated state.
+    ///
+    /// The latest operand stays the latest as time advances, so the
+    /// buckets hold for every cycle of the stall. Among operands that
+    /// tie, the lowest register wins; only local-store loads leave a
+    /// register unready at an issue slot (every other producer blocks
+    /// the pipeline past its result), so tied operands share a bucket.
+    fn operand_stall(&self, uses: u64, now: u64, in_pf: bool) -> Option<(u64, StallCat, FineCat)> {
         let mut worst: Option<(u64, StallCat)> = None;
-        for r in &instr.uses() {
-            let t = self.reg_ready[r.index()];
+        for r in regs_of(uses) {
+            let t = self.reg_ready[r];
             if t > now && worst.is_none_or(|(wt, _)| t > wt) {
-                worst = Some((t, self.reg_stall[r.index()]));
+                worst = Some((t, self.reg_stall[r]));
             }
         }
-        worst.map(|(_, cat)| {
+        worst.map(|(ready, cat)| {
             if in_pf {
-                (StallCat::Prefetch, FineCat::PfGated)
+                (ready, StallCat::Prefetch, FineCat::PfGated)
             } else {
                 let fine = match cat {
                     StallCat::LsStall => FineCat::LsStall,
                     StallCat::MemStall => FineCat::ReadStall,
                     _ => self.act_fine(false),
                 };
-                (cat, fine)
+                (ready, cat, fine)
             }
         })
     }
 
-    /// One simulation cycle.
+    /// The end of the span window opening at `now` (DESIGN.md §12): the
+    /// first cycle a tick at `now` may not issue in the same host call.
+    ///
+    /// Without spans that is `now + 1`. With them, the window runs to
+    /// the cycle budget, so the cycle-limit error sees the state the
+    /// per-cycle loop leaves. While this PE has DMA in flight it also
+    /// stops short of the next completion (memo's window rule), whose
+    /// delivery changes `dma_open`, which the overlap attribution of
+    /// every charged cycle reads.
+    fn span_horizon(&self, now: u64) -> u64 {
+        if !self.params.spans {
+            return now + 1;
+        }
+        let mut h = self.params.max_cycles.saturating_add(1);
+        if self.dma_open > 0 {
+            h = h.min(self.mfc.quiet_horizon(now));
+        }
+        h.max(now + 1)
+    }
+
+    /// Advances the PE at `now`: one cycle, or a span of quiet cycles
+    /// (see [`Self::issue`]).
     pub fn tick(&mut self, now: u64, ctx: &mut SysCtx<'_>) -> Activity {
         if self.obs.metrics_on() {
             self.flush_gauges(now);
@@ -662,7 +699,14 @@ impl Pe {
             }
         }
 
-        self.memo_issue(now, ctx)
+        let act = self.memo_issue(now, ctx);
+        debug_assert!(
+            act != Activity::Active || self.resume_at <= now + 1,
+            "PE {}: Active at {now} with the pipeline due at {}",
+            self.pe,
+            self.resume_at
+        );
+        act
     }
 
     fn dispatch(&mut self, id: InstanceId, now: u64, program: &Program) {
@@ -691,111 +735,159 @@ impl Pe {
         self.memo.arm();
     }
 
+    /// Issues the current instance from `now` on, up to the end of the
+    /// span window ([`Self::span_horizon`]).
+    ///
+    /// Cycle `now` is the tick's true cycle in global order, so it may
+    /// issue anything. Every later cycle runs in the same call only while
+    /// the µops at `pc` and `pc + 1` are quiet (`pc + 1` because it may
+    /// dual-issue): those touch nothing outside this PE's pipeline
+    /// state, so running them ahead of the other PEs changes no result.
+    /// The first instruction that must execute at its true cycle — a
+    /// post, a shared-memory access, a DMA or scheduler operation — ends
+    /// the call and issues as the first cycle of the next tick. An
+    /// operand stall whose end is known is charged in one step, up to
+    /// the window's end. Without spans the window is `now + 1`: one
+    /// cycle per tick.
     fn issue(&mut self, now: u64, ctx: &mut SysCtx<'_>) -> Activity {
         let id = self.current.expect("issue without a current thread");
-        let (thread_id, mut pc) = {
+        let (thread, mut pc) = {
             let inst = self.lse.instance(id);
             (inst.thread, inst.pc)
         };
-        let thread = &ctx.program.threads[thread_id.index()];
-        let block = thread.block_of(pc);
-        let in_pf = block == CodeBlock::Pf;
+        let table: &UopTable = ctx.uops;
+        let uops = table.thread(thread);
+        // Fixed by the state after cycle `now`: the quiet cycles after it
+        // change nothing the window depends on. A stall at `now` issues
+        // nothing, so computing it then is the same.
+        let mut horizon = None;
+        let mut t = now;
+        loop {
+            let u = &uops[pc as usize];
+            debug_assert!(t == now || u.quiet, "a boundary issued ahead of its cycle");
+            let in_pf = u.block == CodeBlock::Pf;
+            if let Some((ready, cat, fine)) = self.operand_stall(u.uses, t, in_pf) {
+                let h = *horizon.get_or_insert_with(|| self.span_horizon(now));
+                let until = ready.min(h);
+                self.charge(cat, fine, until - t);
+                t = until;
+            } else {
+                match self.issue_cycle(t, id, uops, pc, ctx) {
+                    ControlFlow::Continue(next) => pc = next,
+                    ControlFlow::Break(act) => return act,
+                }
+                t = self.resume_at.max(t + 1);
+            }
+            let h = *horizon.get_or_insert_with(|| self.span_horizon(now));
+            if t >= h || uops[pc as usize].quiet_end <= pc + 1 {
+                break;
+            }
+        }
+        self.lse.instance_mut(id).pc = pc;
+        self.resume_at = self.resume_at.max(t);
+        if t == now + 1 {
+            Activity::Active
+        } else {
+            Activity::Blocked(t)
+        }
+    }
+
+    /// Issues one cycle at `t`, whose first operands are ready: the µop
+    /// at `pc` and, when it pairs and its operands are ready too, the
+    /// next one. Continues with the pc after the cycle (a taken branch's
+    /// penalty or a blocking `READ`'s latency lands in `resume_at`), or
+    /// breaks with the tick's outcome when the instruction waits for a
+    /// message, yields, stops or must retry — it then leaves the
+    /// instance's pc as the outcome requires.
+    fn issue_cycle(
+        &mut self,
+        t: u64,
+        id: InstanceId,
+        uops: &[Uop],
+        pc: u32,
+        ctx: &mut SysCtx<'_>,
+    ) -> ControlFlow<Activity, u32> {
+        let u1 = &uops[pc as usize];
+        let in_pf = u1.block == CodeBlock::Pf;
         let cycle_cat = if in_pf {
             StallCat::Prefetch
         } else {
             StallCat::Working
         };
 
-        let i1 = thread.code[pc as usize];
-        if let Some((cat, fine)) = self.operand_stall(&i1, now, in_pf) {
-            self.charge(cat, fine, 1);
-            return Activity::Active;
-        }
-
-        let r1 = self.exec(now, id, i1, in_pf, ctx);
+        let r1 = self.exec(t, id, u1.instr, in_pf, ctx);
         if let Exec::Retry(cat, fine) = r1 {
             self.charge(cat, fine, 1);
             self.stats.dma_queue_retries += 1;
             self.spin += 1;
             if let Some(limit) = self.watchdog_spin_limit {
                 if self.spin >= limit {
-                    return self.watchdog_park(now, id);
+                    return ControlFlow::Break(self.watchdog_park(t, id));
                 }
             }
-            return Activity::Active;
+            return ControlFlow::Break(Activity::Active);
         }
         self.spin = 0;
 
-        self.stats.record_issue(i1.class());
-        self.count_mem_op(&i1);
+        self.stats.record_issue(u1.class);
+        self.count_mem_op(&u1.instr);
         self.stats.issue_cycles += 1;
 
         match r1 {
             Exec::Retry(..) => unreachable!("handled above"),
             Exec::Next => {
-                pc += 1;
+                let mut next = pc + 1;
                 // Try to pair a second instruction (dual issue).
-                if (pc as usize) < thread.code.len() {
-                    let i2 = thread.code[pc as usize];
-                    if pairable(i1.class(), i2.class())
-                        && thread.block_of(pc) == block
-                        && self.operand_stall(&i2, now, in_pf).is_none()
-                    {
-                        let r2 = self.exec(now, id, i2, in_pf, ctx);
-                        match r2 {
-                            Exec::Next => {
-                                self.stats.record_issue(i2.class());
-                                self.count_mem_op(&i2);
-                                self.stats.dual_cycles += 1;
-                                pc += 1;
-                            }
-                            Exec::Redirect(target) => {
-                                self.stats.record_issue(i2.class());
-                                self.stats.dual_cycles += 1;
-                                pc = target;
-                                self.apply_branch_penalty(now, cycle_cat, in_pf);
-                            }
-                            // Pairable classes never block, retry, yield
-                            // or stop.
-                            _ => unreachable!("non-simple instruction slipped into dual issue"),
+                let u2 = u1.pairs.then(|| &uops[next as usize]);
+                if let Some(u2) = u2.filter(|u2| self.operand_stall(u2.uses, t, in_pf).is_none()) {
+                    match self.exec(t, id, u2.instr, in_pf, ctx) {
+                        Exec::Next => {
+                            self.stats.record_issue(u2.class);
+                            self.count_mem_op(&u2.instr);
+                            self.stats.dual_cycles += 1;
+                            next += 1;
                         }
+                        Exec::Redirect(target) => {
+                            self.stats.record_issue(u2.class);
+                            self.stats.dual_cycles += 1;
+                            next = target;
+                            self.apply_branch_penalty(t, cycle_cat, in_pf);
+                        }
+                        // Pairable classes never block, retry, yield or
+                        // stop.
+                        _ => unreachable!("non-simple instruction slipped into dual issue"),
                     }
                 }
                 self.charge(cycle_cat, self.act_fine(in_pf), 1);
-                self.lse.instance_mut(id).pc = pc;
-                if memo::may_bound_segment(&i1) {
+                if memo::may_bound_segment(&u1.instr) {
                     self.memo.arm();
                 }
-                Activity::Active
+                ControlFlow::Continue(next)
             }
             Exec::Redirect(target) => {
                 self.charge(cycle_cat, self.act_fine(in_pf), 1);
-                self.apply_branch_penalty(now, cycle_cat, in_pf);
-                self.lse.instance_mut(id).pc = target;
-                if self.resume_at > now + 1 {
-                    Activity::Blocked(self.resume_at)
-                } else {
-                    Activity::Active
-                }
+                self.apply_branch_penalty(t, cycle_cat, in_pf);
+                ControlFlow::Continue(target)
             }
             Exec::Block { until, cat, fine } => {
-                let until = until.max(now + 1);
-                self.charge(cat, fine, until - now);
+                // The access itself issued at its true cycle; the quiet
+                // cycles after the block may still run in this call.
+                let until = until.max(t + 1);
+                self.charge(cat, fine, until - t);
                 self.resume_at = until;
-                self.lse.instance_mut(id).pc = pc + 1;
                 self.memo.arm();
-                Activity::Blocked(until)
+                ControlFlow::Continue(pc + 1)
             }
             Exec::BlockFalloc => {
-                self.falloc_block_start = now;
+                self.falloc_block_start = t;
                 self.lse.instance_mut(id).pc = pc + 1;
-                Activity::Blocked(u64::MAX)
+                ControlFlow::Break(Activity::Blocked(u64::MAX))
             }
             Exec::BlockRead => {
                 // Stall cycles are charged on completion (`complete_read`),
                 // once the coordinator has resolved the contended latency.
                 self.lse.instance_mut(id).pc = pc + 1;
-                Activity::Blocked(u64::MAX)
+                ControlFlow::Break(Activity::Blocked(u64::MAX))
             }
             Exec::Yield => {
                 self.charge(cycle_cat, self.act_fine(in_pf), 1);
@@ -803,15 +895,15 @@ impl Pe {
                 inst.pc = pc + 1;
                 inst.state = ThreadState::WaitDma;
                 self.current = None;
-                self.record(now, id, ThreadEvent::WaitDma);
-                Activity::Active
+                self.record(t, id, ThreadEvent::WaitDma);
+                ControlFlow::Break(Activity::Active)
             }
             Exec::Stop => {
                 self.charge(cycle_cat, self.act_fine(in_pf), 1);
-                self.record(now, id, ThreadEvent::Stopped);
+                self.record(t, id, ThreadEvent::Stopped);
                 self.lse.stop(id);
                 self.current = None;
-                Activity::Active
+                ControlFlow::Break(Activity::Active)
             }
         }
     }
@@ -955,7 +1047,7 @@ impl Pe {
             let end = now + skel.len;
             let overlap_add = if self.dma_open == 0 {
                 Some(0)
-            } else if self.mfc.quiet_until(now, end) {
+            } else if end < self.mfc.quiet_horizon(now) {
                 Some(skel.overlap_cycles)
             } else {
                 None
@@ -1656,27 +1748,14 @@ impl Pe {
     }
 }
 
-fn pairable(a: IClass, b: IClass) -> bool {
-    use IClass::*;
-    let simple = |c: IClass| matches!(c, Branch | Frame | Ls);
-    (a == Compute && simple(b)) || (simple(a) && b == Compute)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pairing_rules() {
-        use IClass::*;
-        assert!(pairable(Compute, Branch));
-        assert!(pairable(Frame, Compute));
-        assert!(pairable(Compute, Ls));
-        assert!(!pairable(Compute, Compute));
-        assert!(!pairable(Compute, Mem));
-        assert!(!pairable(Mem, Compute));
-        assert!(!pairable(Compute, Dma));
-        assert!(!pairable(Sched, Compute));
-        assert!(!pairable(Branch, Frame));
-    }
+/// The register indices set in use-mask `uses`, ascending.
+#[inline]
+fn regs_of(mut uses: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (uses != 0).then(|| {
+            let r = uses.trailing_zeros() as usize;
+            uses &= uses - 1;
+            r
+        })
+    })
 }

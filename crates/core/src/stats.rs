@@ -332,13 +332,18 @@ impl fmt::Display for Breakdown {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineReport {
     /// Simulated cycles the engine actually visited (summed across shards
-    /// under the threaded engine).
+    /// under the threaded engine). A cycle that only some PE's span
+    /// covered is not visited.
     pub visited_cycles: u64,
-    /// `Pe::tick` calls actually made.
+    /// `Pe::tick` calls actually made. One tick may cover a span of
+    /// several quiet cycles of its PE (DESIGN.md §12), so this can be far
+    /// below the PE's busy cycles.
     pub pe_ticks: u64,
     /// Ticks a tick-every-PE loop would have made at the visited cycles
     /// but the wake-set scheduler skipped (`Σ visited_cycles × shard
-    /// PEs − pe_ticks`).
+    /// PEs − pe_ticks`). A PE whose span covers a visited cycle counts a
+    /// skipped tick there, so `pe_ticks + skipped_ticks == visited_cycles
+    /// × PEs` still holds.
     pub skipped_ticks: u64,
     /// Epoch barriers executed by the sharded engine (zero sequential).
     pub epochs: u64,

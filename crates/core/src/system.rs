@@ -18,6 +18,7 @@ use crate::config::{FaultPlan, Parallelism, SystemConfig};
 use crate::fault::{msg_exempt, transform, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
 use crate::pipeline::{MemPort, OutMsg, Pe, PipelineParams, SysCtx};
 use crate::stats::{EngineReport, PeStats, RunStats};
+use crate::uop::UopTable;
 use crate::wake::WakeSet;
 use dta_isa::{validate_program, Program, ValidationError};
 use dta_mem::fault::{roll, SITE_FALLOC_DENY};
@@ -1147,6 +1148,8 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
 pub struct System {
     pub(crate) config: SystemConfig,
     pub(crate) program: Arc<Program>,
+    /// The program's threads, decoded once for the pipelines.
+    pub(crate) uops: Arc<UopTable>,
     pub(crate) pes: Vec<Pe>,
     pub(crate) dses: Vec<Dse>,
     pub(crate) dse_stamps: Vec<MsgSeq>,
@@ -1210,6 +1213,7 @@ impl System {
         let lse_params = config
             .lse_params(program.max_prefetch_bytes())
             .map_err(RunError::Launch)?;
+        let inert = !config.sp_pf_overlap && config.faults.is_none_or(|f| f.is_benign());
         let pparams = PipelineParams {
             taken_branch_penalty: config.taken_branch_penalty,
             dispatch_penalty: config.dispatch_penalty,
@@ -1221,13 +1225,14 @@ impl System {
             obs_events: config.obs.events_on(),
             obs_interval: config.obs_interval(),
             obs_capacity: config.obs.event_capacity,
-            // Memoization only runs where it is provably inert: the SP
-            // offload mutates LS bytes asynchronously mid-segment, and a
-            // non-benign fault plan perturbs latencies/liveness in ways
-            // the contention-window check cannot see.
-            memo_active: config.memo.enabled
-                && !config.sp_pf_overlap
-                && config.faults.is_none_or(|f| f.is_benign()),
+            // Memoization and spans only run where they are provably
+            // inert: the SP offload mutates LS bytes asynchronously
+            // mid-segment, and a non-benign fault plan perturbs
+            // latencies/liveness in ways the contention-window check
+            // cannot see. Spans stay off while memoization runs, so the
+            // memo path issues exactly as it always has.
+            memo_active: config.memo.enabled && inert,
+            spans: !config.memo.enabled && inert,
             max_cycles: config.max_cycles,
         };
         let mut pes = Vec::with_capacity(config.total_pes() as usize);
@@ -1355,6 +1360,7 @@ impl System {
         Ok(System {
             memsys: config.memory_system(),
             config,
+            uops: Arc::new(UopTable::new(&program)),
             program,
             pes,
             dses,
@@ -1742,6 +1748,7 @@ impl System {
                     memsys,
                     mem,
                     program,
+                    uops,
                     drain_until,
                     failover,
                     ..
@@ -1749,6 +1756,7 @@ impl System {
                 let mut ctx = SysCtx {
                     port: MemPort::Direct { sys: memsys, mem },
                     program,
+                    uops,
                     out: &mut outbox,
                     drain_until,
                     failover: failover.as_deref(),

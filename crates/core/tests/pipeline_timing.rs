@@ -210,3 +210,47 @@ fn nop_runs_at_one_per_cycle() {
     assert_eq!(stats.aggregate.dual_cycles, 0);
     assert!(stats.aggregate.cat(StallCat::Working) >= n as u64);
 }
+
+/// A loop whose taken branch dual-issues with the compute instruction
+/// before it: each iteration is one single-issue cycle, one dual-issue
+/// cycle and the branch penalty. The pipeline must resume exactly when
+/// the penalty ends — not a cycle later, and not early.
+#[test]
+fn paired_taken_branch_loop_is_exact() {
+    let iters = 40u64;
+    let penalty = 2;
+    let mut pb = ProgramBuilder::new();
+    let main = pb.declare("main");
+    let mut t = ThreadBuilder::new("main");
+    t.begin_ex();
+    t.li(r(4), 0);
+    let top = t.label_here();
+    t.add(r(4), r(4), 1);
+    // Independent of r4, so the branch below pairs with it.
+    t.add(r(5), r(5), 3);
+    t.br(BrCond::Lt, r(4), iters as i32, top);
+    t.begin_ps();
+    t.ffree_self();
+    t.stop();
+    pb.define(main, t);
+    pb.set_entry(main, 0);
+    let mut cfg = pinned();
+    cfg.taken_branch_penalty = penalty;
+    let (stats, sys) = simulate(cfg, Arc::new(pb.build()), &[]).unwrap();
+    let pe = &stats.per_pe[0];
+    let taken = iters - 1;
+    assert_eq!(pe.issued, 1 + 3 * iters + 2);
+    assert_eq!(pe.dual_cycles, iters);
+    assert_eq!(pe.issue_cycles, 1 + 2 * iters + 2);
+    assert_eq!(
+        pe.cat(StallCat::Working),
+        pe.issue_cycles + penalty * taken,
+        "every cycle of the loop is issue or branch penalty"
+    );
+    assert_eq!(pe.total_cycles(), stats.cycles);
+    // The cycle count the per-cycle pipeline measures for this loop.
+    assert_eq!(stats.cycles, 167);
+    // The whole loop is quiet, so the PE needs far fewer ticks than it
+    // has busy cycles.
+    assert!(sys.engine_report().pe_ticks < iters);
+}

@@ -198,13 +198,23 @@ impl Mfc {
         self.outstanding.iter().filter(|&&t| t > now).count() + self.planned.len()
     }
 
-    /// True when no DMA completion can land in the half-open window
-    /// `(now, horizon]`: nothing is admitted-but-uncommitted, and no
-    /// outstanding command completes inside the window. Over such a
-    /// window the in-flight count is constant, so timing recorded with
-    /// DMA overlap replays with the same overlap attribution.
-    pub fn quiet_until(&self, now: u64, horizon: u64) -> bool {
-        self.planned.is_empty() && !self.outstanding.iter().any(|&t| t > now && t <= horizon)
+    /// The end of the quiet window that opens at `now`: the first cycle
+    /// after `now` at which a DMA completion can land — `now + 1` while a
+    /// command is admitted but uncommitted, `u64::MAX` when nothing is in
+    /// flight. No completion lands in `(now, h]` exactly when `h <
+    /// quiet_horizon(now)`; over such a window the in-flight count is
+    /// constant, so cycles charged inside it share one DMA-overlap
+    /// attribution.
+    pub fn quiet_horizon(&self, now: u64) -> u64 {
+        if !self.planned.is_empty() {
+            return now + 1;
+        }
+        self.outstanding
+            .iter()
+            .copied()
+            .filter(|&t| t > now)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Counters.
@@ -587,5 +597,38 @@ mod tests {
         let s = mfc.stats();
         assert_eq!(s.commands, 2);
         assert_eq!(s.bytes, 128 + 32);
+    }
+
+    #[test]
+    fn quiet_horizon_is_the_next_completion() {
+        let (mut mfc, mut sys, mut ls, mut mem) = rig();
+        assert_eq!(mfc.quiet_horizon(0), u64::MAX);
+        let get = |tag, mem_addr| DmaCommand {
+            owner: 0,
+            tag,
+            ls_addr: 0,
+            mem_addr,
+            kind: DmaKind::Get { bytes: 64 },
+        };
+        let a = mfc
+            .enqueue(0, get(0, 0), &mut sys, &mut ls, &mut mem)
+            .unwrap();
+        let b = mfc
+            .enqueue(40, get(1, 0x400), &mut sys, &mut ls, &mut mem)
+            .unwrap();
+        assert!(a.at < b.at);
+        for (now, want) in [
+            (0, a.at),
+            (40, a.at),
+            (a.at - 1, a.at),
+            (a.at, b.at),
+            (b.at - 1, b.at),
+            (b.at, u64::MAX),
+        ] {
+            assert_eq!(mfc.quiet_horizon(now), want, "now {now}");
+        }
+        // An admitted, uncommitted command closes the window at once.
+        mfc.admit(b.at).unwrap();
+        assert_eq!(mfc.quiet_horizon(b.at), b.at + 1);
     }
 }
