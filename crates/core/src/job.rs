@@ -26,7 +26,7 @@ use crate::config::SystemConfig;
 use crate::stats::{EngineReport, RunStats};
 use crate::system::{RunError, System};
 use dta_isa::{encode_program, Program};
-use dta_json::{fnv1a128, u64_from_json, u64_json, Json, ToJson};
+use dta_json::{fnv1a128, u64_from_json, u64_json, Json, ParseError, Reader, ToJson, Writer};
 use dta_obs::codec as obs_codec;
 use dta_obs::{ObsEvent, ObsSink, ObsStream, PerfettoWriter, ThreadEvent, TrackLayout};
 use dta_sched::InstanceId;
@@ -148,41 +148,44 @@ impl GlobalSnapshot {
         GlobalSnapshot { globals }
     }
 
-    /// Canonical encoding: `[{"name": ..., "words": [...]}, ...]`.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.globals
-                .iter()
-                .map(|(name, words)| {
-                    Json::obj([
-                        ("name", Json::Str(name.clone())),
-                        (
-                            "words",
-                            Json::Arr(words.iter().map(|w| Json::Num(*w as f64)).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
+    /// Writes the canonical encoding,
+    /// `[{"name": ..., "words": [...]}, ...]`.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_arr();
+        for (name, words) in &self.globals {
+            w.begin_obj();
+            w.key("name");
+            w.str(name);
+            w.key("words");
+            w.begin_arr();
+            for &word in words {
+                w.i64(word.into());
+            }
+            w.end_arr();
+            w.end_obj();
+        }
+        w.end_arr();
     }
 
-    /// Decodes the [`GlobalSnapshot::to_json`] encoding.
-    pub fn from_json(v: &Json) -> Option<GlobalSnapshot> {
-        let globals = v
-            .as_arr()?
-            .iter()
-            .map(|g| {
-                let name = g.get("name")?.as_str()?.to_string();
-                let words = g
-                    .get("words")?
-                    .as_arr()?
-                    .iter()
-                    .map(|w| w.as_f64().map(|w| w as i32))
-                    .collect::<Option<Vec<_>>>()?;
-                Some((name, words))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(GlobalSnapshot { globals })
+    /// Reads the [`GlobalSnapshot::write_json`] encoding. Every word must
+    /// be an integer in `i32` range.
+    pub fn read_json(r: &mut Reader) -> Result<GlobalSnapshot, ParseError> {
+        let mut globals = Vec::new();
+        r.begin_arr()?;
+        while r.more()? {
+            r.begin_obj()?;
+            r.key("name")?;
+            let name = r.str()?;
+            r.key("words")?;
+            let mut words = Vec::new();
+            r.begin_arr()?;
+            while r.more()? {
+                words.push(r.int()?);
+            }
+            r.end_obj()?;
+            globals.push((name, words));
+        }
+        Ok(GlobalSnapshot { globals })
     }
 }
 
@@ -500,7 +503,7 @@ pub struct JobOutput {
 }
 
 impl JobOutput {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut Writer) {
         // Wall-clock fields are host-nondeterministic: two simulations
         // of the same job must produce byte-identical canonical results
         // (the quarantine-and-resimulate contract), so the canonical
@@ -512,29 +515,45 @@ impl JobOutput {
             merge_wall_us: 0,
             ..self.engine.clone()
         };
-        Json::obj([
-            ("stats", self.stats.to_json()),
-            ("engine", engine.to_json()),
-            ("globals", self.globals.to_json()),
-            (
-                "obs",
-                match &self.obs {
-                    None => Json::Null,
-                    Some(s) => obs_codec::stream_to_json(s),
-                },
-            ),
-        ])
+        w.begin_obj();
+        w.key("stats");
+        w.value(&self.stats.to_json());
+        w.key("engine");
+        w.value(&engine.to_json());
+        w.key("globals");
+        self.globals.write_json(w);
+        w.key("obs");
+        match &self.obs {
+            None => w.null(),
+            Some(s) => obs_codec::write_stream(w, s),
+        }
+        w.end_obj();
     }
 
-    fn from_json(v: &Json) -> Option<JobOutput> {
-        Some(JobOutput {
-            stats: RunStats::from_json(v.get("stats")?)?,
-            engine: EngineReport::from_json(v.get("engine")?)?,
-            globals: GlobalSnapshot::from_json(v.get("globals")?)?,
-            obs: match v.get("obs")? {
-                Json::Null => None,
-                s => Some(obs_codec::stream_from_json(s)?),
-            },
+    fn read_json(r: &mut Reader) -> Result<JobOutput, ParseError> {
+        r.begin_obj()?;
+        r.key("stats")?;
+        let stats = RunStats::from_json(&r.value()?).ok_or_else(|| r.err("invalid stats"))?;
+        r.key("engine")?;
+        let engine = EngineReport::from_json(&r.value()?)
+            // The writer zeroes the wall-clock fields; anything else
+            // would not re-encode to the same document.
+            .filter(|e| e.shard_wall_us.is_empty() && e.merge_wall_us == 0)
+            .ok_or_else(|| r.err("invalid engine report"))?;
+        r.key("globals")?;
+        let globals = GlobalSnapshot::read_json(r)?;
+        r.key("obs")?;
+        let obs = if r.null() {
+            None
+        } else {
+            Some(obs_codec::read_stream(r)?)
+        };
+        r.end_obj()?;
+        Ok(JobOutput {
+            stats,
+            engine,
+            globals,
+            obs,
         })
     }
 }
@@ -559,60 +578,74 @@ impl JobResult {
         matches!(&self.outcome, Err(e) if e.is_host_side())
     }
 
-    /// Canonical document form. Byte-identity of
-    /// `canonical_json().to_string_compact()` is the cache-correctness
-    /// contract the serve test-suite pins.
-    pub fn canonical_json(&self) -> Json {
-        Json::obj([
-            ("format", Json::Num(self.format as f64)),
-            ("key", Json::Str(self.key.hex())),
-            (
-                "ok",
-                match &self.outcome {
-                    Ok(out) => out.to_json(),
-                    Err(_) => Json::Null,
-                },
-            ),
-            (
-                "err",
-                match &self.outcome {
-                    Ok(_) => Json::Null,
-                    Err(e) => e.to_json(),
-                },
-            ),
-        ])
-    }
-
-    /// The canonical byte form (compact rendering of
-    /// [`JobResult::canonical_json`]).
+    /// The canonical byte form,
+    /// `{"format": n, "key": hex, "ok": output|null, "err": error|null}`.
+    /// Its byte-identity is the cache-correctness contract the serve
+    /// test-suite pins. The globals and the observability stream — nearly
+    /// all of the bytes — are written straight to text; the small
+    /// sections go through a [`Json`] tree.
     pub fn canonical_string(&self) -> String {
-        self.canonical_json().to_string_compact()
+        let mut w = Writer::new();
+        w.begin_obj();
+        w.key("format");
+        w.u64(self.format.into());
+        w.key("key");
+        w.str(&self.key.hex());
+        w.key("ok");
+        match &self.outcome {
+            Ok(out) => out.write_json(&mut w),
+            Err(_) => w.null(),
+        }
+        w.key("err");
+        match &self.outcome {
+            Ok(_) => w.null(),
+            Err(e) => w.value(&e.to_json()),
+        }
+        w.end_obj();
+        w.finish()
     }
 
-    /// Decodes a canonical document. Returns `None` for malformed input
-    /// *or* a format mismatch — a stale cache entry from an older format
-    /// must read as absent, never as wrong data.
-    pub fn from_canonical_json(v: &Json) -> Option<JobResult> {
-        let format = v.get("format")?.as_u64()? as u32;
+    /// Decodes a canonical document. Returns `None` for malformed input,
+    /// keys out of canonical order, a narrowed field out of range, *or*
+    /// a format mismatch — a stale or damaged cache entry must read as
+    /// absent, never as wrong data.
+    pub fn from_canonical_str(text: &str) -> Option<JobResult> {
+        dta_json::read_document(text, JobResult::read_json).ok()?
+    }
+
+    /// Reads the document; `Ok(None)` for another format version.
+    fn read_json(r: &mut Reader) -> Result<Option<JobResult>, ParseError> {
+        r.begin_obj()?;
+        r.key("format")?;
+        let format = r.int()?;
         if format != JOB_FORMAT_VERSION {
-            return None;
+            return Ok(None);
         }
-        let key = JobKey::from_hex(v.get("key")?.as_str()?)?;
-        let outcome = match (v.get("ok")?, v.get("err")?) {
-            (Json::Null, e) => Err(JobError::from_json(e)?),
-            (o, Json::Null) => Ok(JobOutput::from_json(o)?),
-            _ => return None,
+        r.key("key")?;
+        let key = JobKey::from_hex(&r.str()?).ok_or_else(|| r.err("invalid job key"))?;
+        r.key("ok")?;
+        let ok = if r.null() {
+            None
+        } else {
+            Some(JobOutput::read_json(r)?)
         };
-        Some(JobResult {
+        r.key("err")?;
+        let err = if r.null() {
+            None
+        } else {
+            Some(JobError::from_json(&r.value()?).ok_or_else(|| r.err("invalid job error"))?)
+        };
+        r.end_obj()?;
+        let outcome = match (ok, err) {
+            (Some(out), None) => Ok(out),
+            (None, Some(e)) => Err(e),
+            _ => return Err(r.err("exactly one of ok and err must be set")),
+        };
+        Ok(Some(JobResult {
             format,
             key,
             outcome,
-        })
-    }
-
-    /// Parses and decodes a canonical document from text.
-    pub fn from_canonical_str(text: &str) -> Option<JobResult> {
-        JobResult::from_canonical_json(&dta_json::parse(text).ok()?)
+        }))
     }
 }
 
@@ -921,12 +954,52 @@ mod tests {
 
     #[test]
     fn format_mismatch_reads_as_absent() {
-        let result = run_job(&tiny_job());
-        let mut doc = result.canonical_json();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs[0].1 = Json::Num((JOB_FORMAT_VERSION + 1) as f64);
+        let text = run_job(&tiny_job()).canonical_string();
+        let head = format!("{{\"format\":{JOB_FORMAT_VERSION},");
+        assert!(text.starts_with(&head));
+        let stale = text.replacen(
+            &head,
+            &format!("{{\"format\":{},", JOB_FORMAT_VERSION + 1),
+            1,
+        );
+        assert!(JobResult::from_canonical_str(&stale).is_none());
+    }
+
+    /// The globals decode losslessly or not at all: each of these words
+    /// used to decode (as 1, `i32::MAX` and `i32::MIN`) to a value that
+    /// re-encodes to different text.
+    #[test]
+    fn global_words_must_be_in_range_integers() {
+        let read = |text: &str| dta_json::read_document(text, GlobalSnapshot::read_json);
+        assert_eq!(
+            read(r#"[{"name":"out","words":[-2147483648,0,2147483647]}]"#),
+            Ok(GlobalSnapshot::new(vec![(
+                "out".into(),
+                vec![i32::MIN, 0, i32::MAX]
+            )]))
+        );
+        for bad in ["1.5", "4294967296", "-3000000000", "1e1", "01", "\"1\""] {
+            let text = format!(r#"[{{"name":"out","words":[{bad}]}}]"#);
+            assert!(read(&text).is_err(), "word {bad} decoded");
         }
-        assert!(JobResult::from_canonical_json(&doc).is_none());
+        assert!(read(r#"[{"words":[],"name":"out"}]"#).is_err());
+    }
+
+    /// Keys out of canonical order, a wall-clock field the writer would
+    /// zero, and trailing data all read as absent.
+    #[test]
+    fn non_canonical_documents_read_as_absent() {
+        let mut job = tiny_job();
+        job.config.obs.mode = ObsMode::All;
+        let text = run_job(&job).canonical_string();
+        assert!(JobResult::from_canonical_str(&text).is_some());
+        let swapped = text.replacen(r#"{"format""#, r#"{"formut""#, 1);
+        assert!(JobResult::from_canonical_str(&swapped).is_none());
+        let walled = text.replacen(r#""merge_wall_us":0"#, r#""merge_wall_us":7"#, 1);
+        assert_ne!(walled, text);
+        assert!(JobResult::from_canonical_str(&walled).is_none());
+        assert!(JobResult::from_canonical_str(&format!("{text} x")).is_none());
+        assert!(JobResult::from_canonical_str(&format!(" {text}\n")).is_some());
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn digest(run: &Result<(RunStats, System), RunError>) -> Golden {
         Ok((stats, sys)) => {
             let obs = sys.obs().expect("observability on");
             let det = ObsStream::from_records(obs.deterministic(), obs.dropped);
-            let stream = dta_obs::codec::stream_to_json(&det).to_string_compact();
+            let stream = dta_obs::codec::stream_to_string(&det);
             Golden::Run(
                 fnv1a128(stats.to_json().to_string_compact().as_bytes()),
                 fnv1a128(stream.as_bytes()),

@@ -1,18 +1,24 @@
 //! JSON codec for observability streams.
 //!
 //! [`ObsStream`]s ride inside cached `JobResult`s, so they need a
-//! canonical, lossless round-trip through `dta-json`. Records encode as
-//! compact tagged arrays (`[cycle, unit, seq, [event-tag, ...]]`) rather
-//! than keyed objects: a stream can hold hundreds of thousands of
-//! records and the array form keeps canonical payloads small while
-//! staying diffable.
+//! canonical, lossless round-trip. Records encode as compact tagged
+//! arrays (`[cycle, unit, seq, [event-tag, ...]]`) rather than keyed
+//! objects: a stream can hold hundreds of thousands of records and the
+//! array form keeps canonical payloads small while staying diffable.
+//! Streams are written straight to text with a [`Writer`] and read back
+//! with a [`Reader`], with no [`Json`] tree in between; the small
+//! histogram encoding stays on the tree.
 //!
 //! `u64` payloads that can carry high tag bits (sequence stamps,
-//! instance tokens) go through [`dta_json::u64_json`] so the full 64-bit
-//! range survives the `f64` number representation.
+//! instance tokens) use the [`dta_json::u64_json`] encoding so the full
+//! 64-bit range survives readers that hold numbers as `f64`. Decoding is
+//! strict: every narrow field is range-checked into its type, arrays
+//! must have their exact length, and anything else is refused, so a
+//! decoded value always re-encodes to the text it came from (up to
+//! record order and whitespace).
 
 use crate::{GaugeKind, Histogram, ObsEvent, ObsRecord, ObsStream, ThreadEvent};
-use dta_json::{u64_from_json, u64_json, Json};
+use dta_json::{read_document, u64_from_json, u64_json, Json, ParseError, Reader, Writer};
 
 /// Encodes a [`Histogram`] sparsely as
 /// `{"buckets": [[bit_len, count], ...], "total": n, "sum": n, "max": n}`
@@ -55,99 +61,175 @@ pub fn histogram_from_json(v: &Json) -> Option<Histogram> {
     Some(h)
 }
 
-/// Encodes a stream as `{"records": [...], "dropped": n}`.
-pub fn stream_to_json(s: &ObsStream) -> Json {
-    Json::obj([
-        (
-            "records",
-            Json::Arr(s.records.iter().map(record_to_json).collect()),
-        ),
-        ("dropped", u64_json(s.dropped)),
-    ])
+/// Writes a stream as `{"records": [...], "dropped": n}`.
+pub fn write_stream(w: &mut Writer, s: &ObsStream) {
+    w.begin_obj();
+    w.key("records");
+    w.begin_arr();
+    for r in &s.records {
+        write_record(w, r);
+    }
+    w.end_arr();
+    w.key("dropped");
+    w.u64_json(s.dropped);
+    w.end_obj();
 }
 
-/// Decodes a stream written by [`stream_to_json`].
+/// Reads a stream written by [`write_stream`].
 ///
 /// Records are re-sorted by their deterministic key on the way in, so a
 /// decoded stream is canonical even if the document was edited.
-pub fn stream_from_json(v: &Json) -> Option<ObsStream> {
-    let records = v
-        .get("records")?
-        .as_arr()?
-        .iter()
-        .map(record_from_json)
-        .collect::<Option<Vec<_>>>()?;
-    let dropped = u64_from_json(v.get("dropped")?)?;
-    Some(ObsStream::from_records(records, dropped))
-}
-
-/// Encodes one record as `[cycle, unit, seq, event]`.
-pub fn record_to_json(r: &ObsRecord) -> Json {
-    Json::Arr(vec![
-        u64_json(r.cycle),
-        Json::Num(r.unit as f64),
-        u64_json(r.seq),
-        event_to_json(&r.ev),
-    ])
-}
-
-/// Decodes one record written by [`record_to_json`].
-pub fn record_from_json(v: &Json) -> Option<ObsRecord> {
-    let a = v.as_arr()?;
-    if a.len() != 4 {
-        return None;
+pub fn read_stream(r: &mut Reader) -> Result<ObsStream, ParseError> {
+    r.begin_obj()?;
+    r.key("records")?;
+    r.begin_arr()?;
+    let mut records = Vec::new();
+    while r.more()? {
+        records.push(read_record(r)?);
     }
-    Some(ObsRecord {
-        cycle: u64_from_json(&a[0])?,
-        unit: a[1].as_u64()? as u32,
-        seq: u64_from_json(&a[2])?,
-        ev: event_from_json(&a[3])?,
-    })
+    r.key("dropped")?;
+    let dropped = r.u64_json()?;
+    r.end_obj()?;
+    Ok(ObsStream::from_records(records, dropped))
 }
 
-fn thread_event_parts(what: &ThreadEvent) -> (u64, Json, Json) {
-    let n = |v: u64| Json::Num(v as f64);
-    match *what {
-        ThreadEvent::FrameGranted { frame } => (0, u64_json(frame), n(0)),
-        ThreadEvent::StoreApplied { slot, became_ready } => {
-            (1, n(slot as u64), n(became_ready as u64))
-        }
-        ThreadEvent::Dispatched => (2, n(0), n(0)),
-        ThreadEvent::PfOffloaded => (3, n(0), n(0)),
-        ThreadEvent::DmaIssued { tag } => (4, n(tag as u64), n(0)),
-        ThreadEvent::DmaCompleted { tag } => (5, n(tag as u64), n(0)),
-        ThreadEvent::WaitDma => (6, n(0), n(0)),
-        ThreadEvent::ParkedWaitFalloc => (7, n(0), n(0)),
-        ThreadEvent::Stopped => (8, n(0), n(0)),
-        ThreadEvent::FrameFreed => (9, n(0), n(0)),
-        ThreadEvent::ReadBlocked => (10, n(0), n(0)),
-    }
+/// The [`write_stream`] text of a stream.
+pub fn stream_to_string(s: &ObsStream) -> String {
+    render(|w| write_stream(w, s))
 }
 
-fn thread_event_from(tag: u64, a: &Json, b: &Json) -> Option<ThreadEvent> {
-    Some(match tag {
-        0 => ThreadEvent::FrameGranted {
-            frame: u64_from_json(a)?,
+/// Decodes a whole document written by [`stream_to_string`].
+pub fn stream_from_str(text: &str) -> Option<ObsStream> {
+    read_document(text, read_stream).ok()
+}
+
+/// The text of one record, `[cycle, unit, seq, event]`.
+pub fn record_to_string(r: &ObsRecord) -> String {
+    render(|w| write_record(w, r))
+}
+
+/// Decodes a whole document written by [`record_to_string`].
+pub fn record_from_str(text: &str) -> Option<ObsRecord> {
+    read_document(text, read_record).ok()
+}
+
+/// The text of one event, a tagged array.
+pub fn event_to_string(ev: &ObsEvent) -> String {
+    render(|w| write_event(w, ev))
+}
+
+/// Decodes a whole document written by [`event_to_string`].
+pub fn event_from_str(text: &str) -> Option<ObsEvent> {
+    read_document(text, read_event).ok()
+}
+
+fn render(f: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::new();
+    f(&mut w);
+    w.finish()
+}
+
+fn write_record(w: &mut Writer, r: &ObsRecord) {
+    w.begin_arr();
+    w.u64_json(r.cycle);
+    w.u64(r.unit.into());
+    w.u64_json(r.seq);
+    write_event(w, &r.ev);
+    w.end_arr();
+}
+
+fn read_record(r: &mut Reader) -> Result<ObsRecord, ParseError> {
+    r.begin_arr()?;
+    let rec = ObsRecord {
+        cycle: next_wide(r)?,
+        unit: next(r)?,
+        seq: next_wide(r)?,
+        ev: {
+            item(r)?;
+            read_event(r)?
         },
+    };
+    close(r)?;
+    Ok(rec)
+}
+
+/// Steps to the next element of a fixed-length array.
+fn item(r: &mut Reader) -> Result<(), ParseError> {
+    if r.more()? {
+        Ok(())
+    } else {
+        Err(r.err("array too short"))
+    }
+}
+
+/// The next element: a narrow integer, range-checked into `T`.
+fn next<T: TryFrom<i128>>(r: &mut Reader) -> Result<T, ParseError> {
+    item(r)?;
+    r.int()
+}
+
+/// The next element: a full-range `u64` in the `u64_json` encoding.
+fn next_wide(r: &mut Reader) -> Result<u64, ParseError> {
+    item(r)?;
+    r.u64_json()
+}
+
+/// The end of a fixed-length array.
+fn close(r: &mut Reader) -> Result<(), ParseError> {
+    if r.more()? {
+        Err(r.err("array too long"))
+    } else {
+        Ok(())
+    }
+}
+
+/// A thread event as `(sub-tag, a, b)`; `a` is written in the
+/// `u64_json` encoding (it carries full-width frame tokens), which for
+/// every narrow payload is a plain number.
+fn thread_event_parts(what: &ThreadEvent) -> (u64, u64, u64) {
+    match *what {
+        ThreadEvent::FrameGranted { frame } => (0, frame, 0),
+        ThreadEvent::StoreApplied { slot, became_ready } => (1, slot.into(), became_ready.into()),
+        ThreadEvent::Dispatched => (2, 0, 0),
+        ThreadEvent::PfOffloaded => (3, 0, 0),
+        ThreadEvent::DmaIssued { tag } => (4, tag.into(), 0),
+        ThreadEvent::DmaCompleted { tag } => (5, tag.into(), 0),
+        ThreadEvent::WaitDma => (6, 0, 0),
+        ThreadEvent::ParkedWaitFalloc => (7, 0, 0),
+        ThreadEvent::Stopped => (8, 0, 0),
+        ThreadEvent::FrameFreed => (9, 0, 0),
+        ThreadEvent::ReadBlocked => (10, 0, 0),
+    }
+}
+
+/// Reads the `(sub-tag, a, b)` triple. Only the triple
+/// [`thread_event_parts`] gives back for the decoded event is accepted,
+/// so a narrowed field must fit its type, an unused slot must be 0 and
+/// `became_ready` must be 0 or 1.
+fn read_thread_event(r: &mut Reader) -> Result<ThreadEvent, ParseError> {
+    let parts: (u64, u64, u64) = (next(r)?, next_wide(r)?, next(r)?);
+    let (tag, a, b) = parts;
+    let what = match tag {
+        0 => ThreadEvent::FrameGranted { frame: a },
         1 => ThreadEvent::StoreApplied {
-            slot: a.as_u64()? as u16,
-            became_ready: b.as_u64()? != 0,
+            slot: a as u16,
+            became_ready: b != 0,
         },
         2 => ThreadEvent::Dispatched,
         3 => ThreadEvent::PfOffloaded,
-        4 => ThreadEvent::DmaIssued {
-            tag: a.as_u64()? as u8,
-        },
-        5 => ThreadEvent::DmaCompleted {
-            tag: a.as_u64()? as u8,
-        },
+        4 => ThreadEvent::DmaIssued { tag: a as u8 },
+        5 => ThreadEvent::DmaCompleted { tag: a as u8 },
         6 => ThreadEvent::WaitDma,
         7 => ThreadEvent::ParkedWaitFalloc,
         8 => ThreadEvent::Stopped,
         9 => ThreadEvent::FrameFreed,
         10 => ThreadEvent::ReadBlocked,
-        _ => return None,
-    })
+        _ => return Err(r.err("unknown thread event tag")),
+    };
+    if thread_event_parts(&what) != parts {
+        return Err(r.err("non-canonical thread event"));
+    }
+    Ok(what)
 }
 
 fn gauge_kind_from(slot: u64) -> Option<GaugeKind> {
@@ -160,10 +242,28 @@ fn gauge_kind_from(slot: u64) -> Option<GaugeKind> {
     })
 }
 
-/// Encodes an event as a tagged array.
-pub fn event_to_json(ev: &ObsEvent) -> Json {
-    let n = |v: u64| Json::Num(v as f64);
-    let arr = |items: Vec<Json>| Json::Arr(items);
+/// One element of an event array.
+#[derive(Clone, Copy)]
+enum Field {
+    /// A narrow number.
+    N(u64),
+    /// A full-range `u64` in the `u64_json` encoding.
+    W(u64),
+}
+
+fn write_event(w: &mut Writer, ev: &ObsEvent) {
+    use Field::{N, W};
+    let p = |v: u16| N(v.into());
+    let fields = |w: &mut Writer, fs: &[Field]| {
+        w.begin_arr();
+        for f in fs {
+            match *f {
+                N(v) => w.u64(v),
+                W(v) => w.u64_json(v),
+            }
+        }
+        w.end_arr();
+    };
     match *ev {
         ObsEvent::Thread {
             pe,
@@ -171,140 +271,128 @@ pub fn event_to_json(ev: &ObsEvent) -> Json {
             thread,
             what,
         } => {
-            let (wt, wa, wb) = thread_event_parts(&what);
-            arr(vec![
-                n(0),
-                n(pe as u64),
-                u64_json(instance),
-                n(thread as u64),
-                n(wt),
-                wa,
-                wb,
-            ])
+            let (tag, a, b) = thread_event_parts(&what);
+            fields(
+                w,
+                &[
+                    N(0),
+                    p(pe),
+                    W(instance),
+                    N(thread.into()),
+                    N(tag),
+                    W(a),
+                    N(b),
+                ],
+            )
         }
-        ObsEvent::DmaRetry { pe, retries } => arr(vec![n(1), n(pe as u64), n(retries as u64)]),
-        ObsEvent::DmaExhausted { pe } => arr(vec![n(2), n(pe as u64)]),
-        ObsEvent::PeDegraded { pe } => arr(vec![n(3), n(pe as u64)]),
-        ObsEvent::WatchdogPark { pe, instance } => {
-            arr(vec![n(4), n(pe as u64), u64_json(instance)])
-        }
-        ObsEvent::FallbackSubstituted { pe, thread } => {
-            arr(vec![n(5), n(pe as u64), n(thread as u64)])
-        }
-        ObsEvent::MsgDropped { src, resend_at } => {
-            arr(vec![n(6), n(src as u64), u64_json(resend_at)])
-        }
-        ObsEvent::MsgDuplicated { src } => arr(vec![n(7), n(src as u64)]),
-        ObsEvent::MsgDelayed { src } => arr(vec![n(8), n(src as u64)]),
-        ObsEvent::FallocDenied { node, requester } => {
-            arr(vec![n(9), n(node as u64), n(requester as u64)])
-        }
-        ObsEvent::FallocRearb { node, grants } => {
-            arr(vec![n(10), n(node as u64), n(grants as u64)])
-        }
-        ObsEvent::DseCrash { node } => arr(vec![n(11), n(node as u64)]),
-        ObsEvent::DseFailover { node, successor } => {
-            arr(vec![n(12), n(node as u64), n(successor as u64)])
-        }
-        ObsEvent::DseRehomed { node, count } => arr(vec![n(13), n(node as u64), u64_json(count)]),
-        ObsEvent::DseRestart { node } => arr(vec![n(14), n(node as u64)]),
+        ObsEvent::DmaRetry { pe, retries } => fields(w, &[N(1), p(pe), N(retries.into())]),
+        ObsEvent::DmaExhausted { pe } => fields(w, &[N(2), p(pe)]),
+        ObsEvent::PeDegraded { pe } => fields(w, &[N(3), p(pe)]),
+        ObsEvent::WatchdogPark { pe, instance } => fields(w, &[N(4), p(pe), W(instance)]),
+        ObsEvent::FallbackSubstituted { pe, thread } => fields(w, &[N(5), p(pe), N(thread.into())]),
+        ObsEvent::MsgDropped { src, resend_at } => fields(w, &[N(6), N(src.into()), W(resend_at)]),
+        ObsEvent::MsgDuplicated { src } => fields(w, &[N(7), N(src.into())]),
+        ObsEvent::MsgDelayed { src } => fields(w, &[N(8), N(src.into())]),
+        ObsEvent::FallocDenied { node, requester } => fields(w, &[N(9), p(node), p(requester)]),
+        ObsEvent::FallocRearb { node, grants } => fields(w, &[N(10), p(node), N(grants.into())]),
+        ObsEvent::DseCrash { node } => fields(w, &[N(11), p(node)]),
+        ObsEvent::DseFailover { node, successor } => fields(w, &[N(12), p(node), p(successor)]),
+        ObsEvent::DseRehomed { node, count } => fields(w, &[N(13), p(node), W(count)]),
+        ObsEvent::DseRestart { node } => fields(w, &[N(14), p(node)]),
         ObsEvent::DseResync { node, pe, free } => {
-            arr(vec![n(15), n(node as u64), n(pe as u64), n(free as u64)])
+            fields(w, &[N(15), p(node), p(pe), N(free.into())])
         }
-        ObsEvent::Gauge { pe, kind, value } => {
-            arr(vec![n(16), n(pe as u64), n(kind.slot()), u64_json(value)])
-        }
-        ObsEvent::Epoch { start, end } => arr(vec![n(17), u64_json(start), u64_json(end)]),
-        ObsEvent::LseCrash { pe } => arr(vec![n(18), n(pe as u64)]),
-        ObsEvent::LseRestart { pe } => arr(vec![n(19), n(pe as u64)]),
-        ObsEvent::LseEvacuated { pe, count } => arr(vec![n(20), n(pe as u64), u64_json(count)]),
-        ObsEvent::LseReadmitted { pe, home } => arr(vec![n(21), n(pe as u64), n(home as u64)]),
-        ObsEvent::LseKilled { pe, count } => arr(vec![n(22), n(pe as u64), u64_json(count)]),
+        ObsEvent::Gauge { pe, kind, value } => fields(w, &[N(16), p(pe), N(kind.slot()), W(value)]),
+        ObsEvent::Epoch { start, end } => fields(w, &[N(17), W(start), W(end)]),
+        ObsEvent::LseCrash { pe } => fields(w, &[N(18), p(pe)]),
+        ObsEvent::LseRestart { pe } => fields(w, &[N(19), p(pe)]),
+        ObsEvent::LseEvacuated { pe, count } => fields(w, &[N(20), p(pe), W(count)]),
+        ObsEvent::LseReadmitted { pe, home } => fields(w, &[N(21), p(pe), p(home)]),
+        ObsEvent::LseKilled { pe, count } => fields(w, &[N(22), p(pe), W(count)]),
     }
 }
 
-/// Decodes an event written by [`event_to_json`].
-pub fn event_from_json(v: &Json) -> Option<ObsEvent> {
-    let a = v.as_arr()?;
-    let tag = a.first()?.as_u64()?;
-    let u16_at = |i: usize| a.get(i).and_then(Json::as_u64).map(|v| v as u16);
-    let u32_at = |i: usize| a.get(i).and_then(Json::as_u64).map(|v| v as u32);
-    let u64_at = |i: usize| a.get(i).and_then(u64_from_json);
-    Some(match tag {
+/// Reads an event written by [`write_event`]: exact arity, and every
+/// narrow field range-checked into its type.
+fn read_event(r: &mut Reader) -> Result<ObsEvent, ParseError> {
+    r.begin_arr()?;
+    let ev = match next::<u64>(r)? {
         0 => ObsEvent::Thread {
-            pe: u16_at(1)?,
-            instance: u64_at(2)?,
-            thread: u32_at(3)?,
-            what: thread_event_from(a.get(4)?.as_u64()?, a.get(5)?, a.get(6)?)?,
+            pe: next(r)?,
+            instance: next_wide(r)?,
+            thread: next(r)?,
+            what: read_thread_event(r)?,
         },
         1 => ObsEvent::DmaRetry {
-            pe: u16_at(1)?,
-            retries: u32_at(2)?,
+            pe: next(r)?,
+            retries: next(r)?,
         },
-        2 => ObsEvent::DmaExhausted { pe: u16_at(1)? },
-        3 => ObsEvent::PeDegraded { pe: u16_at(1)? },
+        2 => ObsEvent::DmaExhausted { pe: next(r)? },
+        3 => ObsEvent::PeDegraded { pe: next(r)? },
         4 => ObsEvent::WatchdogPark {
-            pe: u16_at(1)?,
-            instance: u64_at(2)?,
+            pe: next(r)?,
+            instance: next_wide(r)?,
         },
         5 => ObsEvent::FallbackSubstituted {
-            pe: u16_at(1)?,
-            thread: u32_at(2)?,
+            pe: next(r)?,
+            thread: next(r)?,
         },
         6 => ObsEvent::MsgDropped {
-            src: u32_at(1)?,
-            resend_at: u64_at(2)?,
+            src: next(r)?,
+            resend_at: next_wide(r)?,
         },
-        7 => ObsEvent::MsgDuplicated { src: u32_at(1)? },
-        8 => ObsEvent::MsgDelayed { src: u32_at(1)? },
+        7 => ObsEvent::MsgDuplicated { src: next(r)? },
+        8 => ObsEvent::MsgDelayed { src: next(r)? },
         9 => ObsEvent::FallocDenied {
-            node: u16_at(1)?,
-            requester: u16_at(2)?,
+            node: next(r)?,
+            requester: next(r)?,
         },
         10 => ObsEvent::FallocRearb {
-            node: u16_at(1)?,
-            grants: u32_at(2)?,
+            node: next(r)?,
+            grants: next(r)?,
         },
-        11 => ObsEvent::DseCrash { node: u16_at(1)? },
+        11 => ObsEvent::DseCrash { node: next(r)? },
         12 => ObsEvent::DseFailover {
-            node: u16_at(1)?,
-            successor: u16_at(2)?,
+            node: next(r)?,
+            successor: next(r)?,
         },
         13 => ObsEvent::DseRehomed {
-            node: u16_at(1)?,
-            count: u64_at(2)?,
+            node: next(r)?,
+            count: next_wide(r)?,
         },
-        14 => ObsEvent::DseRestart { node: u16_at(1)? },
+        14 => ObsEvent::DseRestart { node: next(r)? },
         15 => ObsEvent::DseResync {
-            node: u16_at(1)?,
-            pe: u16_at(2)?,
-            free: u32_at(3)?,
+            node: next(r)?,
+            pe: next(r)?,
+            free: next(r)?,
         },
         16 => ObsEvent::Gauge {
-            pe: u16_at(1)?,
-            kind: gauge_kind_from(a.get(2)?.as_u64()?)?,
-            value: u64_at(3)?,
+            pe: next(r)?,
+            kind: gauge_kind_from(next(r)?).ok_or_else(|| r.err("unknown gauge kind"))?,
+            value: next_wide(r)?,
         },
         17 => ObsEvent::Epoch {
-            start: u64_at(1)?,
-            end: u64_at(2)?,
+            start: next_wide(r)?,
+            end: next_wide(r)?,
         },
-        18 => ObsEvent::LseCrash { pe: u16_at(1)? },
-        19 => ObsEvent::LseRestart { pe: u16_at(1)? },
+        18 => ObsEvent::LseCrash { pe: next(r)? },
+        19 => ObsEvent::LseRestart { pe: next(r)? },
         20 => ObsEvent::LseEvacuated {
-            pe: u16_at(1)?,
-            count: u64_at(2)?,
+            pe: next(r)?,
+            count: next_wide(r)?,
         },
         21 => ObsEvent::LseReadmitted {
-            pe: u16_at(1)?,
-            home: u16_at(2)?,
+            pe: next(r)?,
+            home: next(r)?,
         },
         22 => ObsEvent::LseKilled {
-            pe: u16_at(1)?,
-            count: u64_at(2)?,
+            pe: next(r)?,
+            count: next_wide(r)?,
         },
-        _ => return None,
-    })
+        _ => return Err(r.err("unknown event tag")),
+    };
+    close(r)?;
+    Ok(ev)
 }
 
 #[cfg(test)]
@@ -398,8 +486,8 @@ mod tests {
     #[test]
     fn every_event_variant_roundtrips() {
         for (i, ev) in sample_events().into_iter().enumerate() {
-            let j = event_to_json(&ev);
-            assert_eq!(event_from_json(&j), Some(ev), "variant {i}");
+            let text = event_to_string(&ev);
+            assert_eq!(event_from_str(&text), Some(ev), "variant {i}");
         }
     }
 
@@ -427,15 +515,55 @@ mod tests {
             },
         ];
         let stream = ObsStream::from_records(recs, 3);
-        let text = stream_to_json(&stream).to_string_compact();
-        let back = stream_from_json(&dta_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, stream);
+        let text = stream_to_string(&stream);
+        assert_eq!(stream_from_str(&text), Some(stream));
     }
 
+    /// Every input here is refused. Each of the lossy ones used to decode
+    /// to a value that re-encodes to different text: a narrow field
+    /// truncated with `as`, a fraction or a leading zero accepted, or a
+    /// slot the encoding never fills ignored.
     #[test]
     fn decode_rejects_malformed_documents() {
-        assert!(stream_from_json(&Json::Null).is_none());
-        assert!(event_from_json(&Json::Arr(vec![Json::Num(99.0)])).is_none());
-        assert!(record_from_json(&Json::Arr(vec![Json::Num(1.0)])).is_none());
+        assert!(stream_from_str("null").is_none());
+        assert!(stream_from_str(r#"{"dropped":0,"records":[]}"#).is_none());
+        assert!(stream_from_str(r#"{"records":[],"dropped":0} x"#).is_none());
+        for bad in [
+            "[99]",
+            // `pe` is a u16: 65537 used to decode as pe 1.
+            "[0,65537,5,1,2,0,0]",
+            "[2,1.5]",
+            "[2,1.0]",
+            "[2,1e0]",
+            "[2,01]",
+            "[2,-1]",
+            "[2,1,0]",
+            "[2]",
+            // Thread sub-events: unused slots must be 0, flags 0 or 1,
+            // DMA tags a u8.
+            "[0,1,5,1,2,7,0]",
+            "[0,1,5,1,1,3,2]",
+            "[0,1,5,1,4,256,0]",
+            "[0,1,5,1,11,0,0]",
+            // Gauge kinds are 0..=3.
+            "[16,1,4,0]",
+        ] {
+            assert!(event_from_str(bad).is_none(), "{bad} decoded");
+        }
+        assert!(record_from_str("[1]").is_none());
+        // `unit` is a u32: 2^32 + 1 used to decode as unit 1.
+        assert!(record_from_str("[0,4294967297,0,[2,1]]").is_none());
+        assert!(record_from_str("[0,1,0,[2,1],5]").is_none());
+        assert!(record_from_str(r#"[0,1,"5",[2,1]]"#).is_none());
+        assert_eq!(
+            record_from_str(" [ 0 , 1 , 0 , [ 2 , 1 ] ] "),
+            Some(ObsRecord {
+                cycle: 0,
+                unit: 1,
+                seq: 0,
+                ev: ObsEvent::DmaExhausted { pe: 1 },
+            }),
+            "whitespace between tokens is skipped"
+        );
     }
 }

@@ -17,7 +17,8 @@
 //! cycle unit). The file loads in <https://ui.perfetto.dev> as-is.
 
 use crate::{GaugeKind, ObsEvent, ObsRecord, ObsSink, ThreadEvent};
-use dta_json::Json;
+use dta_json::Writer;
+use std::borrow::Cow;
 
 /// Static machine shape needed to lay out tracks and name slices.
 #[derive(Clone, Debug)]
@@ -37,32 +38,53 @@ impl TrackLayout {
         pe / self.pes_per_node.max(1)
     }
 
-    fn thread_name(&self, thread: u32) -> String {
-        self.thread_names
-            .get(thread as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{thread}"))
+    fn thread_name(&self, thread: u32) -> Cow<'_, str> {
+        match self.thread_names.get(thread as usize) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("t{thread}")),
+        }
     }
 }
 
 const DSE_TID_BASE: u64 = 100_000;
 const MFC_TID_BASE: u64 = 200_000;
 
-fn event(ph: &str, name: String, ts: u64, pid: u64, tid: u64) -> Vec<(String, Json)> {
-    vec![
-        ("name".to_string(), Json::Str(name)),
-        ("ph".to_string(), Json::Str(ph.to_string())),
-        ("ts".to_string(), Json::Num(ts as f64)),
-        ("pid".to_string(), Json::Num(pid as f64)),
-        ("tid".to_string(), Json::Num(tid as f64)),
-    ]
+/// Opens one `traceEvents` entry with the five keys every entry has;
+/// the caller adds its own keys and closes the object.
+fn event(w: &mut Writer, ph: &str, name: &str, ts: u64, pid: u64, tid: u64) {
+    w.begin_obj();
+    w.key("name");
+    w.str(name);
+    w.key("ph");
+    w.str(ph);
+    w.key("ts");
+    w.u64(ts);
+    w.key("pid");
+    w.u64(pid);
+    w.key("tid");
+    w.u64(tid);
+}
+
+/// A track-naming metadata entry.
+fn metadata(w: &mut Writer, what: &str, pid: u64, tid: u64, label: &str) {
+    event(w, "M", what, 0, pid, tid);
+    w.key("args");
+    w.begin_obj();
+    w.key("name");
+    w.str(label);
+    w.end_obj();
+    w.end_obj();
 }
 
 /// Sink that renders the stream as a Chrome/Perfetto trace.
+///
+/// Each `traceEvents` entry is appended to the document text as soon as
+/// it is known; only the open EX slices are held back.
 #[derive(Debug)]
 pub struct PerfettoWriter {
     layout: TrackLayout,
-    events: Vec<Json>,
+    /// The document so far, inside the open `traceEvents` array.
+    out: Writer,
     /// Per-PE open EX slice: (start cycle, instance, thread).
     open: Vec<Option<(u64, u64, u32)>>,
     last_ts: u64,
@@ -72,46 +94,35 @@ pub struct PerfettoWriter {
 impl PerfettoWriter {
     /// Creates a writer, emitting the track-naming metadata up front.
     pub fn new(layout: TrackLayout) -> Self {
-        let mut events = Vec::new();
+        let mut out = Writer::new();
+        out.begin_obj();
+        out.key("traceEvents");
+        out.begin_arr();
         for node in 0..layout.nodes {
             let pid = node as u64 + 1;
-            let mut m = event("M", "process_name".to_string(), 0, pid, 0);
-            m.push((
-                "args".to_string(),
-                Json::obj([("name", Json::Str(format!("node {node}")))]),
-            ));
-            events.push(Json::Obj(m));
+            metadata(&mut out, "process_name", pid, 0, &format!("node {node}"));
         }
         for pe in 0..layout.total_pes {
             let pid = layout.node_of(pe) as u64 + 1;
-            for (tid, label) in [
-                (pe as u64 + 1, format!("pe {pe}")),
-                (MFC_TID_BASE + pe as u64, format!("mfc {pe}")),
-            ] {
-                let mut m = event("M", "thread_name".to_string(), 0, pid, tid);
-                m.push(("args".to_string(), Json::obj([("name", Json::Str(label))])));
-                events.push(Json::Obj(m));
-            }
+            metadata(
+                &mut out,
+                "thread_name",
+                pid,
+                pe as u64 + 1,
+                &format!("pe {pe}"),
+            );
+            let mfc = MFC_TID_BASE + pe as u64;
+            metadata(&mut out, "thread_name", pid, mfc, &format!("mfc {pe}"));
         }
         for node in 0..layout.nodes {
             let pid = node as u64 + 1;
-            let mut m = event(
-                "M",
-                "thread_name".to_string(),
-                0,
-                pid,
-                DSE_TID_BASE + node as u64,
-            );
-            m.push((
-                "args".to_string(),
-                Json::obj([("name", Json::Str(format!("dse {node}")))]),
-            ));
-            events.push(Json::Obj(m));
+            let dse = DSE_TID_BASE + node as u64;
+            metadata(&mut out, "thread_name", pid, dse, &format!("dse {node}"));
         }
         let n = layout.total_pes as usize;
         PerfettoWriter {
             layout,
-            events,
+            out,
             open: vec![None; n],
             last_ts: 0,
             dropped: 0,
@@ -128,18 +139,20 @@ impl PerfettoWriter {
         else {
             return;
         };
-        let mut e = event(
+        let pid = self.pe_pid(pe);
+        let w = &mut self.out;
+        event(
+            w,
             "X",
-            self.layout.thread_name(thread),
+            &self.layout.thread_name(thread),
             start,
-            self.pe_pid(pe),
+            pid,
             pe as u64 + 1,
         );
-        e.push((
-            "dur".to_string(),
-            Json::Num(end.saturating_sub(start) as f64),
-        ));
-        e.push(("cat".to_string(), Json::Str("ex".to_string())));
+        w.key("dur");
+        w.u64(end.saturating_sub(start));
+        w.key("cat");
+        w.str("ex");
         // Chrome trace palette name keyed on why the span ended: slices
         // that end blocked on memory render distinctly from clean stops,
         // making stall structure visible at a glance in the timeline.
@@ -149,30 +162,46 @@ impl PerfettoWriter {
             "stop" => "good",
             _ => "thread_state_running",
         };
-        e.push(("cname".to_string(), Json::Str(cname.to_string())));
-        e.push((
-            "args".to_string(),
-            Json::obj([
-                ("instance", Json::Num((instance & 0xFFFF_FFFF) as f64)),
-                ("end", Json::Str(reason.to_string())),
-            ]),
-        ));
-        self.events.push(Json::Obj(e));
+        w.key("cname");
+        w.str(cname);
+        w.key("args");
+        w.begin_obj();
+        w.key("instance");
+        w.u64(instance & 0xFFFF_FFFF);
+        w.key("end");
+        w.str(reason);
+        w.end_obj();
+        w.end_obj();
     }
 
-    fn instant(&mut self, name: String, ts: u64, pid: u64, tid: u64) {
-        let mut e = event("i", name, ts, pid, tid);
-        e.push(("s".to_string(), Json::Str("t".to_string())));
-        self.events.push(Json::Obj(e));
+    fn instant(&mut self, name: &str, ts: u64, pid: u64, tid: u64) {
+        event(&mut self.out, "i", name, ts, pid, tid);
+        self.out.key("s");
+        self.out.str("t");
+        self.out.end_obj();
     }
 
-    fn counter(&mut self, name: String, ts: u64, pid: u64, value: u64) {
-        let mut e = event("C", name, ts, pid, 0);
-        e.push((
-            "args".to_string(),
-            Json::obj([("value", Json::Num(value as f64))]),
-        ));
-        self.events.push(Json::Obj(e));
+    fn counter(&mut self, name: &str, ts: u64, pid: u64, value: u64) {
+        let w = &mut self.out;
+        event(w, "C", name, ts, pid, 0);
+        w.key("args");
+        w.begin_obj();
+        w.key("value");
+        w.u64(value);
+        w.end_obj();
+        w.end_obj();
+    }
+
+    /// An async DMA span edge (`ph` `b` or `e`) on the PE's MFC track.
+    fn dma_edge(&mut self, ph: &str, ts: u64, pe: u16, tag: u8) {
+        let pid = self.pe_pid(pe);
+        let w = &mut self.out;
+        event(w, ph, "dma", ts, pid, MFC_TID_BASE + pe as u64);
+        w.key("cat");
+        w.str("dma");
+        w.key("id");
+        w.str(&format!("{pe}.{tag}"));
+        w.end_obj();
     }
 
     /// Maps a message source rank onto a (pid, tid) track.
@@ -199,19 +228,19 @@ impl PerfettoWriter {
         for pe in 0..self.open.len() {
             self.close_slice(pe as u16, end, "run-end");
         }
-        let dropped = self.dropped;
-        Json::obj([
-            ("traceEvents", Json::Arr(self.events)),
-            ("displayTimeUnit", Json::Str("ns".to_string())),
-            (
-                "otherData",
-                Json::obj([
-                    ("source", Json::Str("dta-obs".to_string())),
-                    ("droppedRecords", Json::Num(dropped as f64)),
-                ]),
-            ),
-        ])
-        .to_string_compact()
+        let mut w = self.out;
+        w.end_arr();
+        w.key("displayTimeUnit");
+        w.str("ns");
+        w.key("otherData");
+        w.begin_obj();
+        w.key("source");
+        w.str("dta-obs");
+        w.key("droppedRecords");
+        w.u64(self.dropped);
+        w.end_obj();
+        w.end_obj();
+        w.finish()
     }
 }
 
@@ -237,25 +266,13 @@ impl ObsSink for PerfettoWriter {
                     ThreadEvent::WaitDma => self.close_slice(pe, ts, "wait-dma"),
                     ThreadEvent::ParkedWaitFalloc => self.close_slice(pe, ts, "wait-falloc"),
                     ThreadEvent::Stopped => self.close_slice(pe, ts, "stop"),
-                    ThreadEvent::DmaIssued { tag } => {
-                        let mut e =
-                            event("b", "dma".to_string(), ts, pid, MFC_TID_BASE + pe as u64);
-                        e.push(("cat".to_string(), Json::Str("dma".to_string())));
-                        e.push(("id".to_string(), Json::Str(format!("{pe}.{tag}"))));
-                        self.events.push(Json::Obj(e));
-                    }
-                    ThreadEvent::DmaCompleted { tag } => {
-                        let mut e =
-                            event("e", "dma".to_string(), ts, pid, MFC_TID_BASE + pe as u64);
-                        e.push(("cat".to_string(), Json::Str("dma".to_string())));
-                        e.push(("id".to_string(), Json::Str(format!("{pe}.{tag}"))));
-                        self.events.push(Json::Obj(e));
-                    }
+                    ThreadEvent::DmaIssued { tag } => self.dma_edge("b", ts, pe, tag),
+                    ThreadEvent::DmaCompleted { tag } => self.dma_edge("e", ts, pe, tag),
                     ThreadEvent::PfOffloaded => {
-                        self.instant("pf-offload".to_string(), ts, pid, pe_tid);
+                        self.instant("pf-offload", ts, pid, pe_tid);
                     }
                     ThreadEvent::ReadBlocked => {
-                        self.instant("read-blocked".to_string(), ts, pid, pe_tid);
+                        self.instant("read-blocked", ts, pid, pe_tid);
                     }
                     ThreadEvent::FrameGranted { .. }
                     | ThreadEvent::StoreApplied { .. }
@@ -270,12 +287,12 @@ impl ObsSink for PerfettoWriter {
                     GaugeKind::DmaInFlight => format!("pe{pe} dma-in-flight"),
                     GaugeKind::PipeState => format!("pe{pe} pipe-state"),
                 };
-                self.counter(name, ts, pid, value);
+                self.counter(&name, ts, pid, value);
             }
             ObsEvent::DmaRetry { pe, retries } => {
                 let pid = self.pe_pid(pe);
                 self.instant(
-                    format!("dma-retry x{retries}"),
+                    &format!("dma-retry x{retries}"),
                     ts,
                     pid,
                     MFC_TID_BASE + pe as u64,
@@ -283,84 +300,69 @@ impl ObsSink for PerfettoWriter {
             }
             ObsEvent::DmaExhausted { pe } => {
                 let pid = self.pe_pid(pe);
-                self.instant(
-                    "dma-exhausted".to_string(),
-                    ts,
-                    pid,
-                    MFC_TID_BASE + pe as u64,
-                );
+                self.instant("dma-exhausted", ts, pid, MFC_TID_BASE + pe as u64);
             }
             ObsEvent::PeDegraded { pe } => {
-                self.instant("degraded".to_string(), ts, self.pe_pid(pe), pe as u64 + 1);
+                self.instant("degraded", ts, self.pe_pid(pe), pe as u64 + 1);
             }
             ObsEvent::WatchdogPark { pe, .. } => {
-                self.instant(
-                    "watchdog-park".to_string(),
-                    ts,
-                    self.pe_pid(pe),
-                    pe as u64 + 1,
-                );
+                self.instant("watchdog-park", ts, self.pe_pid(pe), pe as u64 + 1);
             }
             ObsEvent::FallbackSubstituted { pe, .. } => {
-                self.instant("fallback".to_string(), ts, self.pe_pid(pe), pe as u64 + 1);
+                self.instant("fallback", ts, self.pe_pid(pe), pe as u64 + 1);
             }
             ObsEvent::MsgDropped { src, .. } => {
                 if let Some((pid, tid)) = self.rank_track(src) {
-                    self.instant("msg-dropped".to_string(), ts, pid, tid);
+                    self.instant("msg-dropped", ts, pid, tid);
                 }
             }
             ObsEvent::MsgDuplicated { src } => {
                 if let Some((pid, tid)) = self.rank_track(src) {
-                    self.instant("msg-duplicated".to_string(), ts, pid, tid);
+                    self.instant("msg-duplicated", ts, pid, tid);
                 }
             }
             ObsEvent::MsgDelayed { src } => {
                 if let Some((pid, tid)) = self.rank_track(src) {
-                    self.instant("msg-delayed".to_string(), ts, pid, tid);
+                    self.instant("msg-delayed", ts, pid, tid);
                 }
             }
             ObsEvent::FallocDenied { node, requester } => {
                 let (pid, tid) = self.dse_track(node);
-                self.instant(format!("falloc-denied pe{requester}"), ts, pid, tid);
+                self.instant(&format!("falloc-denied pe{requester}"), ts, pid, tid);
             }
             ObsEvent::FallocRearb { node, grants } => {
                 let (pid, tid) = self.dse_track(node);
-                self.instant(format!("falloc-rearb x{grants}"), ts, pid, tid);
+                self.instant(&format!("falloc-rearb x{grants}"), ts, pid, tid);
             }
             ObsEvent::DseCrash { node } => {
                 let (pid, tid) = self.dse_track(node);
-                self.instant("crash".to_string(), ts, pid, tid);
+                self.instant("crash", ts, pid, tid);
             }
             ObsEvent::DseFailover { node, successor } => {
                 let (pid, tid) = self.dse_track(node);
-                self.instant(format!("failover→dse{successor}"), ts, pid, tid);
+                self.instant(&format!("failover→dse{successor}"), ts, pid, tid);
             }
             ObsEvent::DseRehomed { node, count } => {
                 let (pid, tid) = self.dse_track(node);
-                self.instant(format!("rehomed x{count}"), ts, pid, tid);
+                self.instant(&format!("rehomed x{count}"), ts, pid, tid);
             }
             ObsEvent::DseRestart { node } => {
                 let (pid, tid) = self.dse_track(node);
-                self.instant("restart".to_string(), ts, pid, tid);
+                self.instant("restart", ts, pid, tid);
             }
             ObsEvent::DseResync { node, pe, free } => {
                 let (pid, tid) = self.dse_track(node);
-                self.instant(format!("resync pe{pe} free={free}"), ts, pid, tid);
+                self.instant(&format!("resync pe{pe} free={free}"), ts, pid, tid);
             }
             ObsEvent::LseCrash { pe } => {
-                self.instant("lse-crash".to_string(), ts, self.pe_pid(pe), pe as u64 + 1);
+                self.instant("lse-crash", ts, self.pe_pid(pe), pe as u64 + 1);
             }
             ObsEvent::LseRestart { pe } => {
-                self.instant(
-                    "lse-restart".to_string(),
-                    ts,
-                    self.pe_pid(pe),
-                    pe as u64 + 1,
-                );
+                self.instant("lse-restart", ts, self.pe_pid(pe), pe as u64 + 1);
             }
             ObsEvent::LseEvacuated { pe, count } => {
                 self.instant(
-                    format!("lse-evacuated x{count}"),
+                    &format!("lse-evacuated x{count}"),
                     ts,
                     self.pe_pid(pe),
                     pe as u64 + 1,
@@ -368,7 +370,7 @@ impl ObsSink for PerfettoWriter {
             }
             ObsEvent::LseReadmitted { pe, home } => {
                 self.instant(
-                    format!("lse-readmitted from pe{home}"),
+                    &format!("lse-readmitted from pe{home}"),
                     ts,
                     self.pe_pid(pe),
                     pe as u64 + 1,
@@ -376,7 +378,7 @@ impl ObsSink for PerfettoWriter {
             }
             ObsEvent::LseKilled { pe, count } => {
                 self.instant(
-                    format!("lse-killed x{count}"),
+                    &format!("lse-killed x{count}"),
                     ts,
                     self.pe_pid(pe),
                     pe as u64 + 1,
@@ -394,6 +396,7 @@ impl ObsSink for PerfettoWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dta_json::Json;
 
     fn layout() -> TrackLayout {
         TrackLayout {

@@ -4,8 +4,8 @@
 //! text. The generator is a fixed-seed LCG, so failures reproduce.
 
 use dta_obs::codec::{
-    event_from_json, event_to_json, histogram_from_json, histogram_to_json, record_to_json,
-    stream_from_json, stream_to_json,
+    event_from_str, event_to_string, histogram_from_json, histogram_to_json, record_from_str,
+    record_to_string, stream_from_str, stream_to_string,
 };
 use dta_obs::{GaugeKind, Histogram, ObsEvent, ObsRecord, ObsStream, ThreadEvent};
 
@@ -159,11 +159,11 @@ fn random_events_reencode_byte_identically() {
     let mut r = Lcg(0xC0DEC);
     for i in 0..4000 {
         let ev = gen_event(&mut r);
-        let text = event_to_json(&ev).to_string_compact();
-        let back = event_from_json(&dta_json::parse(&text).unwrap())
-            .unwrap_or_else(|| panic!("event {i} failed to decode: {text}"));
+        let text = event_to_string(&ev);
+        let back =
+            event_from_str(&text).unwrap_or_else(|| panic!("event {i} failed to decode: {text}"));
         assert_eq!(back, ev, "event {i} changed across the round-trip");
-        let text2 = event_to_json(&back).to_string_compact();
+        let text2 = event_to_string(&back);
         assert_eq!(text2, text, "event {i} re-encoded differently");
     }
 }
@@ -173,11 +173,10 @@ fn random_streams_reencode_byte_identically() {
     let mut r = Lcg(0x57AB1E);
     for i in 0..40 {
         let stream = gen_stream(&mut r, 250);
-        let text = stream_to_json(&stream).to_string_compact();
-        let back = stream_from_json(&dta_json::parse(&text).unwrap())
-            .unwrap_or_else(|| panic!("stream {i} failed to decode"));
+        let text = stream_to_string(&stream);
+        let back = stream_from_str(&text).unwrap_or_else(|| panic!("stream {i} failed to decode"));
         assert_eq!(back, stream, "stream {i} changed across the round-trip");
-        let text2 = stream_to_json(&back).to_string_compact();
+        let text2 = stream_to_string(&back);
         assert_eq!(text2, text, "stream {i} re-encoded differently");
     }
 }
@@ -200,10 +199,10 @@ fn every_record_field_survives_full_u64_range() {
                 },
             },
         };
-        let text = record_to_json(&rec).to_string_compact();
-        let back = dta_obs::codec::record_from_json(&dta_json::parse(&text).unwrap()).unwrap();
+        let text = record_to_string(&rec);
+        let back = record_from_str(&text).unwrap();
         assert_eq!(back, rec);
-        assert_eq!(record_to_json(&back).to_string_compact(), text);
+        assert_eq!(record_to_string(&back), text);
     }
 }
 

@@ -7,6 +7,16 @@
 //! the metrics fold on. Each case runs on the sequential engine and on
 //! `Parallelism::Threads(2)`; both must match.
 //!
+//! Each case also runs once as a [`SimJob`] on the sequential engine and
+//! pins the whole service-path output byte for byte: `fnv1a128` of
+//! `JobResult::canonical_string()` (key, stats, engine report, globals
+//! and the full stream, epoch records included) and of the
+//! `perfetto_trace` text. One cycle-limit job pins the `err` branch of
+//! the canonical document. These digests were taken before the result
+//! codec stopped going through the `Json` tree (DESIGN.md §13); a
+//! mismatch with the stats and stream digests still matching means the
+//! codec or the Perfetto writer changed its bytes.
+//!
 //! The digests were taken from the per-cycle pipeline, before the PE
 //! learned to issue a run of pure cycles in one host call (DESIGN.md
 //! §12). A mismatch means a simulated cycle, counter or event moved;
@@ -14,10 +24,21 @@
 //! behaviour, and say so. The paper-size version of this oracle is
 //! `crates/core/tests/golden.rs`.
 
-use dta::core::{simulate, ObsMode, ObsStream, Parallelism, RunStats, System, SystemConfig};
+use dta::core::{
+    perfetto_trace, run_job, simulate, JobError, ObsMode, ObsStream, Parallelism, RunStats, SimJob,
+    System, SystemConfig,
+};
 use dta::workloads::{bitcnt, gather, mmul, zoom, Variant, WorkloadProgram};
 use dta_json::{fnv1a128, ToJson};
 use std::sync::Arc;
+
+fn config(pes: u16, par: Parallelism) -> SystemConfig {
+    let mut cfg = SystemConfig::with_pes(pes);
+    cfg.parallelism = par;
+    cfg.obs.mode = ObsMode::All;
+    cfg.obs.metrics_interval = 250;
+    cfg
+}
 
 /// Runs `wp` on `pes` PEs and returns `(RunStats digest, stream digest)`
 /// after checking the result with `verify`.
@@ -27,25 +48,40 @@ fn digests(
     par: Parallelism,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) -> (u128, u128) {
-    let mut cfg = SystemConfig::with_pes(pes);
-    cfg.parallelism = par;
-    cfg.obs.mode = ObsMode::All;
-    cfg.obs.metrics_interval = 250;
+    let cfg = config(pes, par);
     let (stats, sys): (RunStats, System) = simulate(cfg, Arc::new(wp.program.clone()), &wp.args)
         .unwrap_or_else(|e| panic!("{par:?}: {e}"));
     verify(&sys).unwrap_or_else(|e| panic!("{par:?}: result wrong: {e}"));
     let obs = sys.obs().expect("observability on");
     let det = ObsStream::from_records(obs.deterministic(), obs.dropped);
-    let stream = dta_obs::codec::stream_to_json(&det).to_string_compact();
+    let stream = dta_obs::codec::stream_to_string(&det);
     (
         fnv1a128(stats.to_json().to_string_compact().as_bytes()),
         fnv1a128(stream.as_bytes()),
     )
 }
 
+/// Runs `wp` as a job on the sequential engine and returns
+/// `(canonical result digest, Perfetto trace digest)`.
+fn document_digests(wp: &WorkloadProgram, pes: u16) -> (u128, u128) {
+    let job = SimJob::new(
+        Arc::new(wp.program.clone()),
+        wp.args.clone(),
+        config(pes, Parallelism::Off),
+    );
+    let result = run_job(&job);
+    let out = result.outcome.as_ref().expect("oracle jobs succeed");
+    let trace = perfetto_trace(&job.config, &job.program, out.obs.as_ref().unwrap());
+    (
+        fnv1a128(result.canonical_string().as_bytes()),
+        fnv1a128(trace.as_bytes()),
+    )
+}
+
 fn assert_oracle(
     name: &str,
     want: (u128, u128),
+    want_doc: (u128, u128),
     wp: WorkloadProgram,
     pes: u16,
     verify: &dyn Fn(&System) -> Result<(), String>,
@@ -58,6 +94,12 @@ fn assert_oracle(
             got.0, got.1
         );
     }
+    let got = document_digests(&wp, pes);
+    assert_eq!(
+        got, want_doc,
+        "{name}: result document or trace diverged from the oracle (got {:#034x}, {:#034x})",
+        got.0, got.1
+    );
 }
 
 #[test]
@@ -67,6 +109,10 @@ fn bitcnt_hand_prefetch_matches_oracle() {
         (
             0xd1d14117ea091ff352bb799475df970a,
             0xfd23757bc7f4a6dbed5e172205a3af96,
+        ),
+        (
+            0xffbdbc9f9978892d049bebcd318a69c6,
+            0x91c5f15e6705134adf09e0f46e1b1f72,
         ),
         bitcnt::build(200, Variant::HandPrefetch),
         8,
@@ -81,6 +127,10 @@ fn mmul_hand_prefetch_matches_oracle() {
         (
             0x984de6e6e3f87ed0c6f5579e0767b504,
             0x73836d5cb48dab5977d85a9ce7eb7f87,
+        ),
+        (
+            0x56555cd5bfaf3e25a4d1e292af52d128,
+            0x856173dd4d49176204ea051b10e24539,
         ),
         mmul::build(8, Variant::HandPrefetch),
         8,
@@ -98,6 +148,10 @@ fn mmul_baseline_matches_oracle() {
             0x281fec3d161140a6d945b1390821e9d8,
             0x2c730d2a0d2a086eb424bd367b16a987,
         ),
+        (
+            0x136e5eea0c405ebe6cbb4f8d79b3ea84,
+            0x345b0682e90e14f1b181b0a462f5c8a3,
+        ),
         mmul::build(8, Variant::Baseline),
         8,
         &|s| mmul::verify(s, 8),
@@ -111,6 +165,10 @@ fn zoom_hand_prefetch_matches_oracle() {
         (
             0x7b93a8e566d31e2fe183a1099361c573,
             0xc1edad4df7c180222927d17523bee82a,
+        ),
+        (
+            0xb564f020d08469e7b528ae146c1b3d12,
+            0x1cc315dfffdd02351c796fe976cca19e,
         ),
         zoom::build(16, Variant::HandPrefetch),
         8,
@@ -126,8 +184,33 @@ fn gather_on_sixteen_pes_matches_oracle() {
             0xc845e1efa23e2454ec36770390932b0a,
             0xcc200c29a425f76f6af55db07ebd0c5a,
         ),
+        (
+            0x96c49441a3e5bd91481f038314724e57,
+            0xec2672c19a2e80557b8dc002163e62a2,
+        ),
         gather::build(256, Variant::Baseline),
         16,
         &|s| gather::verify(s, 256),
+    );
+}
+
+/// A job that runs out of cycles pins the `err` branch of the canonical
+/// document: the typed error with its rendered diagnosis, and `ok` null.
+#[test]
+fn cycle_limit_error_document_matches_oracle() {
+    let wp = mmul::build(8, Variant::HandPrefetch);
+    let mut cfg = config(8, Parallelism::Off);
+    cfg.max_cycles = 500;
+    let job = SimJob::new(Arc::new(wp.program), wp.args, cfg);
+    let result = run_job(&job);
+    assert!(
+        matches!(result.outcome, Err(JobError::CycleLimit { cycle: 500, .. })),
+        "expected a cycle-limit error, got {:?}",
+        result.outcome.as_ref().err()
+    );
+    let got = fnv1a128(result.canonical_string().as_bytes());
+    assert_eq!(
+        got, 0x6bed1e7b5dfbf227dac6c9433a316a13,
+        "cycle-limit document diverged from the oracle (got {got:#034x})"
     );
 }
