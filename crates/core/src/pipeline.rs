@@ -740,9 +740,10 @@ impl Pe {
     ///
     /// Cycle `now` is the tick's true cycle in global order, so it may
     /// issue anything. Every later cycle runs in the same call only while
-    /// the µops at `pc` and `pc + 1` are quiet (`pc + 1` because it may
-    /// dual-issue): those touch nothing outside this PE's pipeline
-    /// state, so running them ahead of the other PEs changes no result.
+    /// the µop at `pc` may run ahead ([`Uop::ahead`]): it is quiet and,
+    /// if it pairs, so is `pc + 1`, which may dual-issue with it. Such a
+    /// cycle touches nothing outside this PE's pipeline state, so
+    /// running it ahead of the other PEs changes no result.
     /// The first instruction that must execute at its true cycle — a
     /// post, a shared-memory access, a DMA or scheduler operation — ends
     /// the call and issues as the first cycle of the next tick. An
@@ -764,7 +765,7 @@ impl Pe {
         let mut t = now;
         loop {
             let u = &uops[pc as usize];
-            debug_assert!(t == now || u.quiet, "a boundary issued ahead of its cycle");
+            debug_assert!(t == now || u.ahead, "a boundary issued ahead of its cycle");
             let in_pf = u.block == CodeBlock::Pf;
             if let Some((ready, cat, fine)) = self.operand_stall(u.uses, t, in_pf) {
                 let h = *horizon.get_or_insert_with(|| self.span_horizon(now));
@@ -779,7 +780,7 @@ impl Pe {
                 t = self.resume_at.max(t + 1);
             }
             let h = *horizon.get_or_insert_with(|| self.span_horizon(now));
-            if t >= h || uops[pc as usize].quiet_end <= pc + 1 {
+            if t >= h || !uops[pc as usize].ahead {
                 break;
             }
         }

@@ -5,10 +5,10 @@
 //! µop carries what the issue stage asks of an instruction every cycle —
 //! its class, its source registers as a bit mask, its code block, whether
 //! it may dual-issue with the next instruction — so the hot loop never
-//! re-derives them. It also carries the facts the span executor needs:
-//! whether the instruction is *quiet* (pure, and posts nothing), and
-//! where the run of quiet instructions it belongs to ends (DESIGN.md
-//! §12).
+//! re-derives them. It also carries the one fact the span executor
+//! needs: whether a cycle starting at it may run ahead of global time,
+//! because everything the cycle may issue is *quiet* (pure, and posts
+//! nothing; DESIGN.md §12).
 
 use dta_isa::{CodeBlock, IClass, Instr, Program, ThreadCode, ThreadId, NUM_REGS};
 
@@ -29,14 +29,13 @@ pub struct Uop {
     /// May dual-issue with the next instruction: the classes pair
     /// ([`pairable`]) and the next pc lies in the same block.
     pub pairs: bool,
-    /// Pure and posts nothing — ALU, `LI`, `MOV`, `NOP`, branches, frame
-    /// `LOAD`, `LSLOAD`/`LSSTORE`: its effect is confined to the
-    /// instance's registers, the PE's scoreboard, local store and LS
-    /// ports, so it may execute ahead of global time.
-    pub quiet: bool,
-    /// The first pc at or after this one whose µop is not quiet (the code
-    /// length if there is none).
-    pub quiet_end: u32,
+    /// A cycle whose first µop this is may run ahead of its true cycle
+    /// in a span: this µop is quiet and, if it pairs, so is the next one
+    /// (which may then dual-issue with it). Quiet means pure and posting
+    /// nothing — ALU, `LI`, `MOV`, `NOP`, branches, frame `LOAD`,
+    /// `LSLOAD`/`LSSTORE` — so the effect is confined to the instance's
+    /// registers, the PE's scoreboard, local store and LS ports.
+    pub ahead: bool,
 }
 
 /// Can an instruction of class `a` dual-issue with a following one of
@@ -69,8 +68,7 @@ fn is_quiet(i: &Instr) -> bool {
 /// Decodes one thread's code into its µop array.
 pub fn decode(thread: &ThreadCode) -> Vec<Uop> {
     let code = &thread.code;
-    let mut uops: Vec<Uop> = code
-        .iter()
+    code.iter()
         .enumerate()
         .map(|(pc, i)| {
             let block = thread.block_of(pc as u32);
@@ -83,19 +81,10 @@ pub fn decode(thread: &ThreadCode) -> Vec<Uop> {
                 block,
                 uses: i.uses().iter().fold(0u64, |m, r| m | 1 << r.index()),
                 pairs,
-                quiet: is_quiet(i),
-                quiet_end: 0,
+                ahead: is_quiet(i) && (!pairs || is_quiet(&code[pc + 1])),
             }
         })
-        .collect();
-    let mut end = uops.len() as u32;
-    for (pc, u) in uops.iter_mut().enumerate().rev() {
-        if !u.quiet {
-            end = pc as u32;
-        }
-        u.quiet_end = end;
-    }
-    uops
+        .collect()
 }
 
 /// Every thread of a program, decoded.

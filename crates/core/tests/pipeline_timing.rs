@@ -14,14 +14,19 @@ fn pinned() -> SystemConfig {
     cfg
 }
 
-fn run_one(body: impl FnOnce(&mut ThreadBuilder)) -> (RunStats, Program) {
+/// A one-thread program whose `main` is `body`.
+fn build_one(body: impl FnOnce(&mut ThreadBuilder)) -> Program {
     let mut pb = ProgramBuilder::new();
     let main = pb.declare("main");
     let mut t = ThreadBuilder::new("main");
     body(&mut t);
     pb.define(main, t);
     pb.set_entry(main, 0);
-    let p = pb.build();
+    pb.build()
+}
+
+fn run_one(body: impl FnOnce(&mut ThreadBuilder)) -> (RunStats, Program) {
+    let p = build_one(body);
     let (stats, _) = simulate(pinned(), Arc::new(p.clone()), &[]).unwrap();
     (stats, p)
 }
@@ -253,4 +258,78 @@ fn paired_taken_branch_loop_is_exact() {
     // The whole loop is quiet, so the PE needs far fewer ticks than it
     // has busy cycles.
     assert!(sys.engine_report().pe_ticks < iters);
+}
+
+/// Gather's loop shape: `READ`s separated by one ALU op that cannot pair
+/// with the `READ` after it. On an empty machine each `READ`'s latency
+/// is known when it issues, so the tick that issues it runs on through
+/// the blocked cycles; the ALU op after them is quiet and issues alone,
+/// so it runs ahead in that tick too. The PE then needs one tick per
+/// `READ` plus four: dispatch with the `LI`, `FFREE`, `STOP` and the tick
+/// that finds the PE idle. The cycle count is the per-cycle pipeline's.
+#[test]
+fn quiet_op_before_a_read_runs_in_the_previous_span() {
+    let reads = 33u64;
+    let p = build_one(|t| {
+        t.begin_ex();
+        t.li(r(4), 0x10_0000);
+        for k in 0..reads {
+            if k > 0 {
+                t.add(r(4), r(4), 4);
+            }
+            t.read(r(5), r(4), 0);
+        }
+        t.begin_ps();
+        t.ffree_self();
+        t.stop();
+    });
+    let (stats, sys) = simulate(pinned(), Arc::new(p), &[]).unwrap();
+    assert_eq!(stats.aggregate.issued, 2 * reads + 2);
+    assert_eq!(stats.cycles, 5420);
+    assert_eq!(sys.engine_report().pe_ticks, reads + 4);
+}
+
+/// An ALU op that pairs with the `STORE` after it may dual-issue with
+/// it, and a `STORE` posts a message: the span must stop before the ALU
+/// op, so every pair issues in a tick of its own at its true cycle. On
+/// two PEs the frame the `STORE`s fill is allocated on the other PE, so
+/// their deliveries do not tick the issuing PE and the tick count shows
+/// where the spans stop. The cycle and tick counts are those of the
+/// rule that also stopped before a lone quiet op.
+#[test]
+fn quiet_op_pairing_with_a_store_ends_the_span() {
+    let stores = 8u16;
+    let mut pb = ProgramBuilder::new();
+    let main = pb.declare("main");
+    let sink = pb.declare("sink");
+    let mut t = ThreadBuilder::new("main");
+    t.begin_ex();
+    t.li(r(5), 7);
+    t.falloc(r(4), sink, stores);
+    for k in 0..stores {
+        // Independent of the STORE's operands, so the two pair.
+        t.add(r(6), r(6), 1);
+        t.store(r(5), r(4), k);
+    }
+    t.begin_ps();
+    t.ffree_self();
+    t.stop();
+    pb.define(main, t);
+    let mut t = ThreadBuilder::new("sink");
+    t.frame_slots(stores);
+    t.begin_ps();
+    t.ffree_self();
+    t.stop();
+    pb.define(sink, t);
+    pb.set_entry(main, 0);
+    let mut cfg = pinned();
+    cfg.pes_per_node = 2;
+    let (stats, sys) = simulate(cfg, Arc::new(pb.build()), &[]).unwrap();
+    let pe = &stats.per_pe[0];
+    assert_eq!(
+        pe.dual_cycles, stores as u64,
+        "every ALU op pairs with its STORE"
+    );
+    assert_eq!(stats.cycles, 51);
+    assert_eq!(sys.engine_report().pe_ticks, 26);
 }

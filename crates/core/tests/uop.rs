@@ -1,10 +1,10 @@
 //! The decode-once µop table must say exactly what the ISA helpers say.
 //!
 //! For every instruction of every workload program, in every variant,
-//! the decoded class, use-mask, block, pairing bit and quiet bit must
-//! equal what `Instr::class`/`uses`, `ThreadCode::block_of` and
-//! `pairable` compute, and each quiet-run end must point at the first
-//! non-quiet pc at or after it.
+//! the decoded class, use-mask, block and pairing bit must equal what
+//! `Instr::class`/`uses`, `ThreadCode::block_of` and `pairable` compute,
+//! and the run-ahead bit must be set exactly where every instruction a
+//! cycle starting there may issue is quiet.
 
 use dta_core::uop::{decode, pairable, UopTable};
 use dta_isa::{Instr, Program, ThreadCode, ThreadId};
@@ -55,11 +55,10 @@ fn check_thread(name: &str, t: &ThreadCode) {
             pairable(i.class(), next.class()) && t.block_of(pc + 1) == t.block_of(pc)
         });
         assert_eq!(u.pairs, pairs, "{at}: pairing bit");
-        assert_eq!(u.quiet, quiet(i), "{at}: quiet bit");
-        let end = (pc..t.len())
-            .find(|&q| !quiet(&t.code[q as usize]))
-            .unwrap_or(t.len());
-        assert_eq!(u.quiet_end, end, "{at}: quiet-run end");
+        // Everything a cycle starting here may issue is quiet: this µop,
+        // and the next one when it may dual-issue.
+        let cycle = &t.code[pc as usize..=pc as usize + pairs as usize];
+        assert_eq!(u.ahead, cycle.iter().all(quiet), "{at}: run-ahead bit");
     }
 }
 

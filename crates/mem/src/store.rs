@@ -141,68 +141,96 @@ impl MainMemory {
 
 /// A per-PE local store (Table 2: 156 kB usable, by default).
 ///
-/// Dense storage: local stores are small and fully touched.
+/// Grows on write: the store keeps its architectural `size` and backs
+/// only a prefix, which a write extends in 4 KiB steps (capped at
+/// `size`) to cover the highest byte it touches. Bytes past the prefix
+/// read as 0, as a fresh store's do, so a PE that never writes its
+/// store costs no memory and no zeroing at construction. The LSE hands
+/// out prefetch buffers lowest index first, so the prefix stays at the
+/// buffers actually in use. Bounds are checked against `size`, never
+/// the prefix.
 #[derive(Clone, Debug)]
 pub struct LocalStore {
+    size: usize,
     data: Vec<u8>,
 }
 
+/// Growth step of a [`LocalStore`]'s backed prefix, in bytes.
+const LS_GROW: usize = 4096;
+
 impl LocalStore {
-    /// Creates a local store of `size` bytes.
+    /// Creates a local store of `size` bytes, all reading as 0.
     pub fn new(size: usize) -> Self {
         LocalStore {
-            data: vec![0; size],
+            size,
+            data: Vec::new(),
         }
     }
 
     /// Size in bytes.
     #[inline]
     pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Bytes backed so far: the prefix that writes have grown to.
+    pub fn backed(&self) -> usize {
         self.data.len()
     }
 
     #[inline]
     #[track_caller]
-    fn check(&self, addr: u32, len: usize) {
+    fn check(&self, addr: u32, len: usize) -> usize {
         assert!(
             (addr as usize)
                 .checked_add(len)
-                .is_some_and(|end| end <= self.data.len()),
+                .is_some_and(|end| end <= self.size),
             "local-store access [{addr:#x}, +{len}) out of range (size {:#x})",
-            self.data.len()
+            self.size
         );
+        addr as usize
     }
 
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        self.check(addr, 1);
-        self.data[addr as usize]
+        let a = self.check(addr, 1);
+        self.data.get(a).copied().unwrap_or(0)
     }
 
-    /// Reads bytes into `buf`.
+    /// Reads bytes into `buf`: the backed ones, then zeros past the
+    /// prefix.
     pub fn read_bytes(&self, addr: u32, buf: &mut [u8]) {
-        self.check(addr, buf.len());
-        buf.copy_from_slice(&self.data[addr as usize..addr as usize + buf.len()]);
+        let a = self.check(addr, buf.len());
+        let backed = self.data.get(a..).unwrap_or(&[]);
+        let n = backed.len().min(buf.len());
+        buf[..n].copy_from_slice(&backed[..n]);
+        buf[n..].fill(0);
     }
 
-    /// Writes bytes.
+    /// Writes bytes, growing the backed prefix to cover them.
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) {
-        self.check(addr, data.len());
-        self.data[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        let a = self.check(addr, data.len());
+        let end = a + data.len();
+        if end > self.data.len() {
+            self.data
+                .resize(end.next_multiple_of(LS_GROW).min(self.size), 0);
+        }
+        self.data[a..end].copy_from_slice(data);
     }
 
     /// Reads a 32-bit little-endian value.
     #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
-        self.check(addr, 4);
-        let a = addr as usize;
-        u32::from_le_bytes([
-            self.data[a],
-            self.data[a + 1],
-            self.data[a + 2],
-            self.data[a + 3],
-        ])
+        let a = self.check(addr, 4);
+        match self.data.get(a..a + 4) {
+            Some(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            None => {
+                let mut b = [0u8; 4];
+                self.read_bytes(addr, &mut b);
+                u32::from_le_bytes(b)
+            }
+        }
     }
 
     /// Writes a 32-bit little-endian value.
@@ -330,5 +358,80 @@ mod tests {
     fn local_store_oob_panics() {
         let ls = LocalStore::new(64);
         let _ = ls.read_u32(62);
+    }
+
+    #[test]
+    fn unwritten_local_store_reads_zero_and_backs_nothing() {
+        let ls = LocalStore::new(156 * 1024);
+        assert_eq!(ls.read_u32(0), 0);
+        assert_eq!(ls.read_u64(156 * 1024 - 8), 0);
+        assert_eq!(ls.read_u8(156 * 1024 - 1), 0);
+        let mut buf = [0xAAu8; 16];
+        ls.read_bytes(4096, &mut buf);
+        assert_eq!(buf, [0; 16]);
+        assert_eq!(ls.backed(), 0);
+    }
+
+    #[test]
+    fn local_store_grows_in_steps_capped_at_size() {
+        let mut ls = LocalStore::new(10_000);
+        ls.write_u32(8, 1);
+        assert_eq!(ls.backed(), LS_GROW);
+        ls.write_bytes(9_999, &[2]);
+        assert_eq!(ls.backed(), 10_000);
+        assert_eq!(ls.read_u32(8), 1);
+    }
+
+    #[test]
+    fn local_store_last_byte_is_writable() {
+        let mut ls = LocalStore::new(100);
+        ls.write_bytes(99, &[7]);
+        assert_eq!(ls.read_u8(99), 7);
+        assert_eq!(ls.backed(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "local-store access [0x64, +1) out of range (size 0x64)")]
+    fn local_store_write_at_size_panics() {
+        let mut ls = LocalStore::new(100);
+        ls.write_bytes(100, &[7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn local_store_read_at_size_panics_unbacked() {
+        let ls = LocalStore::new(100);
+        let _ = ls.read_u8(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn local_store_addr_len_overflow_panics() {
+        let ls = LocalStore::new(64);
+        let _ = ls.read_u32(u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn local_store_write_addr_len_overflow_panics() {
+        let mut ls = LocalStore::new(64);
+        ls.write_u64(u32::MAX - 3, 1);
+    }
+
+    #[test]
+    fn local_store_reads_straddling_the_prefix_end() {
+        let mut ls = LocalStore::new(3 * LS_GROW);
+        let end = LS_GROW as u32;
+        ls.write_bytes(end - 2, &[0x11, 0x22]);
+        assert_eq!(ls.backed(), LS_GROW);
+        // Two written bytes, then two past the prefix.
+        assert_eq!(ls.read_u32(end - 2), 0x2211);
+        assert_eq!(ls.read_i32_sext(end - 2), 0x2211);
+        assert_eq!(ls.read_u64(end - 2), 0x2211);
+        let mut buf = [0xAAu8; 6];
+        ls.read_bytes(end - 3, &mut buf);
+        assert_eq!(buf, [0, 0x11, 0x22, 0, 0, 0]);
+        // Entirely past the prefix.
+        assert_eq!(ls.read_u64(end + 8), 0);
     }
 }

@@ -111,6 +111,92 @@ fn main_memory_matches_model() {
     }
 }
 
+/// LocalStore agrees with a dense byte-vector model under random aligned
+/// and unaligned reads and writes of every width. Addresses cluster
+/// around 4 KiB boundaries, around the current end of the store's
+/// backed prefix (so reads straddle it) and around the end of the
+/// store; sizes are not multiples of 4 KiB. The backed prefix always
+/// covers the highest byte written and never exceeds the size.
+#[test]
+fn local_store_matches_dense_model() {
+    let mut rng = Rng::new(SEED ^ 7);
+    // Many short cases: the prefix only grows, and once it reaches the
+    // end of the store nothing straddles it any more.
+    for case in 0..512 {
+        let size = rng.range(16, 40_000) as usize;
+        let mut ls = LocalStore::new(size);
+        let mut model = vec![0u8; size];
+        let mut high = 0usize;
+        for op in 0..rng.range(1, 60) {
+            let len = [1usize, 4, 8, rng.range(1, 40) as usize][rng.below(4) as usize];
+            let len = len.min(size);
+            // Mostly the live prefix end.
+            let near = match rng.below(16) {
+                0 => size,
+                1 | 2 => rng.below(size as u64) as usize,
+                3..=6 => ((rng.below(5) as usize) << 12).min(size),
+                _ => ls.backed(),
+            };
+            let jitter = rng.below(24) as usize;
+            let mut addr = (near + jitter).saturating_sub(12).min(size - len);
+            if rng.below(2) == 0 {
+                addr &= !(len.next_power_of_two().min(8) - 1);
+            }
+            let at = format!("case {case} op {op}: size {size} addr {addr} len {len}");
+            let a = addr as u32;
+            let value = rng.next();
+            if rng.below(2) == 0 {
+                let data: Vec<u8> = match len {
+                    4 => (value as u32).to_le_bytes().to_vec(),
+                    8 => value.to_le_bytes().to_vec(),
+                    _ => (0..len).map(|i| (value as usize + i) as u8).collect(),
+                };
+                match len {
+                    4 => ls.write_u32(a, value as u32),
+                    8 => ls.write_u64(a, value),
+                    _ => ls.write_bytes(a, &data),
+                }
+                model[addr..addr + len].copy_from_slice(&data);
+                high = high.max(addr + len);
+            } else {
+                let expect = &model[addr..addr + len];
+                match len {
+                    1 => assert_eq!(ls.read_u8(a), expect[0], "{at}"),
+                    4 => {
+                        let want = u32::from_le_bytes(expect.try_into().unwrap());
+                        assert_eq!(ls.read_u32(a), want, "{at}");
+                        assert_eq!(ls.read_i32_sext(a), want as i32 as i64, "{at}");
+                    }
+                    8 => {
+                        let want = u64::from_le_bytes(expect.try_into().unwrap());
+                        assert_eq!(ls.read_u64(a), want, "{at}");
+                    }
+                    _ => assert_eq!(ls_bytes(&ls, addr, len), expect, "{at}"),
+                }
+            }
+            assert!(
+                high <= ls.backed() && ls.backed() <= size,
+                "{at}: backed {} outside [{high}, {size}]",
+                ls.backed()
+            );
+        }
+        let whole = ls_bytes(&ls, 0, size);
+        if let Some(i) = (0..size).find(|&i| whole[i] != model[i]) {
+            panic!(
+                "case {case}: byte {i} of the whole store reads {}, the model holds {}",
+                whole[i], model[i]
+            );
+        }
+    }
+}
+
+/// `len` bytes of `ls` from `addr`, through `read_bytes`.
+fn ls_bytes(ls: &LocalStore, addr: usize, len: usize) -> Vec<u8> {
+    let mut buf = vec![0u8; len];
+    ls.read_bytes(addr as u32, &mut buf);
+    buf
+}
+
 /// Every transaction completes strictly after it was issued, and
 /// issuing the same kinds in the same order is deterministic.
 #[test]

@@ -12,17 +12,23 @@
 //! `JobResult::canonical_string()` (key, stats, engine report, globals
 //! and the full stream, epoch records included) and of the
 //! `perfetto_trace` text. One cycle-limit job pins the `err` branch of
-//! the canonical document. These digests were taken before the result
-//! codec stopped going through the `Json` tree (DESIGN.md §13); a
-//! mismatch with the stats and stream digests still matching means the
-//! codec or the Perfetto writer changed its bytes.
+//! the canonical document. The document is digested with the host
+//! engine's tick counters (`visited_cycles`, `pe_ticks`,
+//! `skipped_ticks`, `wake_heap_occupancy`) reset, the way the codec
+//! zeroes the wall-clock fields: they record how the host advanced
+//! time, so a change to the engine alone moves them. `pe_ticks` and
+//! `visited_cycles` are pinned per case in an assertion of their own;
+//! a host-engine change that lowers them updates only that pin. A
+//! mismatch in a document digest with the stats and stream digests
+//! still matching means the codec or the Perfetto writer changed its
+//! bytes.
 //!
-//! The digests were taken from the per-cycle pipeline, before the PE
-//! learned to issue a run of pure cycles in one host call (DESIGN.md
-//! §12). A mismatch means a simulated cycle, counter or event moved;
-//! regenerate only for a change that is meant to alter simulated
-//! behaviour, and say so. The paper-size version of this oracle is
-//! `crates/core/tests/golden.rs`.
+//! The `RunStats` and stream digests were taken from the per-cycle
+//! pipeline, before the PE learned to issue a run of pure cycles in one
+//! host call (DESIGN.md §12). A mismatch means a simulated cycle,
+//! counter or event moved; regenerate only for a change that is meant
+//! to alter simulated behaviour, and say so. The paper-size version of
+//! this oracle is `crates/core/tests/golden.rs`.
 
 use dta::core::{
     perfetto_trace, run_job, simulate, JobError, ObsMode, ObsStream, Parallelism, RunStats, SimJob,
@@ -30,6 +36,7 @@ use dta::core::{
 };
 use dta::workloads::{bitcnt, gather, mmul, zoom, Variant, WorkloadProgram};
 use dta_json::{fnv1a128, ToJson};
+use dta_obs::Histogram;
 use std::sync::Arc;
 
 fn config(pes: u16, par: Parallelism) -> SystemConfig {
@@ -61,20 +68,35 @@ fn digests(
     )
 }
 
+/// How often the host engine ticked a PE and how many cycles it
+/// visited: `(pe_ticks, visited_cycles)`.
+type Ticks = (u64, u64);
+
 /// Runs `wp` as a job on the sequential engine and returns
-/// `(canonical result digest, Perfetto trace digest)`.
-fn document_digests(wp: &WorkloadProgram, pes: u16) -> (u128, u128) {
+/// `(canonical result digest, Perfetto trace digest)`, the document
+/// digested with the engine's tick counters reset, and the counters
+/// themselves for their own pin.
+fn document_digests(wp: &WorkloadProgram, pes: u16) -> ((u128, u128), Ticks) {
     let job = SimJob::new(
         Arc::new(wp.program.clone()),
         wp.args.clone(),
         config(pes, Parallelism::Off),
     );
-    let result = run_job(&job);
-    let out = result.outcome.as_ref().expect("oracle jobs succeed");
+    let mut result = run_job(&job);
+    let out = result.outcome.as_mut().expect("oracle jobs succeed");
     let trace = perfetto_trace(&job.config, &job.program, out.obs.as_ref().unwrap());
+    let engine = &mut out.engine;
+    let ticks = (engine.pe_ticks, engine.visited_cycles);
+    engine.visited_cycles = 0;
+    engine.pe_ticks = 0;
+    engine.skipped_ticks = 0;
+    engine.wake_heap_occupancy = Histogram::default();
     (
-        fnv1a128(result.canonical_string().as_bytes()),
-        fnv1a128(trace.as_bytes()),
+        (
+            fnv1a128(result.canonical_string().as_bytes()),
+            fnv1a128(trace.as_bytes()),
+        ),
+        ticks,
     )
 }
 
@@ -82,6 +104,7 @@ fn assert_oracle(
     name: &str,
     want: (u128, u128),
     want_doc: (u128, u128),
+    want_ticks: Ticks,
     wp: WorkloadProgram,
     pes: u16,
     verify: &dyn Fn(&System) -> Result<(), String>,
@@ -94,11 +117,15 @@ fn assert_oracle(
             got.0, got.1
         );
     }
-    let got = document_digests(&wp, pes);
+    let (got, ticks) = document_digests(&wp, pes);
     assert_eq!(
         got, want_doc,
         "{name}: result document or trace diverged from the oracle (got {:#034x}, {:#034x})",
         got.0, got.1
+    );
+    assert_eq!(
+        ticks, want_ticks,
+        "{name}: host engine (pe_ticks, visited_cycles) moved"
     );
 }
 
@@ -111,9 +138,10 @@ fn bitcnt_hand_prefetch_matches_oracle() {
             0xfd23757bc7f4a6dbed5e172205a3af96,
         ),
         (
-            0xffbdbc9f9978892d049bebcd318a69c6,
+            0x0ece40b1a54fc2483933d477f2230020,
             0x91c5f15e6705134adf09e0f46e1b1f72,
         ),
+        (6447, 5390),
         bitcnt::build(200, Variant::HandPrefetch),
         8,
         &|s| bitcnt::verify(s, 200),
@@ -129,9 +157,10 @@ fn mmul_hand_prefetch_matches_oracle() {
             0x73836d5cb48dab5977d85a9ce7eb7f87,
         ),
         (
-            0x56555cd5bfaf3e25a4d1e292af52d128,
+            0xa255b85c2bd2415a3122fd8c43df8aab,
             0x856173dd4d49176204ea051b10e24539,
         ),
+        (204, 193),
         mmul::build(8, Variant::HandPrefetch),
         8,
         &|s| mmul::verify(s, 8),
@@ -149,9 +178,10 @@ fn mmul_baseline_matches_oracle() {
             0x2c730d2a0d2a086eb424bd367b16a987,
         ),
         (
-            0x136e5eea0c405ebe6cbb4f8d79b3ea84,
+            0xa89417d69edae5daf63f74daa60536a7,
             0x345b0682e90e14f1b181b0a462f5c8a3,
         ),
+        (1172, 1174),
         mmul::build(8, Variant::Baseline),
         8,
         &|s| mmul::verify(s, 8),
@@ -167,9 +197,10 @@ fn zoom_hand_prefetch_matches_oracle() {
             0xc1edad4df7c180222927d17523bee82a,
         ),
         (
-            0xb564f020d08469e7b528ae146c1b3d12,
+            0xcb24687b80edcf7bd4486145f6858aa9,
             0x1cc315dfffdd02351c796fe976cca19e,
         ),
+        (5171, 4112),
         zoom::build(16, Variant::HandPrefetch),
         8,
         &|s| zoom::verify(s, 16),
@@ -185,9 +216,10 @@ fn gather_on_sixteen_pes_matches_oracle() {
             0xcc200c29a425f76f6af55db07ebd0c5a,
         ),
         (
-            0x96c49441a3e5bd91481f038314724e57,
+            0x31b008e9a8e1a983af6c11757a19b7c6,
             0xec2672c19a2e80557b8dc002163e62a2,
         ),
+        (572, 560),
         gather::build(256, Variant::Baseline),
         16,
         &|s| gather::verify(s, 256),
