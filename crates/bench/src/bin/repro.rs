@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! repro [EXPERIMENT ...] [--quick] [--pes N] [--threads N] [--out DIR]
+//! repro [EXPERIMENT ...] [--quick] [--pes N] [--out DIR]
 //!       [--sweep-threads N] [--cache-dir DIR] [--deadline-ms N] [--memo]
 //!       [--fault-seed N] [--fault-rate PPM] [--lse-crash-ppm PPM] [--obs MODE]
 //!       [--metrics-interval N] [--obs-stream N] [--trace-out PATH]
@@ -9,13 +9,10 @@
 //! EXPERIMENT: config table5 fig5 fig6 fig7 fig8 fig9 lat1
 //!             ablate-split ablate-vfp ablate-hw
 //!             ext-cache ext-spxp ext-wholeobj
-//!             parallel speed faults failover observe profile serve all
+//!             speed faults failover observe profile serve all
 //!             (default: all)
 //! --quick     scaled-down workload sizes (CI-friendly)
 //! --pes N     PEs for the non-scalability experiments (default 8)
-//! --threads N run every experiment on the epoch-sharded engine with N
-//!             host threads (results are bit-identical to sequential;
-//!             the `parallel` experiment pins its own engine modes)
 //! --sweep-threads N  run the independent points of parameter sweeps
 //!             (every per-benchmark/per-config grid) on N host
 //!             threads — the service's batch-executor pool; reports
@@ -44,7 +41,7 @@
 //!             bus on: events | metrics | all | off (default off).
 //!             Collection is pure observation — results and cycle
 //!             counts are byte-identical — and composes with
-//!             --threads and --sweep-threads
+//!             --sweep-threads
 //! --metrics-interval N  gauge sampling interval in cycles
 //!             (default 1000; implies nothing unless --obs samples)
 //! --obs-stream N  drain observability records out of the per-unit
@@ -60,8 +57,8 @@
 
 use dta_bench::experiments::{
     ablate_hw, ablate_split, ablate_vfp, config, ext_cache, ext_spxp, ext_wholeobj, failover_bench,
-    faults_bench, fig5, fig9, fig_exec_scalability, lat1, observe_bench, parallel_bench,
-    profile_bench, serve_bench, speed_bench, table5,
+    faults_bench, fig5, fig9, fig_exec_scalability, lat1, observe_bench, profile_bench,
+    serve_bench, speed_bench, table5,
 };
 use dta_bench::{emit, Bench, ExperimentResult};
 use std::path::PathBuf;
@@ -79,7 +76,6 @@ struct Options {
     experiments: Vec<String>,
     quick: bool,
     pes: u16,
-    threads: Option<u16>,
     sweep_threads: Option<usize>,
     cache_dir: Option<PathBuf>,
     deadline_ms: Option<u64>,
@@ -99,7 +95,6 @@ fn parse_args() -> Result<Options, String> {
         experiments: Vec::new(),
         quick: false,
         pes: 8,
-        threads: None,
         sweep_threads: None,
         cache_dir: None,
         deadline_ms: None,
@@ -123,14 +118,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--pes needs a value")?
                     .parse()
                     .map_err(|_| "--pes needs a number")?;
-            }
-            "--threads" => {
-                opts.threads = Some(
-                    args.next()
-                        .ok_or("--threads needs a value")?
-                        .parse()
-                        .map_err(|_| "--threads needs a number")?,
-                );
             }
             "--sweep-threads" => {
                 opts.sweep_threads = Some(
@@ -213,8 +200,8 @@ fn parse_args() -> Result<Options, String> {
             "--no-out" => opts.out = None,
             "--help" | "-h" => {
                 return Err(
-                    "usage: repro [EXPERIMENT ...] [--quick] [--pes N] [--threads N] \
-                     [--sweep-threads N] [--fault-seed N] [--fault-rate PPM] [--out DIR]"
+                    "usage: repro [EXPERIMENT ...] [--quick] [--pes N] [--sweep-threads N] \
+                     [--fault-seed N] [--fault-rate PPM] [--out DIR]"
                         .into(),
                 )
             }
@@ -238,7 +225,6 @@ fn parse_args() -> Result<Options, String> {
             "ext-cache",
             "ext-spxp",
             "ext-wholeobj",
-            "parallel",
             "speed",
             "faults", // also emits the failover sweep
             "observe",
@@ -259,9 +245,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(n) = opts.threads {
-        dta_bench::experiments::set_default_parallelism(dta_core::Parallelism::Threads(n));
-    }
     // One process-wide service carries every untimed run: sweep workers
     // from --sweep-threads, the on-disk result store from --cache-dir,
     // the per-job wall-clock budget from --deadline-ms.
@@ -315,7 +298,6 @@ fn main() -> ExitCode {
             "ext-cache" => ext_cache(mmul_n, zoom_n, opts.pes),
             "ext-spxp" => ext_spxp(&suite, opts.pes),
             "ext-wholeobj" => ext_wholeobj(bitcnt_n, opts.pes),
-            "parallel" => parallel_bench(if opts.quick { 16 } else { 64 }, opts.pes),
             "speed" => {
                 use dta_workloads::Variant::{Baseline, HandPrefetch};
                 let gather_n = if opts.quick { 256 } else { 2048 };

@@ -9,25 +9,14 @@ use crate::runner::{
     job_for, run, sweep, sweep_ok, try_run_timed, try_run_timed_stats, try_run_traced, Bench, Row,
     SweepPoint,
 };
-use dta_core::{MemoConfig, ObsConfig, Parallelism, StallCat, SystemConfig};
+use dta_core::{MemoConfig, ObsConfig, StallCat, SystemConfig};
 use dta_workloads::Variant;
 use std::sync::OnceLock;
-
-/// Process-wide default engine mode, applied to every experiment config
-/// (set once by `repro --threads`; the `parallel` benchmark ignores it
-/// because it pins each mode explicitly).
-static DEFAULT_PARALLELISM: OnceLock<Parallelism> = OnceLock::new();
-
-/// Sets the engine mode every experiment runs under. First call wins;
-/// later calls are ignored.
-pub fn set_default_parallelism(par: Parallelism) {
-    let _ = DEFAULT_PARALLELISM.set(par);
-}
 
 /// Process-wide observability config, applied to every experiment run
 /// (set once by `repro --obs` / `--metrics-interval`). Collection is
 /// pure observation — every `RunStats` counter stays byte-identical —
-/// so it composes freely with `--threads` and `--sweep-threads`.
+/// so it composes freely with `--sweep-threads`.
 static DEFAULT_OBS: OnceLock<ObsConfig> = OnceLock::new();
 
 /// Sets the observability config every experiment runs under. First
@@ -71,9 +60,6 @@ pub struct ExperimentResult {
 
 fn pes8(suite_pes: u16) -> SystemConfig {
     let mut cfg = SystemConfig::with_pes(suite_pes);
-    if let Some(&par) = DEFAULT_PARALLELISM.get() {
-        cfg.parallelism = par;
-    }
     if let Some(&obs) = DEFAULT_OBS.get() {
         cfg.obs = obs;
     }
@@ -719,80 +705,13 @@ pub fn ext_wholeobj(n: usize, pes: u16) -> ExperimentResult {
     }
 }
 
-/// Engine benchmark: host wall-clock of the simulator itself, sequential
-/// oracle vs the epoch-sharded engine at several thread counts. Written
-/// as `BENCH_parallel.json` so successive PRs can track simulator
-/// performance. Also cross-checks determinism: every mode must report
-/// identical cycle counts.
-pub fn parallel_bench(mmul_n: usize, pes: u16) -> ExperimentResult {
-    use dta_core::Parallelism;
-
-    let bench = Bench::Mmul(mmul_n);
-    let modes: [(&str, Parallelism); 4] = [
-        ("sequential", Parallelism::Off),
-        ("threads(2)", Parallelism::Threads(2)),
-        ("threads(4)", Parallelism::Threads(4)),
-        ("auto", Parallelism::Auto),
-    ];
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut rows = Vec::new();
-    let mut table = vec![vec![
-        "engine".to_string(),
-        "variant".into(),
-        "cycles".into(),
-        "wall ms".into(),
-        "speedup".into(),
-    ]];
-    for variant in [Variant::Baseline, Variant::HandPrefetch] {
-        let mut seq = None;
-        for (label, par) in modes {
-            let mut cfg = SystemConfig::with_pes(pes);
-            cfg.parallelism = par;
-            let (mut row, ms) =
-                try_run_timed(bench, variant, cfg).unwrap_or_else(|e| panic!("{e}"));
-            let (seq_ms, seq_cycles) = *seq.get_or_insert((ms, row.cycles));
-            assert_eq!(
-                row.cycles, seq_cycles,
-                "{label} diverged from the sequential oracle"
-            );
-            row.wall_ms = Some(ms);
-            row.parallelism = Some(label.to_string());
-            table.push(vec![
-                label.to_string(),
-                row.variant.clone(),
-                row.cycles.to_string(),
-                format!("{ms:.1}"),
-                format!("{:.2}x", seq_ms / ms),
-            ]);
-            rows.push(row);
-        }
-    }
-    let mut text = text_table(&table);
-    text.push_str(&format!("host parallelism: {host} core(s)\n"));
-    if host == 1 {
-        text.push_str(
-            "(single-core host: the engine runs every shard inline on one \
-             thread, so thread speedup is structurally ~1.0x here; run on a \
-             multi-core host to measure parallel speedup)\n",
-        );
-    }
-    ExperimentResult {
-        health: None,
-        profile: None,
-        id: "BENCH_parallel".into(),
-        title: format!("Engine wall-clock: sequential vs epoch-sharded, mmul({mmul_n}) {pes} PEs"),
-        text,
-        rows,
-    }
-}
-
 /// Scheduler benchmark: host wall-clock of the event-driven scheduler
 /// with and without instance memoization, on the paper suite plus the
 /// DMA-dominated `gather` stress. Written as `BENCH_speed.json` so
 /// successive PRs can track simulator performance. Each pair must report
 /// a byte-identical `RunStats` — memoized replay is a pure host-time
-/// optimisation — and the table carries the skipped-tick, epoch-merge
-/// and memo counters that explain the timings.
+/// optimisation — and the table carries the skipped-tick and memo
+/// counters that explain the timings.
 pub fn speed_bench(cases: &[(Bench, Variant, u16)]) -> ExperimentResult {
     let mut rows = Vec::new();
     let mut table = vec![vec![
@@ -804,7 +723,6 @@ pub fn speed_bench(cases: &[(Bench, Variant, u16)]) -> ExperimentResult {
         "visited".into(),
         "PE ticks".into(),
         "skipped".into(),
-        "merged epochs".into(),
         "memo hits".into(),
         "replayed cyc".into(),
         "sim ms".into(),
@@ -844,7 +762,6 @@ pub fn speed_bench(cases: &[(Bench, Variant, u16)]) -> ExperimentResult {
                 row.visited_cycles.to_string(),
                 row.pe_ticks.to_string(),
                 row.skipped_ticks.to_string(),
-                row.merged_epochs.to_string(),
                 row.memo_hits.to_string(),
                 row.memo_replayed_cycles.to_string(),
                 format!("{ms:.1}"),
@@ -1355,8 +1272,7 @@ pub fn profile_bench(suite: &[Bench], pes: u16, seed: u64) -> ExperimentResult {
         "PE deliv".into(),
         "DSE deliv".into(),
         "mem req".into(),
-        "shard wall us".into(),
-        "merge us".into(),
+        "run wall us".into(),
         "heap mean/max".into(),
     ]];
     let mut tail = String::new();
@@ -1463,8 +1379,7 @@ pub fn profile_bench(suite: &[Bench], pes: u16, seed: u64) -> ExperimentResult {
                 row.pe_deliveries.to_string(),
                 row.dse_deliveries.to_string(),
                 row.mem_requests.to_string(),
-                row.shard_wall_us.iter().sum::<u64>().to_string(),
-                row.merge_wall_us.to_string(),
+                row.run_wall_us.to_string(),
                 format!("{:.1}/{}", row.wake_heap_mean, row.wake_heap_max),
             ]);
             let cp = &analysis.critical_path;

@@ -40,7 +40,6 @@ impl ToJson for Row {
             ("readmitted_instances", self.readmitted_instances.to_json()),
             ("killed_instances", self.killed_instances.to_json()),
             ("wall_ms", self.wall_ms.to_json()),
-            ("parallelism", self.parallelism.to_json()),
             ("obs_mode", self.obs_mode.to_json()),
             ("obs_events", self.obs_events.to_json()),
             ("obs_dropped", self.obs_dropped.to_json()),
@@ -49,10 +48,7 @@ impl ToJson for Row {
             ("visited_cycles", self.visited_cycles.to_json()),
             ("pe_ticks", self.pe_ticks.to_json()),
             ("skipped_ticks", self.skipped_ticks.to_json()),
-            ("epochs", self.epochs.to_json()),
-            ("merged_epochs", self.merged_epochs.to_json()),
-            ("shard_wall_us", self.shard_wall_us.to_json()),
-            ("merge_wall_us", self.merge_wall_us.to_json()),
+            ("run_wall_us", self.run_wall_us.to_json()),
             ("pe_deliveries", self.pe_deliveries.to_json()),
             ("dse_deliveries", self.dse_deliveries.to_json()),
             ("mem_requests", self.mem_requests.to_json()),

@@ -7,8 +7,8 @@
 //! returned [`dta_core::JobResult`] is folded into a [`Row`].
 //!
 //! The timed paths ([`try_run_timed`], [`try_run_traced`]) bypass the
-//! cache on purpose, calling [`run_job`] directly: the speed/parallel/
-//! observe benchmarks measure the *simulator*, and a cache hit would
+//! cache on purpose, calling [`run_job`] directly: the speed/observe
+//! benchmarks measure the *simulator*, and a cache hit would
 //! report a near-zero wall clock and corrupt every measured speedup.
 
 use dta_core::{
@@ -208,8 +208,6 @@ pub struct Row {
     /// Host wall-clock for the run, milliseconds (only the wall-clock
     /// benchmarks measure this; `None` elsewhere).
     pub wall_ms: Option<f64>,
-    /// Engine mode label for the `parallel` benchmark (`None` elsewhere).
-    pub parallelism: Option<String>,
     /// Observability mode label (`None` when the bus is off).
     pub obs_mode: Option<String>,
     /// Structured events collected on the bus.
@@ -228,17 +226,9 @@ pub struct Row {
     pub pe_ticks: u64,
     /// Blocked/idle PE ticks the wake-set scheduler skipped.
     pub skipped_ticks: u64,
-    /// Barrier epochs the sharded engine ran (zero on the sequential
-    /// engine).
-    pub epochs: u64,
-    /// Fixed-width epochs the adaptive coordinator merged away.
-    pub merged_epochs: u64,
-    /// Per-shard host wall time, µs (one entry per shard; the sequential
-    /// engines report a single entry). Host-side — cached rows replay
-    /// the producing run's clock.
-    pub shard_wall_us: Vec<u64>,
-    /// Host wall time spent in epoch-barrier merges, µs.
-    pub merge_wall_us: u64,
+    /// Host wall time of the run loop, µs. Host-side — cached rows
+    /// replay the producing run's clock.
+    pub run_wall_us: u64,
     /// Events delivered to PEs (LSE + pipeline) — per-unit host work.
     pub pe_deliveries: u64,
     /// Events delivered to DSEs (DSEs never tick; this is their entire
@@ -311,10 +301,7 @@ pub(crate) fn row_from_result(
     row.visited_cycles = out.engine.visited_cycles;
     row.pe_ticks = out.engine.pe_ticks;
     row.skipped_ticks = out.engine.skipped_ticks;
-    row.epochs = out.engine.epochs;
-    row.merged_epochs = out.engine.merged_epochs;
-    row.shard_wall_us = out.engine.shard_wall_us.clone();
-    row.merge_wall_us = out.engine.merge_wall_us;
+    row.run_wall_us = out.engine.run_wall_us;
     row.pe_deliveries = out.engine.pe_deliveries;
     row.dse_deliveries = out.engine.dse_deliveries;
     row.mem_requests = out.engine.mem_requests;
@@ -492,7 +479,6 @@ fn row_from(bench: &Bench, variant: Variant, pes: u16, mem_latency: u64, stats: 
         readmitted_instances: stats.readmitted_instances,
         killed_instances: stats.killed_instances,
         wall_ms: None,
-        parallelism: None,
         obs_mode: None,
         obs_events: 0,
         obs_dropped: 0,
@@ -501,10 +487,7 @@ fn row_from(bench: &Bench, variant: Variant, pes: u16, mem_latency: u64, stats: 
         visited_cycles: 0,
         pe_ticks: 0,
         skipped_ticks: 0,
-        epochs: 0,
-        merged_epochs: 0,
-        shard_wall_us: Vec::new(),
-        merge_wall_us: 0,
+        run_wall_us: 0,
         pe_deliveries: 0,
         dse_deliveries: 0,
         mem_requests: 0,

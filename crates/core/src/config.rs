@@ -13,42 +13,22 @@ use dta_json::{u64_json, Json};
 use dta_mem::{BusModel, DmaFaultPlan, MemoryModel, MemorySystem, MfcParams};
 use dta_sched::{DseParams, LseParams};
 
-/// How the simulator itself executes on the host.
-///
-/// All modes produce bit-identical [`RunStats`](crate::stats::RunStats):
-/// the sharded engine orders every cross-shard interaction by a
-/// partition-independent `(time, source rank, source sequence)` stamp, so
-/// the shard count never leaks into simulated behaviour.
+/// How the simulator itself executes on the host: always one loop on
+/// the calling thread. Kept, with its one variant, only because the
+/// benchmark harness still assigns it; it leaves with the next change to
+/// the benchmark. Multi-core use lives at the job level (the `dta-serve`
+/// pool, `repro --sweep-threads`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Parallelism {
-    /// The sequential oracle: one host thread, one global event queue.
+    /// The one run loop.
     Off,
-    /// Epoch-sharded execution on up to `n` host threads (PEs and DSEs
-    /// are partitioned into per-node shards; `Threads(1)` exercises the
-    /// sharded engine without spawning).
-    Threads(u16),
-    /// `Threads(available_parallelism())`.
-    Auto,
-}
-
-impl Parallelism {
-    /// Canonical encoding (part of the versioned job form; see
-    /// [`SystemConfig::canonical_json`]).
-    pub fn canonical_json(&self) -> Json {
-        match self {
-            Parallelism::Off => Json::Str("off".into()),
-            Parallelism::Threads(n) => Json::Str(format!("threads:{n}")),
-            Parallelism::Auto => Json::Str("auto".into()),
-        }
-    }
 }
 
 /// Seeded, deterministic fault-injection plan.
 ///
 /// Every fault decision is a pure function of `(seed, site, stable key)`
 /// — per-MFC command index, message stamp, per-DSE request counter — so
-/// a plan's schedule is reproducible from its seed and bit-identical
-/// across `Parallelism::Off` and `Parallelism::Threads(n)`. Rates are in
+/// a plan's schedule is reproducible from its seed. Rates are in
 /// parts-per-million (integer-only config). `FaultPlan::default()` is
 /// benign: all rates zero, recovery budgets and the watchdog armed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +81,7 @@ pub struct FaultPlan {
     pub dse_crash_window: u64,
     /// Silence-detection latency in sim cycles: peers treat a DSE as dead
     /// this long after its crash (clamped to at least the message
-    /// latency so failover traffic stays epoch-safe).
+    /// latency).
     pub dse_failover_detect: u64,
     /// Planned outage length: a crashed DSE restarts (cold) this many
     /// cycles after its crash. Zero = never restarts.
@@ -119,7 +99,7 @@ pub struct FaultPlan {
     /// cycle is a pure hash of `(seed, pe)`.
     pub lse_crash_window: u64,
     /// LSE silence-detection latency in sim cycles (clamped to at least
-    /// the message latency so evacuation traffic stays epoch-safe).
+    /// the message latency).
     pub lse_detect: u64,
     /// Planned LSE outage length: a crashed LSE restarts (cold) this
     /// many cycles after its crash. Zero = never restarts.
@@ -298,9 +278,9 @@ pub struct ObsConfig {
     pub event_capacity: usize,
     /// Incremental streaming stride, simulated cycles (0 = off). When
     /// set, the engine drains fully-simulated records out of the
-    /// per-unit rings roughly every this many cycles — at loop bottoms
-    /// in the sequential engines, at epoch barriers in the sharded one —
-    /// feeding any sink attached with `System::attach_stream_sink` in
+    /// per-unit rings roughly every this many cycles, at the bottom of
+    /// the run loop, feeding any sink attached with
+    /// `System::attach_stream_sink` in
     /// wall order as the run progresses. The final merged stream is
     /// identical to the post-run merge (the `obs_stream` suite pins
     /// this), except that long runs no longer overflow the rings.
@@ -456,8 +436,9 @@ pub struct SystemConfig {
     /// Safety valve: abort `run` after this many cycles.
     pub max_cycles: u64,
 
-    /// Host-side execution strategy (simulated results are identical in
-    /// every mode).
+    /// Host-side execution strategy. Nothing reads it and it is not part
+    /// of [`Self::canonical_json`]; it goes in the next change to the
+    /// benchmark harness, the last code that assigns it.
     pub parallelism: Parallelism,
 
     /// Deterministic fault injection (`None` = the fault-free model;
@@ -627,12 +608,6 @@ impl SystemConfig {
     /// change: bump `crate::job::JOB_FORMAT_VERSION` in the same commit
     /// (DESIGN.md §13 records the rules), which invalidates every
     /// previously cached result.
-    ///
-    /// The host-side [`Parallelism`] knob is deliberately *included* even
-    /// though simulated results are invariant across it: the determinism
-    /// suites pin that invariance by comparing runs across distinct keys,
-    /// and host-schedule reports ([`crate::stats::EngineReport`])
-    /// legitimately differ per mode.
     pub fn canonical_json(&self) -> Json {
         Json::obj([
             ("nodes", Json::Num(self.nodes as f64)),
@@ -686,7 +661,6 @@ impl SystemConfig {
             ("dispatch_penalty", u64_json(self.dispatch_penalty)),
             ("obs", self.obs.canonical_json()),
             ("max_cycles", u64_json(self.max_cycles)),
-            ("parallelism", self.parallelism.canonical_json()),
             (
                 "faults",
                 match &self.faults {
@@ -806,10 +780,6 @@ mod tests {
         let mut memo = SystemConfig::paper_default();
         memo.memo = MemoConfig::on();
         assert_ne!(a, memo.canonical_json().to_string_compact());
-
-        let mut threads = SystemConfig::paper_default();
-        threads.parallelism = Parallelism::Threads(2);
-        assert_ne!(a, threads.canonical_json().to_string_compact());
     }
 
     #[test]

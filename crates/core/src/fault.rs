@@ -1,15 +1,14 @@
-//! Message-level fault injection for the core engines.
+//! Message-level fault injection for the run loop.
 //!
 //! DMA faults are resolved inside the MFC (see `dta_mem::fault`); this
 //! module handles the *protocol* faults — dropping, duplicating and
-//! delaying LSE↔DSE messages — plus the bookkeeping both engines share.
+//! delaying LSE↔DSE messages — plus the DSE/LSE crash schedule.
 //!
 //! Every decision is a pure roll on the message's deterministic source
-//! stamp ([`MsgSeq`]), so the sequential and epoch-sharded engines
-//! transform exactly the same messages in exactly the same way. All
-//! transforms only ever *increase* delivery time, which keeps the sharded
-//! engine's epoch horizon sound (a message can never be moved into an
-//! epoch that already executed).
+//! stamp ([`MsgSeq`]), so a message's fate depends only on who sent it
+//! and when, never on the order the host queued it. All transforms only
+//! ever *increase* delivery time: a message is never moved into a cycle
+//! the loop has already simulated.
 //!
 //! Recovery model:
 //!
@@ -23,9 +22,9 @@
 //!   single-delivery.
 //! * **delay** — delivery slips by `msg_delay_jitter` cycles.
 //!
-//! `FallocRetry` (the denial-recovery timer) and `ReadDone` (carries a
-//! synthetic stamp already) are exempt: faulting the recovery path itself
-//! would turn bounded recovery into unbounded recursion.
+//! `FallocRetry` (the denial-recovery timer) is exempt: faulting the
+//! recovery path itself would turn bounded recovery into unbounded
+//! recursion.
 
 use crate::config::FaultPlan;
 use dta_mem::fault::{
@@ -39,7 +38,7 @@ pub const DUP_STAMP_BIT: u64 = 1 << 62;
 /// Stamp-sequence bit marking the re-send of a dropped message.
 pub const RESEND_STAMP_BIT: u64 = 1 << 61;
 
-/// Shared message-fault counters (per engine shard; merged at collect).
+/// Message-fault counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Messages dropped on the wire (each recovered by one re-send).
@@ -51,28 +50,20 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Adds another counter set into this one (shard merge).
-    pub fn absorb(&mut self, other: FaultCounters) {
-        self.msgs_dropped += other.msgs_dropped;
-        self.msgs_duplicated += other.msgs_duplicated;
-        self.msgs_delayed += other.msgs_delayed;
-    }
-
     /// Any fault recorded at all?
     pub fn any(&self) -> bool {
         self.msgs_dropped + self.msgs_duplicated + self.msgs_delayed > 0
     }
 }
 
-/// Messages the injector must never touch: the recovery timer itself, the
-/// synthetic-stamped scalar-read completion, and the whole crash/failover
+/// Messages the injector must never touch: the recovery timer itself and
+/// the whole crash/failover
 /// protocol (the injector silencing its own recovery traffic would turn a
 /// planned outage into an unrecoverable one).
 pub fn msg_exempt(msg: &Message) -> bool {
     matches!(
         msg,
         Message::FallocRetry
-            | Message::ReadDone { .. }
             | Message::DseCrash
             | Message::DseRestart
             | Message::DseResync
@@ -118,21 +109,18 @@ pub struct LseOutage {
 /// The fully resolved DSE + LSE crash/restart schedule of a fault plan.
 ///
 /// Built once at system construction from pure hashes of `(seed, node)`
-/// and `(seed, pe)`, so both engines — and every shard — agree on every
-/// outage without exchanging any state. All liveness queries (and both
-/// successor elections: the DSE arbiter and the LSE evacuation peer) are
-/// pure functions of `(unit, time)` and the schedule itself, which is
-/// what makes the failover protocol engine-invariant by construction:
-/// routing decisions never depend on who observed what, only on the
-/// schedule and the current cycle.
+/// and `(seed, pe)`. All liveness queries (and both successor
+/// elections: the DSE arbiter and the LSE evacuation peer) are pure
+/// functions of `(unit, time)` and the schedule itself, so routing
+/// decisions never depend on who observed what, only on the schedule and
+/// the current cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FailoverSchedule {
     /// Per-node planned outage (`None` = this node's roll did not fire).
     outages: Vec<Option<DseOutage>>,
     /// Per-PE planned LSE outage (`None` = this PE's roll did not fire).
     lse_outages: Vec<Option<LseOutage>>,
-    /// DSE silence-detection latency (clamped ≥ message latency ≥ 1 so
-    /// every failover hop is epoch-safe in the sharded engine).
+    /// DSE silence-detection latency (clamped ≥ message latency ≥ 1).
     detect: u64,
     /// LSE silence-detection latency (same clamp).
     lse_detect: u64,
@@ -224,8 +212,7 @@ impl FailoverSchedule {
     /// same-node peer with the most *planned* free frames — the PE's
     /// frame capacity minus the number of earlier evacuations already
     /// assigned to it — with ties towards the lowest PE id. The score is
-    /// a pure function of the schedule (never of runtime frame tables),
-    /// so both engines and every shard elect identically.
+    /// a pure function of the schedule (never of runtime frame tables).
     fn resolve_evacuation_peers(&mut self) {
         let mut order: Vec<(u64, u16)> = self
             .lse_outages
@@ -278,8 +265,7 @@ impl FailoverSchedule {
 
     /// Has `node`'s death been *detected* by cycle `t`? Peers keep
     /// routing to a dead DSE until its lease expires (those messages
-    /// bounce), which is what makes detection a fixed-latency event both
-    /// engines agree on.
+    /// bounce), which is what makes detection a fixed-latency event.
     pub fn detected(&self, node: u16, t: u64) -> bool {
         self.dead(node, t)
             && self.outages[node as usize].is_some_and(|o| t >= o.crash_at + self.detect)
@@ -312,7 +298,7 @@ impl FailoverSchedule {
     /// Has `pe`'s LSE death been *detected* by cycle `t`? The node's DSE
     /// keeps granting to a dead PE until the lease expires (those grants
     /// bounce back as re-homed requests), which keeps detection a
-    /// fixed-latency event both engines agree on.
+    /// fixed-latency event.
     pub fn lse_detected(&self, pe: u16, t: u64) -> bool {
         self.lse_dead(pe, t)
             && self.lse_outages[pe as usize].is_some_and(|o| t >= o.crash_at + self.lse_detect)
@@ -528,10 +514,6 @@ mod tests {
     #[test]
     fn exemptions_cover_recovery_messages() {
         assert!(msg_exempt(&Message::FallocRetry));
-        assert!(msg_exempt(&Message::ReadDone {
-            value: 0,
-            ready_at: 0
-        }));
         assert!(msg_exempt(&Message::DseCrash));
         assert!(msg_exempt(&Message::DseRestart));
         assert!(msg_exempt(&Message::DseResync));

@@ -4,8 +4,8 @@
 //! determines a run's outcome — the program, its host arguments, and the
 //! complete [`SystemConfig`] — and [`run_job`] maps it to a
 //! self-contained [`JobResult`]. Because the simulator is deterministic
-//! (same job → bit-identical [`RunStats`] and observability stream,
-//! across engines and parallelism modes), a job's identity *is* its content:
+//! (same job → bit-identical [`RunStats`] and observability stream), a
+//! job's identity *is* its content:
 //!
 //! ```text
 //! JobKey = fnv1a128("dta-job\0" ‖ format ‖ program bytes ‖ args ‖ canonical config)
@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// stored format disagrees are discarded on load). Bump it whenever the
 /// canonical config form, the program byte encoding, or the result
 /// encoding changes meaning.
-pub const JOB_FORMAT_VERSION: u32 = 6;
+pub const JOB_FORMAT_VERSION: u32 = 7;
 
 /// Content hash identifying a job (see the module docs for the exact
 /// preimage). Rendered as 32 lowercase hex digits in reports and file
@@ -80,8 +80,8 @@ pub struct SimJob {
     pub program: Arc<Program>,
     /// Host arguments passed to the entry thread.
     pub args: Vec<i64>,
-    /// Complete system configuration (including host-side engine knobs;
-    /// see [`SystemConfig::canonical_json`] for why those count).
+    /// Complete system configuration (see
+    /// [`SystemConfig::canonical_json`] for what the key covers).
     pub config: SystemConfig,
 }
 
@@ -485,14 +485,10 @@ impl JobError {
 /// Everything a successful run produces.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobOutput {
-    /// Engine-invariant simulation results (bit-identical across
-    /// [`crate::config::Parallelism`] modes for a fixed job — but that
-    /// knob is part of the key anyway).
+    /// The simulated results (bit-identical for a fixed job).
     pub stats: RunStats,
-    /// How the host engine advanced time. Deterministic for a fixed job
-    /// on a fixed host, except under `Parallelism::Auto` where the host
-    /// core count leaks in — keys meant to be shared across machines
-    /// should pin an explicit mode.
+    /// How the host engine advanced time. Deterministic for a fixed job,
+    /// apart from the wall-clock field.
     pub engine: EngineReport,
     /// Final contents of every program global (for verification without
     /// the live [`System`]).
@@ -511,8 +507,7 @@ impl JobOutput {
         // the in-memory `JobOutput`; a cache hit reports none, which is
         // accurate — it did no simulation work.
         let engine = EngineReport {
-            shard_wall_us: Vec::new(),
-            merge_wall_us: 0,
+            run_wall_us: 0,
             ..self.engine.clone()
         };
         w.begin_obj();
@@ -538,7 +533,7 @@ impl JobOutput {
         let engine = EngineReport::from_json(&r.value()?)
             // The writer zeroes the wall-clock fields; anything else
             // would not re-encode to the same document.
-            .filter(|e| e.shard_wall_us.is_empty() && e.merge_wall_us == 0)
+            .filter(|e| e.run_wall_us == 0)
             .ok_or_else(|| r.err("invalid engine report"))?;
         r.key("globals")?;
         let globals = GlobalSnapshot::read_json(r)?;
@@ -798,7 +793,7 @@ pub fn lifecycle_table(program: &Program, stream: &ObsStream) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ObsMode, Parallelism};
+    use crate::config::ObsMode;
     use dta_isa::{reg::r, ProgramBuilder, ThreadBuilder};
 
     fn tiny_program() -> Arc<Program> {
@@ -841,10 +836,6 @@ mod tests {
         let mut other_memo = base.clone();
         other_memo.config.memo = crate::config::MemoConfig::on();
         assert_ne!(k, other_memo.key());
-
-        let mut other_par = base.clone();
-        other_par.config.parallelism = Parallelism::Threads(2);
-        assert_ne!(k, other_par.key());
     }
 
     #[test]
@@ -889,8 +880,7 @@ mod tests {
         // must survive, and the re-encode must be byte-identical.
         let mut normalized = result.clone();
         if let Ok(out) = &mut normalized.outcome {
-            out.engine.shard_wall_us = Vec::new();
-            out.engine.merge_wall_us = 0;
+            out.engine.run_wall_us = 0;
         }
         assert_eq!(back, normalized);
         assert_eq!(back.canonical_string(), text, "re-encode is byte-identical");
@@ -995,7 +985,7 @@ mod tests {
         assert!(JobResult::from_canonical_str(&text).is_some());
         let swapped = text.replacen(r#"{"format""#, r#"{"formut""#, 1);
         assert!(JobResult::from_canonical_str(&swapped).is_none());
-        let walled = text.replacen(r#""merge_wall_us":0"#, r#""merge_wall_us":7"#, 1);
+        let walled = text.replacen(r#""run_wall_us":0"#, r#""run_wall_us":7"#, 1);
         assert_ne!(walled, text);
         assert!(JobResult::from_canonical_str(&walled).is_none());
         assert!(JobResult::from_canonical_str(&format!("{text} x")).is_none());

@@ -47,7 +47,6 @@
 //! ```
 
 pub mod config;
-pub(crate) mod engine;
 pub mod fault;
 pub mod job;
 pub mod memo;

@@ -336,7 +336,7 @@ pub(crate) struct Replay {
 }
 
 /// Memo counters folded into the host [`EngineReport`]
-/// (host-side observability: engines may legitimately differ).
+/// (host-side observability, outside the simulated results).
 ///
 /// [`EngineReport`]: crate::stats::EngineReport
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

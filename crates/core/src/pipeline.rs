@@ -23,8 +23,8 @@ use dta_isa::{
     ZERO_REG,
 };
 use dta_mem::{
-    Cache, CacheParams, DmaCommand, DmaKind, DmaPlan, LocalStore, MainMemory, MemorySystem, Mfc,
-    MfcParams, ResourcePool, TransferKind,
+    Cache, CacheParams, DmaCommand, DmaCompletion, DmaKind, LocalStore, MainMemory, MemorySystem,
+    Mfc, MfcParams, ResourcePool, TransferKind,
 };
 use dta_obs::{GaugeKind, ObsEvent, ObsLog, ThreadEvent};
 use dta_sched::{CrashReport, Dest, InstanceId, Lse, LseParams, Message, MsgSeq, ThreadState};
@@ -34,77 +34,6 @@ use std::ops::ControlFlow;
 /// A stamped outbox entry: `(absolute delivery cycle, destination,
 /// message, deterministic source stamp)`.
 pub type OutMsg = (u64, Dest, Message, MsgSeq);
-
-/// Shared-resource access deferred from a shard to the epoch barrier.
-///
-/// Tickets record, in issue order, every touch of the globally shared
-/// memory system a PE wanted to make while its shard was ticking in
-/// parallel. The coordinator resolves all shards' tickets sorted by
-/// `(time, pe, seq)` — exactly the order the sequential engine (which
-/// ticks PEs in index order within a cycle, with at most one
-/// shared-memory operation per PE per cycle) would have performed them,
-/// so reservation watermarks and functional memory state evolve
-/// identically.
-#[derive(Clone, Copy, Debug)]
-pub struct Ticket {
-    /// Cycle at which the PE issued the operation.
-    pub time: u64,
-    /// Issuing PE (global index).
-    pub pe: u16,
-    /// Per-PE issue counter (disambiguates nothing today — one shared
-    /// operation per cycle — but keeps the sort total and future-proof).
-    pub seq: u64,
-    /// The operation.
-    pub kind: TicketKind,
-}
-
-/// The deferred operation behind a [`Ticket`].
-#[derive(Clone, Copy, Debug)]
-pub enum TicketKind {
-    /// Scalar `READ`: the pipeline blocks until the coordinator posts a
-    /// [`Message::ReadDone`] back.
-    Read {
-        /// Main-memory byte address.
-        addr: u64,
-    },
-    /// Scalar `WRITE`: posted, pipeline does not block.
-    Write {
-        /// Main-memory byte address.
-        addr: u64,
-        /// The stored word.
-        value: u32,
-    },
-    /// DMA command admitted by the shard-local MFC queue; the coordinator
-    /// runs the data movement and schedules the `DmaDone`.
-    Dma {
-        /// The admitted command.
-        cmd: DmaCommand,
-        /// Owning instance (the `DmaDone` correlation token).
-        owner: InstanceId,
-        /// Source stamp reserved at issue for the eventual `DmaDone`
-        /// event (keeps per-PE stamp counters identical to the
-        /// sequential engine, which stamps the completion at issue).
-        stamp: MsgSeq,
-    },
-}
-
-/// How a ticking PE reaches the shared memory system.
-pub enum MemPort<'a> {
-    /// Sequential engine: direct mutable access, operations resolve
-    /// inline.
-    Direct {
-        /// The shared interconnect + memory controller.
-        sys: &'a mut MemorySystem,
-        /// Main-memory contents.
-        mem: &'a mut MainMemory,
-    },
-    /// Sharded engine: operations are recorded as [`Ticket`]s and
-    /// resolved at the epoch barrier.
-    Deferred {
-        /// Ticket sink (drained by the shard after each tick).
-        tickets: &'a mut Vec<Ticket>,
-    },
-}
 
 /// Pipeline tuning knobs (extracted from
 /// [`SystemConfig`](crate::config::SystemConfig)).
@@ -157,8 +86,10 @@ pub enum Activity {
 
 /// Shared mutable state a PE needs while ticking.
 pub struct SysCtx<'a> {
-    /// Access to the shared memory system (direct or epoch-deferred).
-    pub port: MemPort<'a>,
+    /// The shared interconnect + memory controller.
+    pub sys: &'a mut MemorySystem,
+    /// Main-memory contents.
+    pub mem: &'a mut MainMemory,
     /// The program being executed.
     pub program: &'a Program,
     /// The program's threads, decoded once ([`UopTable`]).
@@ -187,26 +118,11 @@ enum Exec {
     },
     /// Issued a FALLOC; blocked until the response message arrives.
     BlockFalloc,
-    /// Issued a deferred scalar READ (sharded engine); blocked until the
-    /// `ReadDone` message arrives.
-    BlockRead,
     /// DMAYIELD with outstanding transfers: the thread leaves the
     /// pipeline in the *Wait for DMA* state.
     Yield,
     /// STOP.
     Stop,
-}
-
-/// Bookkeeping for a deferred scalar READ between issue and `ReadDone`.
-struct ReadWait {
-    /// Destination register.
-    rd: Reg,
-    /// Issue cycle (the whole blocked span is charged at completion).
-    start: u64,
-    /// Stall bucket the blocked span belongs to (decided at issue).
-    cat: StallCat,
-    /// Fine attribution twin of `cat` (also decided at issue).
-    fine: FineCat,
 }
 
 /// A processing element.
@@ -231,14 +147,8 @@ pub struct Pe {
     /// Destination register of an in-flight FALLOC.
     waiting_falloc: Option<Reg>,
     falloc_block_start: u64,
-    /// An in-flight deferred scalar READ (sharded engine only).
-    waiting_read: Option<ReadWait>,
     /// Deterministic source stamp for posted messages (rank = PE index).
     pub(crate) stamp: MsgSeq,
-    /// Issue counter for deferred shared-memory tickets (a separate
-    /// sequence from `stamp`: the sequential engine posts no message for
-    /// scalar READ/WRITE, so tickets must not advance message stamps).
-    ticket_seq: u64,
     /// Instances parked off the pipeline because their FALLOC was queued
     /// at the DSE (FIFO: grants arrive in queue order).
     parked_fallocs: VecDeque<InstanceId>,
@@ -264,7 +174,7 @@ pub struct Pe {
     /// The most recent pipeline vacancy came from a watchdog park: the
     /// next closed idle span is attributed [`FineCat::Parked`]. Set at
     /// park, cleared at the next dispatch — both simulated events, so
-    /// the attribution is engine-invariant.
+    /// the attribution does not depend on the host schedule.
     parked_hint: bool,
     /// DMA commands issued by this PE and not yet completed, maintained
     /// at the same points that emit `DmaIssued`/`DmaCompleted` events
@@ -306,9 +216,7 @@ impl Pe {
             resume_at: 0,
             waiting_falloc: None,
             falloc_block_start: 0,
-            waiting_read: None,
             stamp: MsgSeq::first(pe as u32),
-            ticket_seq: 0,
             parked_fallocs: VecDeque::new(),
             reg_ready: [0; NUM_REGS],
             reg_stall: [StallCat::Working; NUM_REGS],
@@ -395,11 +303,6 @@ impl Pe {
             || self.parked_fallocs.contains(&for_inst)
     }
 
-    /// Is the pipeline blocked on a deferred scalar READ?
-    pub fn expects_read(&self) -> bool {
-        self.waiting_read.is_some()
-    }
-
     /// The scheduled LSE crash fires on this PE: the pipeline drops every
     /// in-flight hold on destroyed instances and the LSE classifies its
     /// population (see [`Lse::crash`]). `evac_to` is the planned adoption
@@ -408,8 +311,8 @@ impl Pe {
     /// Stall attribution is closed out *at the crash cycle*: open wait
     /// spans are normally attributed by the event that completes them,
     /// which will never arrive now, and the idle tail must start at a
-    /// point derived from simulated history — never from the (engine-
-    /// dependent) cycle at which the dead PE happens to be visited next.
+    /// point derived from simulated history — never from the cycle at
+    /// which the host happens to visit the dead PE next.
     pub fn crash_lse(&mut self, now: u64, evac_to: Option<u16>) -> CrashReport {
         if self.waiting_falloc.take().is_some() {
             self.charge(
@@ -425,35 +328,11 @@ impl Pe {
         self.dma_open = 0;
         self.parked_fallocs.clear();
         self.spin = 0;
-        // Execution latencies are attributed at issue (through
-        // `resume_at`), so idle time starts at whichever of issue-horizon
-        // and crash cycle is later. An open deferred READ is the
-        // exception: the sequential engine charges a READ's full latency
-        // inline at issue, so the deferred twin must stay open until its
-        // in-flight `ReadDone` closes the span ([`Self::dead_read_done`])
-        // — truncating it at the crash cycle would skew the buckets
-        // between engines.
-        if self.waiting_read.is_none() {
-            self.idle_since.get_or_insert(self.resume_at.max(now));
-        }
+        // Execution latencies (a blocking READ's included) are attributed
+        // at issue through `resume_at`, so idle time starts at whichever
+        // of issue horizon and crash cycle is later.
+        self.idle_since.get_or_insert(self.resume_at.max(now));
         self.lse.crash(evac_to)
-    }
-
-    /// Closes a deferred READ orphaned by an LSE crash: the `ReadDone`
-    /// arrives at exactly the cycle the sequential engine's inline charge
-    /// ran through, so charging the span here (and starting the idle tail
-    /// now) keeps the buckets engine-invariant. Returns false when there
-    /// is no orphaned wait (the message is for a live post-restart READ,
-    /// or a plain stale drop).
-    pub fn dead_read_done(&mut self, now: u64) -> bool {
-        if self.current.is_none() {
-            if let Some(w) = self.waiting_read.take() {
-                self.charge(w.cat, w.fine, now - w.start);
-                self.idle_since = Some(now);
-                return true;
-            }
-        }
-        false
     }
 
     /// The scheduled LSE restart fires: the PE rejoins cold (the caller
@@ -536,24 +415,6 @@ impl Pe {
             resume - self.falloc_block_start,
         );
         self.resume_at = resume;
-    }
-
-    /// Delivers a deferred scalar READ's result (sharded engine): writes
-    /// the register, charges the whole blocked span to the bucket chosen
-    /// at issue, and unblocks the pipeline. Timing-identical to the
-    /// sequential engine's inline `Exec::Block`: the delivery cycle is the
-    /// resolved completion clamped to issue+1, so the charged span and
-    /// resume cycle match the inline `until.max(now + 1)` exactly.
-    pub fn complete_read(&mut self, now: u64, value: i64, ready_at: u64) {
-        let wait = self
-            .waiting_read
-            .take()
-            .expect("ReadDone without a waiting READ");
-        let id = self.current.expect("ReadDone with no current thread");
-        self.set_reg(id, wait.rd, value, ready_at, StallCat::MemStall);
-        self.charge(wait.cat, wait.fine, now - wait.start);
-        self.resume_at = now;
-        self.memo.arm();
     }
 
     /// Handles a DMA completion that belongs to the *currently running*
@@ -657,12 +518,12 @@ impl Pe {
         // A crashed LSE takes its PE down with it: the pipeline cannot
         // dispatch (the ready queue is gone) and must not retire the
         // in-flight instruction of a destroyed instance. `idle_since` is
-        // NOT touched here — visit times are engine-dependent; the crash
-        // and `dead_read_done` paths pin it from simulated history.
+        // NOT touched here — visit times are a host schedule; the crash
+        // path pins it from simulated history.
         if self.lse.is_dead() {
             return Activity::Idle;
         }
-        if self.waiting_falloc.is_some() || self.waiting_read.is_some() {
+        if self.waiting_falloc.is_some() {
             return Activity::Blocked(u64::MAX);
         }
         if self.resume_at > now {
@@ -881,12 +742,6 @@ impl Pe {
             }
             Exec::BlockFalloc => {
                 self.falloc_block_start = t;
-                self.lse.instance_mut(id).pc = pc + 1;
-                ControlFlow::Break(Activity::Blocked(u64::MAX))
-            }
-            Exec::BlockRead => {
-                // Stall cycles are charged on completion (`complete_read`),
-                // once the coordinator has resolved the contended latency.
                 self.lse.instance_mut(id).pc = pc + 1;
                 ControlFlow::Break(Activity::Blocked(u64::MAX))
             }
@@ -1260,57 +1115,24 @@ impl Pe {
                     // feed the per-thread PF-coverage census.
                     self.record(now, id, ThreadEvent::ReadBlocked);
                 }
-                match &mut ctx.port {
-                    MemPort::Direct { sys, mem } => {
-                        let v = mem.read_i32_sext(addr);
-                        let until = match &mut self.cache {
-                            Some(c) => c.read(now, addr, sys),
-                            None => sys.request(now, TransferKind::ScalarRead),
-                        };
-                        self.set_reg(id, rd, v, until, StallCat::MemStall);
-                        Exec::Block { until, cat, fine }
-                    }
-                    MemPort::Deferred { tickets } => {
-                        tickets.push(Ticket {
-                            time: now,
-                            pe: self.pe,
-                            seq: self.ticket_seq,
-                            kind: TicketKind::Read { addr },
-                        });
-                        self.ticket_seq += 1;
-                        self.waiting_read = Some(ReadWait {
-                            rd,
-                            start: now,
-                            cat,
-                            fine,
-                        });
-                        Exec::BlockRead
-                    }
-                }
+                let v = ctx.mem.read_i32_sext(addr);
+                let until = match &mut self.cache {
+                    Some(c) => c.read(now, addr, ctx.sys),
+                    None => ctx.sys.request(now, TransferKind::ScalarRead),
+                };
+                self.set_reg(id, rd, v, until, StallCat::MemStall);
+                Exec::Block { until, cat, fine }
             }
             Instr::Write { rs, ra, off } => {
                 let addr = ea(self.reg(id, ra), off) as u64;
                 let value = self.reg(id, rs) as u32;
                 self.lse.instance_mut(id).tainted = true;
-                match &mut ctx.port {
-                    MemPort::Direct { sys, mem } => {
-                        mem.write_u32(addr, value);
-                        if let Some(c) = &mut self.cache {
-                            c.write(now, addr);
-                        }
-                        let done = sys.request(now, TransferKind::ScalarWrite);
-                        *ctx.drain_until = (*ctx.drain_until).max(done);
-                    }
-                    MemPort::Deferred { tickets } => {
-                        tickets.push(Ticket {
-                            time: now,
-                            pe: self.pe,
-                            seq: self.ticket_seq,
-                            kind: TicketKind::Write { addr, value },
-                        });
-                        self.ticket_seq += 1;
-                    }
+                ctx.mem.write_u32(addr, value);
+                if let Some(c) = &mut self.cache {
+                    c.write(now, addr);
                 }
+                let done = ctx.sys.request(now, TransferKind::ScalarWrite);
+                *ctx.drain_until = (*ctx.drain_until).max(done);
                 Exec::Next
             }
             Instr::DmaGet {
@@ -1464,63 +1286,26 @@ impl Pe {
                 Exec::Retry(StallCat::MemStall, FineCat::DmaWait)
             }
         };
-        match &mut ctx.port {
-            MemPort::Direct { sys, mem } => {
-                let Some(plan) = self.mfc.admit(now) else {
-                    return retry(in_pf);
-                };
-                self.note_dma_plan(now, &plan);
-                let done = self.mfc.commit(now, cmd, sys, &mut self.ls, mem);
-                self.lse.instance_mut(id).dma_issued(cmd.tag);
-                self.dma_open += 1;
-                self.record(now, id, ThreadEvent::DmaIssued { tag: cmd.tag });
-                let stamp = self.stamp.bump();
-                if !done.stalled {
-                    ctx.out.push((
-                        done.at.max(now + 1),
-                        Dest::Lse(self.pe),
-                        Message::DmaDone {
-                            owner: id,
-                            tag: cmd.tag,
-                        },
-                        stamp,
-                    ));
-                }
-                Exec::Next
-            }
-            MemPort::Deferred { tickets } => {
-                // Admission is decidable shard-locally: commands issued
-                // inside this epoch cannot retire inside it, so the known
-                // outstanding set plus the admitted-pending counter is
-                // exact. The coordinator moves the data and schedules the
-                // completion; the stamp is consumed now so per-PE stamp
-                // streams match the sequential engine. The fault outcome
-                // is planned at admission too, so retry exhaustion flips
-                // the degraded flag at the same logical point in both
-                // engines (the coordinator skips the completion event for
-                // stalled commands, mirroring the Direct arm).
-                let Some(plan) = self.mfc.admit(now) else {
-                    return retry(in_pf);
-                };
-                self.note_dma_plan(now, &plan);
-                self.lse.instance_mut(id).dma_issued(cmd.tag);
-                self.dma_open += 1;
-                self.record(now, id, ThreadEvent::DmaIssued { tag: cmd.tag });
-                let stamp = self.stamp.bump();
-                tickets.push(Ticket {
-                    time: now,
-                    pe: self.pe,
-                    seq: self.ticket_seq,
-                    kind: TicketKind::Dma {
-                        cmd,
-                        owner: id,
-                        stamp,
-                    },
-                });
-                self.ticket_seq += 1;
-                Exec::Next
-            }
+        let Some(done) = self.mfc.enqueue(now, cmd, ctx.sys, &mut self.ls, ctx.mem) else {
+            return retry(in_pf);
+        };
+        self.note_dma_faults(now, &done);
+        self.lse.instance_mut(id).dma_issued(cmd.tag);
+        self.dma_open += 1;
+        self.record(now, id, ThreadEvent::DmaIssued { tag: cmd.tag });
+        let stamp = self.stamp.bump();
+        if !done.stalled {
+            ctx.out.push((
+                done.at.max(now + 1),
+                Dest::Lse(self.pe),
+                Message::DmaDone {
+                    owner: id,
+                    tag: cmd.tag,
+                },
+                stamp,
+            ));
         }
+        Exec::Next
     }
 
     /// Can this instance's next work be run on the SP pipeline? True for
@@ -1668,8 +1453,8 @@ impl Pe {
 
     /// Flushes pending gauge boundaries strictly before `t`. Called at
     /// the top of every tick: boundary records carry the boundary cycle
-    /// and grid-derived sequence numbers, so the (engine-dependent) host
-    /// time of the flush never shows in the stream.
+    /// and grid-derived sequence numbers, so the host time of the flush
+    /// never shows in the stream.
     fn flush_gauges(&mut self, t: u64) {
         while let Some(b) = self.obs.next_boundary_before(t) {
             self.emit_gauges(b);
@@ -1680,9 +1465,8 @@ impl Pe {
     /// any message delivery that can change a sampled value (stores,
     /// frame grants, frees, DMA completions): a boundary's sample then
     /// reflects state after all activity at cycles `<=` the boundary —
-    /// a pure function of simulated time, identical whether the PE's
-    /// next host-side tick comes from the sequential loop or from an
-    /// epoch-sharded engine's forced barrier.
+    /// a pure function of simulated time, whenever the PE's next
+    /// host-side tick happens.
     pub(crate) fn gauge_sync(&mut self, now: u64) {
         if self.obs.metrics_on() {
             self.flush_gauges(now);
@@ -1715,27 +1499,27 @@ impl Pe {
         }
     }
 
-    /// Emits the fault-related events of a freshly admitted DMA plan and
-    /// applies the degradation transition.
-    fn note_dma_plan(&mut self, now: u64, plan: &DmaPlan) {
+    /// Emits the fault-related events of a freshly accepted DMA command
+    /// and applies the degradation transition.
+    fn note_dma_faults(&mut self, now: u64, done: &DmaCompletion) {
         if self.obs.events_on() {
-            if plan.attempts > 1 {
+            if done.attempts > 1 {
                 self.obs.emit(
                     now,
                     ObsEvent::DmaRetry {
                         pe: self.pe,
-                        retries: plan.attempts - 1,
+                        retries: done.attempts - 1,
                     },
                 );
             }
-            if plan.exhausted {
+            if done.exhausted {
                 self.obs.emit(now, ObsEvent::DmaExhausted { pe: self.pe });
                 if !self.degraded {
                     self.obs.emit(now, ObsEvent::PeDegraded { pe: self.pe });
                 }
             }
         }
-        if plan.exhausted {
+        if done.exhausted {
             self.degraded = true;
         }
     }

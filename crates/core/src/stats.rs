@@ -322,45 +322,32 @@ impl fmt::Display for Breakdown {
 /// Host-engine execution report: how the engine advanced simulated time.
 ///
 /// Deliberately *not* part of [`RunStats`]: these counters describe the
-/// host-side schedule (which differs across [`Parallelism`] modes by
-/// design), while `RunStats` is compared bit-for-bit
-/// across engines by the determinism suites. Read it from
-/// [`System::engine_report`] after a run.
+/// host-side schedule, which a host-engine change may move, while
+/// `RunStats` is pinned bit-for-bit by the determinism suites. Read it
+/// from [`System::engine_report`] after a run.
 ///
-/// [`Parallelism`]: crate::config::Parallelism
 /// [`System::engine_report`]: crate::system::System::engine_report
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineReport {
-    /// Simulated cycles the engine actually visited (summed across shards
-    /// under the threaded engine). A cycle that only some PE's span
-    /// covered is not visited.
+    /// Simulated cycles the engine actually visited. A cycle that only
+    /// some PE's span covered is not visited.
     pub visited_cycles: u64,
     /// `Pe::tick` calls actually made. One tick may cover a span of
     /// several quiet cycles of its PE (DESIGN.md §12), so this can be far
     /// below the PE's busy cycles.
     pub pe_ticks: u64,
     /// Ticks a tick-every-PE loop would have made at the visited cycles
-    /// but the wake-set scheduler skipped (`Σ visited_cycles × shard
-    /// PEs − pe_ticks`). A PE whose span covers a visited cycle counts a
+    /// but the wake-set scheduler skipped (`visited_cycles × PEs −
+    /// pe_ticks`). A PE whose span covers a visited cycle counts a
     /// skipped tick there, so `pe_ticks + skipped_ticks == visited_cycles
     /// × PEs` still holds.
     pub skipped_ticks: u64,
-    /// Epoch barriers executed by the sharded engine (zero sequential).
-    pub epochs: u64,
-    /// Fixed-width epochs that adaptive widening merged away — how many
-    /// extra barrier rendezvous a fixed-width schedule would have run
-    /// (zero for the sequential engine).
-    pub merged_epochs: u64,
-    /// Wall-clock µs each shard spent ticking its PEs (one entry per
-    /// shard; a single entry covering the whole loop for the sequential
-    /// engine). Host-time: varies run to run by design.
-    pub shard_wall_us: Vec<u64>,
-    /// Wall-clock µs the coordinator spent resolving epoch barriers
-    /// (ticket merge + rendezvous); zero for the sequential engine.
-    pub merge_wall_us: u64,
+    /// Wall-clock µs the run loop took. Host-time: varies run to run by
+    /// design.
+    pub run_wall_us: u64,
     /// Occupancy of the wake set: scheduled wake entries (the active
     /// list plus the `Blocked` heap, stale lazy-invalidation entries
-    /// included), sampled once per visited cycle per shard. Quantifies
+    /// included), sampled once per visited cycle. Quantifies
     /// the pending-wakeup population the event-driven scheduler carries.
     pub wake_heap_occupancy: dta_obs::Histogram,
     /// Host-side message deliveries to PE-owned units (LSE + pipeline).
@@ -391,10 +378,7 @@ impl ToJson for EngineReport {
             ("visited_cycles", self.visited_cycles.to_json()),
             ("pe_ticks", self.pe_ticks.to_json()),
             ("skipped_ticks", self.skipped_ticks.to_json()),
-            ("epochs", self.epochs.to_json()),
-            ("merged_epochs", self.merged_epochs.to_json()),
-            ("shard_wall_us", self.shard_wall_us.to_json()),
-            ("merge_wall_us", self.merge_wall_us.to_json()),
+            ("run_wall_us", self.run_wall_us.to_json()),
             (
                 "wake_heap_occupancy",
                 dta_obs::codec::histogram_to_json(&self.wake_heap_occupancy),
@@ -641,15 +625,7 @@ impl EngineReport {
             visited_cycles: u64_field(v, "visited_cycles")?,
             pe_ticks: u64_field(v, "pe_ticks")?,
             skipped_ticks: u64_field(v, "skipped_ticks")?,
-            epochs: u64_field(v, "epochs")?,
-            merged_epochs: u64_field(v, "merged_epochs")?,
-            shard_wall_us: v
-                .get("shard_wall_us")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<_>>>()?,
-            merge_wall_us: u64_field(v, "merge_wall_us")?,
+            run_wall_us: u64_field(v, "run_wall_us")?,
             wake_heap_occupancy: dta_obs::codec::histogram_from_json(
                 v.get("wake_heap_occupancy")?,
             )?,
@@ -844,10 +820,7 @@ mod tests {
             visited_cycles: 5,
             pe_ticks: 4,
             skipped_ticks: 3,
-            epochs: 2,
-            merged_epochs: 1,
-            shard_wall_us: vec![120, 95],
-            merge_wall_us: 33,
+            run_wall_us: 215,
             wake_heap_occupancy: heap,
             pe_deliveries: 17,
             dse_deliveries: 6,

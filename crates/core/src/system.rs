@@ -14,9 +14,9 @@
 //! Arbitration everywhere is deterministic, so a given (program, config)
 //! pair always produces identical results.
 
-use crate::config::{FaultPlan, Parallelism, SystemConfig};
+use crate::config::{FaultPlan, SystemConfig};
 use crate::fault::{msg_exempt, transform, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
-use crate::pipeline::{MemPort, OutMsg, Pe, PipelineParams, SysCtx};
+use crate::pipeline::{OutMsg, Pe, PipelineParams, SysCtx};
 use crate::stats::{EngineReport, PeStats, RunStats};
 use crate::uop::UopTable;
 use crate::wake::WakeSet;
@@ -25,7 +25,7 @@ use dta_mem::fault::{roll, SITE_FALLOC_DENY};
 use dta_mem::{MainMemory, MemorySystem};
 use dta_obs::{
     MetricsReport, MetricsSink, ObsEvent, ObsLog, ObsRecord, ObsSink, ObsStream, ThreadEvent,
-    ENGINE_UNIT, MSG_DELAY_SEQ_BIT, MSG_DUP_SEQ_BIT, MSG_SEQ_BIT,
+    MSG_DELAY_SEQ_BIT, MSG_DUP_SEQ_BIT, MSG_SEQ_BIT,
 };
 use dta_sched::dse::FallocDecision;
 use dta_sched::{Dest, Dse, InstanceId, Message, MsgSeq, PendingFalloc, ThreadState};
@@ -155,14 +155,13 @@ fn write_pe_report(f: &mut fmt::Formatter<'_>, pes: &[DeadlockPe]) -> fmt::Resul
 impl std::error::Error for RunError {}
 
 #[derive(PartialEq, Eq)]
-pub(crate) struct Event {
-    pub(crate) time: u64,
-    /// Source stamp: the canonical same-cycle tie-break. Partition-
-    /// independent, so the sequential and sharded engines deliver
-    /// same-cycle messages in the same order.
-    pub(crate) stamp: MsgSeq,
-    pub(crate) to: Dest,
-    pub(crate) msg: Message,
+struct Event {
+    time: u64,
+    /// Source stamp: the canonical same-cycle tie-break, so same-cycle
+    /// messages deliver in an order fixed by what their senders did.
+    stamp: MsgSeq,
+    to: Dest,
+    msg: Message,
 }
 
 impl Ord for Event {
@@ -178,47 +177,43 @@ impl PartialOrd for Event {
     }
 }
 
-/// Everything message delivery needs, over an arbitrary sub-range of the
-/// machine — the whole machine in the sequential engine, one shard's
-/// slice in the sharded engine. Indices arriving in messages are global;
-/// `pe_base`/`dse_base` translate them into the slices.
-pub(crate) struct DeliverEnv<'a> {
-    pub pes: &'a mut [Pe],
-    pub pe_base: u16,
-    pub dses: &'a mut [Dse],
-    pub dse_base: u16,
-    /// Send-stamp counters for the DSEs in `dses` (rank = total PEs +
-    /// node, continuing the PE rank space).
-    pub dse_stamps: &'a mut [MsgSeq],
-    pub program: &'a Program,
-    pub nodes: u16,
-    pub pes_per_node: u16,
-    pub msg_latency: u64,
-    /// Observability logs of the DSEs in `dses` (same indexing).
-    pub dse_obs: &'a mut [ObsLog],
+/// Everything message delivery needs. Indices arriving in messages
+/// index `pes` and `dses` directly.
+struct DeliverEnv<'a> {
+    pes: &'a mut [Pe],
+    dses: &'a mut [Dse],
+    /// Send-stamp counters of the DSEs (rank = total PEs + node,
+    /// continuing the PE rank space).
+    dse_stamps: &'a mut [MsgSeq],
+    program: &'a Program,
+    nodes: u16,
+    pes_per_node: u16,
+    msg_latency: u64,
+    /// Observability logs of the DSEs (same indexing).
+    dse_obs: &'a mut [ObsLog],
     /// Stamped posts generated by the delivery (absolute delivery times;
-    /// the caller routes them into its event queue or across shards).
-    pub posts: &'a mut Vec<OutMsg>,
+    /// the caller moves them into the event queue).
+    posts: &'a mut Vec<OutMsg>,
     /// Fault injection plan (None = fault-free).
-    pub faults: Option<FaultPlan>,
+    faults: Option<FaultPlan>,
     /// Resolved DSE crash/restart schedule (None = no DSE can crash; the
     /// gate for every failover code path).
-    pub failover: Option<&'a FailoverSchedule>,
+    failover: Option<&'a FailoverSchedule>,
 }
 
 impl DeliverEnv<'_> {
     #[inline]
     fn pe(&mut self, pe: u16) -> &mut Pe {
-        &mut self.pes[(pe - self.pe_base) as usize]
+        &mut self.pes[pe as usize]
     }
 
     fn record(&mut self, now: u64, pe: u16, instance: InstanceId, what: ThreadEvent) {
-        self.pes[(pe - self.pe_base) as usize].record(now, instance, what);
+        self.pes[pe as usize].record(now, instance, what);
     }
 
     /// Emits a structured event from `node`'s DSE (no-op with events off).
     fn dse_emit(&mut self, now: u64, node: u16, ev: ObsEvent) {
-        self.dse_obs[(node - self.dse_base) as usize].emit(now, ev);
+        self.dse_obs[node as usize].emit(now, ev);
     }
 }
 
@@ -226,10 +221,8 @@ impl DeliverEnv<'_> {
 /// corresponding observability events. The records are keyed by the
 /// faulted message's *own* stamp (`unit = src_rank`,
 /// `seq = stamp.seq | marker bits`) and the pre-transform delivery time,
-/// all of which are pure functions of the stamp and the plan — so the
-/// sequential engine's `post`, the shard router, and the barrier-time DMA
-/// merge produce bit-identical records for the same message.
-pub(crate) fn transform_obs(
+/// all of which are pure functions of the stamp and the plan.
+fn transform_obs(
     plan: &FaultPlan,
     time: u64,
     stamp: MsgSeq,
@@ -278,14 +271,12 @@ pub(crate) fn transform_obs(
 /// Handles the DSE crash/failover protocol for a message addressed to
 /// `node`'s DSE. Returns `true` when the message was consumed (the caller
 /// must not run the normal arms). All routing decisions are pure
-/// functions of the schedule and the current cycle, so both engines make
-/// them identically, and every post here delays by at least the message
-/// latency (the epoch width bound), keeping the sharded engine sound.
+/// functions of the schedule and the current cycle.
 fn deliver_failover(env: &mut DeliverEnv<'_>, now: u64, node: u16, msg: Message) -> bool {
     let Some(f) = env.failover else {
         return false;
     };
-    let di = (node - env.dse_base) as usize;
+    let di = node as usize;
     let detect = f.detect_latency();
     let msg_latency = env.msg_latency;
     let ppn = env.pes_per_node;
@@ -433,8 +424,7 @@ fn deliver_failover(env: &mut DeliverEnv<'_>, now: u64, node: u16, msg: Message)
 /// Handles the LSE crash/evacuation protocol for a message addressed to
 /// `pe`'s LSE. Returns `true` when the message was consumed. Mirrors
 /// [`deliver_failover`]: every routing decision is a pure function of the
-/// schedule and the current cycle, and every post delays by at least the
-/// message latency, keeping the sharded engine's epoch barrier sound.
+/// schedule and the current cycle.
 fn deliver_lse_failover(env: &mut DeliverEnv<'_>, now: u64, pe: u16, msg: Message) -> bool {
     let Some(f) = env.failover else {
         return false;
@@ -723,19 +713,17 @@ fn deliver_lse_failover(env: &mut DeliverEnv<'_>, now: u64, pe: u16, msg: Messag
 }
 
 /// Applies one message to its destination unit, collecting any posts it
-/// provokes. Shared verbatim between the sequential and sharded engines,
-/// which is what keeps their per-unit behaviour identical by
-/// construction.
-pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message) {
+/// provokes.
+fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message) {
     match to {
         Dest::Dse(node) => {
             // Detected LSE deaths are excluded from arbitration before any
             // handling. The set is a pure function of the schedule and the
-            // cycle, so both engines recompute it identically; a shrink
-            // (an LSE restart) can re-open capacity for parked requests.
+            // cycle; a shrink (an LSE restart) can re-open capacity for
+            // parked requests.
             if let Some(f) = env.failover {
                 if f.lse_dead_any() {
-                    let di = (node - env.dse_base) as usize;
+                    let di = node as usize;
                     let grants = env.dses[di].set_dead_pes(f.all_detected_dead_pes(now));
                     for (target, req) in grants {
                         let stamp = env.dse_stamps[di].bump();
@@ -752,7 +740,7 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                 return;
             }
             let msg_latency = env.msg_latency;
-            let dse = &mut env.dses[(node - env.dse_base) as usize];
+            let dse = &mut env.dses[node as usize];
             match msg {
                 Message::FallocRequest {
                     requester,
@@ -793,21 +781,20 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                         dse.force_queue(req);
                         env.dse_emit(now, node, ObsEvent::FallocDenied { node, requester });
                         let retry_at = now + env.faults.expect("checked").falloc_retry_timeout;
-                        let stamps = &mut env.dse_stamps[(node - env.dse_base) as usize];
-                        let stamp = stamps.bump();
+                        let stamp = env.dse_stamps[node as usize].bump();
                         env.posts.push((
                             done + msg_latency,
                             Dest::Pipeline(requester),
                             Message::FallocDeferred { for_inst },
                             stamp,
                         ));
-                        let stamp = env.dse_stamps[(node - env.dse_base) as usize].bump();
+                        let stamp = env.dse_stamps[node as usize].bump();
                         env.posts
                             .push((retry_at, Dest::Dse(node), Message::FallocRetry, stamp));
                         return;
                     }
                     let decision = dse.on_falloc(req, hops);
-                    let stamp = env.dse_stamps[(node - env.dse_base) as usize].bump();
+                    let stamp = env.dse_stamps[node as usize].bump();
                     match decision {
                         FallocDecision::Grant { pe } => {
                             env.posts.push((
@@ -857,7 +844,7 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                     let done = dse.reserve_op(now);
                     let grants = dse.on_frame_freed(pe);
                     for (target, req) in grants {
-                        let stamp = env.dse_stamps[(node - env.dse_base) as usize].bump();
+                        let stamp = env.dse_stamps[node as usize].bump();
                         env.posts.push((
                             done + msg_latency,
                             Dest::Lse(target),
@@ -885,7 +872,7 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                         },
                     );
                     for (target, req) in grants {
-                        let stamp = env.dse_stamps[(node - env.dse_base) as usize].bump();
+                        let stamp = env.dse_stamps[node as usize].bump();
                         env.posts.push((
                             done + msg_latency,
                             Dest::Lse(target),
@@ -921,8 +908,8 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                     // decoupled READ/WRITE path) — same results, degraded
                     // performance. Substituting here, at frame grant,
                     // keeps the decision deterministic: it depends only on
-                    // the PE's degraded flag at delivery time, which both
-                    // engines flip at the same logical admission.
+                    // the PE's degraded flag at delivery time, which flips
+                    // when the exhausting DMA command is accepted.
                     let program = env.program;
                     let mut thread = thread;
                     {
@@ -1067,8 +1054,8 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                     if p.lse.has_instance(owner) {
                         // Mirror of the issue-side increment: the overlap
                         // census closes at the same simulated point the
-                        // DmaCompleted event is stamped, in both engines
-                        // (deliveries precede ticks within a cycle).
+                        // DmaCompleted event is stamped (deliveries precede
+                        // ticks within a cycle).
                         p.dma_open = p.dma_open.saturating_sub(1);
                     }
                     if !p.current_dma_done(owner, tag) {
@@ -1097,17 +1084,6 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
         }
         Dest::Pipeline(pe) => {
             if env.failover.is_some() {
-                let p = env.pe(pe);
-                // A `ReadDone` whose issuing instance the crash destroyed
-                // still closes the orphaned wait span (charging the same
-                // bucket the sequential engine charged inline at issue).
-                if p.lse.ever_crashed() {
-                    if let Message::ReadDone { .. } = msg {
-                        if p.dead_read_done(now) {
-                            return;
-                        }
-                    }
-                }
                 // A dead PE's pipeline consumes nothing; after a restart,
                 // responses for instances the crash destroyed are stale
                 // and must drop instead of tripping delivery panics.
@@ -1118,7 +1094,6 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                             Message::FallocResponse { for_inst, .. } => {
                                 !p.expects_falloc_response(for_inst)
                             }
-                            Message::ReadDone { .. } => !p.expects_read(),
                             _ => false,
                         });
                 if stale {
@@ -1134,10 +1109,6 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
                     env.pe(pe).gauge_sync(now);
                     env.pe(pe).defer_falloc(now, for_inst);
                 }
-                Message::ReadDone { value, ready_at } => {
-                    env.pe(pe).gauge_sync(now);
-                    env.pe(pe).complete_read(now, value, ready_at);
-                }
                 other => panic!("pipeline {pe} received unexpected message {other:?}"),
             }
         }
@@ -1146,47 +1117,43 @@ pub(crate) fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message
 
 /// The simulated machine.
 pub struct System {
-    pub(crate) config: SystemConfig,
-    pub(crate) program: Arc<Program>,
+    config: SystemConfig,
+    program: Arc<Program>,
     /// The program's threads, decoded once for the pipelines.
-    pub(crate) uops: Arc<UopTable>,
-    pub(crate) pes: Vec<Pe>,
-    pub(crate) dses: Vec<Dse>,
-    pub(crate) dse_stamps: Vec<MsgSeq>,
-    pub(crate) memsys: MemorySystem,
-    pub(crate) mem: MainMemory,
-    pub(crate) events: BinaryHeap<Event>,
-    pub(crate) now: u64,
-    pub(crate) drain_until: u64,
+    uops: UopTable,
+    pes: Vec<Pe>,
+    dses: Vec<Dse>,
+    dse_stamps: Vec<MsgSeq>,
+    memsys: MemorySystem,
+    mem: MainMemory,
+    events: BinaryHeap<Event>,
+    now: u64,
+    drain_until: u64,
     launched: bool,
     /// Per-DSE observability logs (unit rank = total PEs + node).
-    pub(crate) dse_obs: Vec<ObsLog>,
-    /// Message-fault records (engine-invariant stamps; see `post`).
-    pub(crate) obs_misc: Vec<ObsRecord>,
-    /// The engine's own log (epoch boundaries; excluded from the
-    /// deterministic stream).
-    pub(crate) engine_obs: ObsLog,
+    dse_obs: Vec<ObsLog>,
+    /// Message-fault records (keyed by message stamps; see `post`).
+    obs_misc: Vec<ObsRecord>,
     /// The merged wall-order stream, built once at run end.
-    pub(crate) obs: Option<ObsStream>,
+    obs: Option<ObsStream>,
     obs_finalized: bool,
     /// Records already drained out of the per-unit rings by incremental
     /// streaming ([`ObsConfig::stream_interval`]); prepended to the
     /// final merge.
-    pub(crate) streamed: Vec<ObsRecord>,
+    streamed: Vec<ObsRecord>,
     /// Scratch batch buffer for `stream_obs_through` (reused across
     /// flushes).
-    pub(crate) stream_scratch: Vec<ObsRecord>,
+    stream_scratch: Vec<ObsRecord>,
     /// Optional live consumer: fed each streamed batch in wall order as
     /// the run progresses, then the post-run remainder at finalisation.
-    pub(crate) stream_sink: Option<Box<dyn ObsSink + Send>>,
-    /// Message-fault bookkeeping (shard counters merge in here).
-    pub(crate) fault_counts: FaultCounters,
+    stream_sink: Option<Box<dyn ObsSink + Send>>,
+    /// Message-fault bookkeeping.
+    fault_counts: FaultCounters,
     /// Host-engine execution report (how time was advanced; outside
-    /// [`RunStats`] so determinism suites can compare those bit-for-bit
-    /// across engines).
-    pub(crate) engine_report: EngineReport,
+    /// [`RunStats`], which must not depend on the host schedule).
+    engine_report: EngineReport,
     /// Resolved DSE crash/restart schedule (None = no DSE can crash).
-    pub(crate) failover: Option<Arc<FailoverSchedule>>,
+    failover: Option<FailoverSchedule>,
 }
 
 impl fmt::Debug for System {
@@ -1272,34 +1239,23 @@ impl System {
                 )
             })
             .collect();
-        let engine_obs = ObsLog::new(
-            ENGINE_UNIT,
-            config.obs.event_capacity,
-            config.obs.events_on(),
-            0,
-        );
         let dse_stamps = (0..config.nodes)
             .map(|node| MsgSeq::first(total + node as u32))
             .collect();
         // Resolve the DSE crash/restart schedule and pre-post its
         // injection events. The synthetic injector rank sits past every
         // real unit, so a same-cycle crash delivers after all real
-        // protocol traffic of that cycle — deterministically in both
-        // engines. `None` gates every failover code path (zero overhead
-        // when off).
-        let failover = config
-            .faults
-            .as_ref()
-            .and_then(|f| {
-                FailoverSchedule::from_plan(
-                    f,
-                    config.nodes,
-                    config.pes_per_node,
-                    config.frame_capacity,
-                    config.msg_latency,
-                )
-            })
-            .map(Arc::new);
+        // protocol traffic of that cycle. `None` gates every failover
+        // code path (zero overhead when off).
+        let failover = config.faults.as_ref().and_then(|f| {
+            FailoverSchedule::from_plan(
+                f,
+                config.nodes,
+                config.pes_per_node,
+                config.frame_capacity,
+                config.msg_latency,
+            )
+        });
         let mut events = BinaryHeap::new();
         if let Some(f) = &failover {
             for d in dses.iter_mut() {
@@ -1331,7 +1287,7 @@ impl System {
             }
             // Per-PE LSE injectors rank past the DSE injectors, so a
             // same-cycle LSE crash delivers after all DSE protocol
-            // traffic — deterministically in both engines.
+            // traffic.
             for pe in 0..config.total_pes() {
                 let Some(o) = f.lse_outage(pe) else { continue };
                 let rank = total + 2 * config.nodes as u32 + pe as u32;
@@ -1360,7 +1316,7 @@ impl System {
         Ok(System {
             memsys: config.memory_system(),
             config,
-            uops: Arc::new(UopTable::new(&program)),
+            uops: UopTable::new(&program),
             program,
             pes,
             dses,
@@ -1372,7 +1328,6 @@ impl System {
             launched: false,
             dse_obs,
             obs_misc: Vec::new(),
-            engine_obs,
             obs: None,
             obs_finalized: false,
             streamed: Vec::new(),
@@ -1395,8 +1350,8 @@ impl System {
     }
 
     /// How the host engine advanced time in the finished run (visited
-    /// cycles, ticks made/skipped, epoch barriers/merges). Host-side
-    /// only — simulated results are independent of it.
+    /// cycles, ticks made/skipped, deliveries). Host-side only —
+    /// simulated results are independent of it.
     pub fn engine_report(&self) -> &EngineReport {
         &self.engine_report
     }
@@ -1530,7 +1485,7 @@ impl System {
 
     /// The deterministic per-PE live-instance report shared by every
     /// diagnostic error variant.
-    pub(crate) fn live_report(&self) -> (usize, Vec<DeadlockPe>) {
+    fn live_report(&self) -> (usize, Vec<DeadlockPe>) {
         let live: usize = self.pes.iter().map(|p| p.lse.live_instances()).sum();
         let pes = self
             .pes
@@ -1546,7 +1501,7 @@ impl System {
 
     /// Builds the deterministic deadlock report (every PE's live
     /// instances, sorted).
-    pub(crate) fn deadlock_error(&self) -> RunError {
+    fn deadlock_error(&self) -> RunError {
         let (live, pes) = self.live_report();
         RunError::Deadlock {
             cycle: self.now,
@@ -1560,7 +1515,7 @@ impl System {
     /// means an injected unrecoverable fault ([`RunError::Watchdog`]);
     /// otherwise it is a plain [`RunError::Deadlock`] (a synchronisation
     /// bug in the program).
-    pub(crate) fn quiescence_error(&self) -> RunError {
+    fn quiescence_error(&self) -> RunError {
         let stalled_dma: u64 = self.pes.iter().map(|p| p.mfc.stats().stalled).sum();
         let parked: u64 = self.pes.iter().map(|p| p.watchdog_parks).sum();
         let crashed: u64 = self.dses.iter().map(|d| d.stats().crashes).sum();
@@ -1585,40 +1540,18 @@ impl System {
     /// quiescent machine with zero live instances but non-zero lost work
     /// did *not* complete the program — it must report a typed error, not
     /// success with silently missing results.
-    pub(crate) fn unrecovered_work(&self) -> u64 {
+    fn unrecovered_work(&self) -> u64 {
         self.pes.iter().map(|p| p.lse.unrecovered_work()).sum()
     }
 
     /// Builds the enriched cycle-limit error (same live-instance
     /// diagnostic as a deadlock).
-    pub(crate) fn cycle_limit_error(&self) -> RunError {
+    fn cycle_limit_error(&self) -> RunError {
         let (live, pes) = self.live_report();
         RunError::CycleLimit {
             cycle: self.config.max_cycles,
             live,
             pes,
-        }
-    }
-
-    /// Runs to completion; returns the collected statistics.
-    ///
-    /// Dispatches on [`SystemConfig::parallelism`]: `Off` runs the
-    /// sequential engine; `Threads`/`Auto` run the epoch-sharded engine
-    /// (which produces bit-identical results). The `sp_pf_overlap`
-    /// extension forces the sequential engine (the SP pipeline replays
-    /// instructions at future cycles, which the epoch ticket protocol
-    /// does not model).
-    pub fn run(&mut self) -> Result<RunStats, RunError> {
-        assert!(self.launched, "run() before launch()");
-        let threads = match self.config.parallelism {
-            Parallelism::Off => None,
-            _ if self.config.sp_pf_overlap => None,
-            Parallelism::Threads(n) => Some(n.max(1) as usize),
-            Parallelism::Auto => Some(std::thread::available_parallelism().map_or(1, |n| n.get())),
-        };
-        match threads {
-            None => self.run_sequential(),
-            Some(n) => crate::engine::run_sharded(self, n),
         }
     }
 
@@ -1649,9 +1582,7 @@ impl System {
             }
             let mut env = DeliverEnv {
                 pes: &mut self.pes,
-                pe_base: 0,
                 dses: &mut self.dses,
-                dse_base: 0,
                 dse_stamps: &mut self.dse_stamps,
                 program: &self.program,
                 nodes: self.config.nodes,
@@ -1660,7 +1591,7 @@ impl System {
                 dse_obs: &mut self.dse_obs,
                 posts,
                 faults: self.config.faults,
-                failover: self.failover.as_deref(),
+                failover: self.failover.as_ref(),
             };
             deliver(&mut env, self.now, e.to, e.msg);
             for (time, to, msg, stamp) in posts.drain(..) {
@@ -1670,10 +1601,10 @@ impl System {
     }
 
     /// Stamps the host-profiling tail onto a finished engine report —
-    /// total loop wall time (the sequential engines are one "shard") and
-    /// the shared memory system's request count — and installs it.
+    /// total loop wall time and the shared memory system's request count
+    /// — and installs it.
     fn seal_report(&mut self, mut report: EngineReport, wall: std::time::Instant) {
-        report.shard_wall_us = vec![wall.elapsed().as_micros() as u64];
+        report.run_wall_us = wall.elapsed().as_micros() as u64;
         report.mem_requests = self.memsys.stats().total();
         for pe in &self.pes {
             let m = pe.memo_counters();
@@ -1685,6 +1616,8 @@ impl System {
         self.engine_report = report;
     }
 
+    /// Runs to completion; returns the collected statistics.
+    ///
     /// Event-driven fast-forward: each PE carries a wake time in a
     /// [`WakeSet`] and only *due* PEs tick at a visited cycle.
     ///
@@ -1695,8 +1628,8 @@ impl System {
     /// * `Activity::Blocked(t)`, `t < u64::MAX` → tick at `t` (pipeline
     ///   `resume_at`, MFC backoff, dispatch penalty);
     /// * a message delivered to the PE's LSE or pipeline → tick at the
-    ///   delivery cycle itself (`complete_read` sets `resume_at = now`, so
-    ///   deferring that tick would lose a cycle);
+    ///   delivery cycle itself (deliveries precede ticks within a cycle,
+    ///   so the message can make the PE runnable in that very cycle);
     /// * `Activity::Blocked(u64::MAX)` / `Activity::Idle` → no wake: only
     ///   a delivery can make the PE runnable again.
     ///
@@ -1707,7 +1640,8 @@ impl System {
     /// runs (DESIGN.md §12 has the full argument; the golden digests in
     /// `tests/golden.rs` pin the results). Within a cycle the due PEs tick
     /// in ascending PE order, which is the memory-port reservation order.
-    pub(crate) fn run_sequential(&mut self) -> Result<RunStats, RunError> {
+    pub fn run(&mut self) -> Result<RunStats, RunError> {
+        assert!(self.launched, "run() before launch()");
         let wall = std::time::Instant::now();
         let npes = self.pes.len();
         let mut outbox: Vec<OutMsg> = Vec::new();
@@ -1754,12 +1688,13 @@ impl System {
                     ..
                 } = self;
                 let mut ctx = SysCtx {
-                    port: MemPort::Direct { sys: memsys, mem },
+                    sys: memsys,
+                    mem,
                     program,
                     uops,
                     out: &mut outbox,
                     drain_until,
-                    failover: failover.as_deref(),
+                    failover: failover.as_ref(),
                 };
                 report.pe_ticks += wakes.tick_due(now, |p| pes[p as usize].tick(now, &mut ctx));
             }
@@ -1802,8 +1737,8 @@ impl System {
     }
 
     /// Merges every unit's observability log into the wall-order stream
-    /// (idempotent; called once at the end of either engine).
-    pub(crate) fn finalize_obs(&mut self, final_cycle: u64) {
+    /// (idempotent; called once at the end of the run).
+    fn finalize_obs(&mut self, final_cycle: u64) {
         if self.obs_finalized {
             return;
         }
@@ -1824,9 +1759,6 @@ impl System {
             dropped += log.drain_into(&mut tail);
         }
         tail.append(&mut self.obs_misc);
-        // Epoch records ride along for export but are excluded from the
-        // deterministic stream — and their drops from the drop count.
-        let _ = self.engine_obs.drain_into(&mut tail);
         if let Some(sink) = self.stream_sink.as_deref_mut() {
             // Everything streamed mid-run was already fed; deliver the
             // remainder in wall order, then the final drop count.
@@ -1849,7 +1781,7 @@ impl System {
     /// sound for the same reason lazy flushing is: unit state is
     /// untouched between visits, so the samples are identical whenever
     /// they materialise (DESIGN.md §12).
-    pub(crate) fn stream_obs_through(&mut self, h: u64) {
+    fn stream_obs_through(&mut self, h: u64) {
         let mut batch = std::mem::take(&mut self.stream_scratch);
         debug_assert!(batch.is_empty());
         for pe in &mut self.pes {
@@ -1922,7 +1854,7 @@ impl System {
         ))
     }
 
-    pub(crate) fn collect(&self, final_cycle: u64) -> RunStats {
+    fn collect(&self, final_cycle: u64) -> RunStats {
         let per_pe: Vec<PeStats> = self.pes.iter().map(|p| p.stats).collect();
         let mut aggregate = PeStats::default();
         for s in &per_pe {

@@ -1,5 +1,4 @@
-//! Per-PE wake bookkeeping, shared by the sequential and the sharded
-//! run loops.
+//! Per-PE wake bookkeeping for the run loop.
 //!
 //! Each PE carries its earliest scheduled tick, `wake[p]` (`u64::MAX` =
 //! none: only a message delivery can make it runnable again). A tick's
@@ -18,8 +17,8 @@
 //! its time no longer matches `wake[pe]`.
 //!
 //! [`WakeSet::tick_due`] merges the active list and the due heap entries
-//! in ascending PE order — the memory-port reservation order both
-//! engines rely on — and ticks a PE only if `wake[pe]` is the current
+//! in ascending PE order — the memory-port reservation order the golden
+//! digests pin — and ticks a PE only if `wake[pe]` is the current
 //! cycle at tick time. That check is what makes a PE tick exactly once
 //! when it is listed twice: a delivery can pull a PE ahead of a pending
 //! `Blocked(t)` wake, and if that tick then returns `Active` with

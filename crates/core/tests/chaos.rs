@@ -2,11 +2,10 @@
 //!
 //! Under any seeded [`FaultPlan`], a benchmark must either complete with
 //! results identical to the fault-free oracle, or fail with a typed
-//! [`RunError`] — never hang, never panic — and the entire outcome
-//! (including every `RunStats` counter) must be bit-identical across
-//! `Parallelism::Off` and `Parallelism::Threads(n)`.
+//! [`RunError`] — never hang, never panic — and every completed run must
+//! conserve its cycle attribution.
 
-use dta_core::{simulate, FaultPlan, Parallelism, RunError, RunStats, System, SystemConfig};
+use dta_core::{simulate, FaultPlan, RunError, RunStats, System, SystemConfig};
 use dta_mem::fault::{roll, SITE_DSE_CRASH, SITE_LSE_CRASH};
 use dta_workloads::{bitcnt, mmul, zoom, Variant, WorkloadProgram};
 use std::sync::Arc;
@@ -38,10 +37,9 @@ impl Rng {
     }
 }
 
-fn cfg(faults: Option<FaultPlan>, par: Parallelism) -> SystemConfig {
+fn cfg(faults: Option<FaultPlan>) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
     cfg.max_cycles = MAX_CYCLES;
-    cfg.parallelism = par;
     cfg.faults = faults;
     cfg
 }
@@ -49,70 +47,34 @@ fn cfg(faults: Option<FaultPlan>, par: Parallelism) -> SystemConfig {
 fn run(
     build: &dyn Fn() -> WorkloadProgram,
     faults: Option<FaultPlan>,
-    par: Parallelism,
 ) -> Result<(RunStats, System), RunError> {
     let wp = build();
-    simulate(cfg(faults, par), Arc::new(wp.program), &wp.args)
+    simulate(cfg(faults), Arc::new(wp.program), &wp.args)
 }
 
-const ENGINES: [Parallelism; 3] = [
-    Parallelism::Off,
-    Parallelism::Threads(2),
-    Parallelism::Threads(4),
-];
-
-/// Runs `build` under `plan` on every engine and checks the outcomes are
-/// identical: all `Ok` with bit-identical stats and verified results, or
-/// all `Err` with the same variant. Returns the sequential outcome.
-fn engine_invariant_outcome(
+/// Runs `build` under `plan`. A completed run must conserve its fine
+/// cycle attribution and pass `verify`; a failed one returns its typed
+/// error.
+fn checked_outcome(
     name: &str,
     build: &dyn Fn() -> WorkloadProgram,
     plan: FaultPlan,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) -> Result<RunStats, RunError> {
-    let oracle = run(build, Some(plan), Parallelism::Off);
-    for par in ENGINES {
-        let got = run(build, Some(plan), par);
-        match (&oracle, &got) {
-            (Ok((os, _)), Ok((gs, sys))) => {
-                assert_eq!(
-                    os, gs,
-                    "{name} seed={:#x}: {par:?} stats diverged",
-                    plan.seed
-                );
-                // Conservation holds under arbitrary seeded fault plans:
-                // crashes, degradation and retries must never leak a
-                // cycle out of the exclusive fine attribution.
-                for (pe, p) in gs.per_pe.iter().enumerate() {
-                    assert_eq!(
-                        p.total_fine_cycles(),
-                        p.total_cycles(),
-                        "{name} seed={:#x}: fine-attribution conservation \
-                         violated on PE {pe} under {par:?}",
-                        plan.seed
-                    );
-                }
-                verify(sys).unwrap_or_else(|e| {
-                    panic!("{name} seed={:#x}: {par:?} wrong result: {e}", plan.seed)
-                });
-            }
-            (Err(oe), Err(ge)) => {
-                assert_eq!(
-                    std::mem::discriminant(oe),
-                    std::mem::discriminant(ge),
-                    "{name} seed={:#x}: {par:?} error kind diverged: {oe} vs {ge}",
-                    plan.seed
-                );
-            }
-            (o, g) => panic!(
-                "{name} seed={:#x}: outcome diverged: Off {} vs {par:?} {}",
-                plan.seed,
-                if o.is_ok() { "Ok" } else { "Err" },
-                if g.is_ok() { "Ok" } else { "Err" },
-            ),
-        }
+    let (stats, sys) = run(build, Some(plan))?;
+    // Conservation holds under arbitrary seeded fault plans: crashes,
+    // degradation and retries must never leak a cycle out of the
+    // exclusive fine attribution.
+    for (pe, p) in stats.per_pe.iter().enumerate() {
+        assert_eq!(
+            p.total_fine_cycles(),
+            p.total_cycles(),
+            "{name} seed={:#x}: fine-attribution conservation violated on PE {pe}",
+            plan.seed
+        );
     }
-    oracle.map(|(s, _)| s)
+    verify(&sys).unwrap_or_else(|e| panic!("{name} seed={:#x}: wrong result: {e}", plan.seed));
+    Ok(stats)
 }
 
 struct Bench {
@@ -145,7 +107,7 @@ const BENCHES: [Bench; 3] = [
 #[test]
 fn recoverable_dma_faults_preserve_results() {
     for bench in &BENCHES {
-        let clean = run(&bench.build, None, Parallelism::Off).expect("fault-free run");
+        let clean = run(&bench.build, None).expect("fault-free run");
         (bench.verify)(&clean.1).expect("fault-free result");
 
         let mut retries_seen = 0;
@@ -153,7 +115,7 @@ fn recoverable_dma_faults_preserve_results() {
             let mut plan = FaultPlan::seeded(seed);
             plan.dma_fail_ppm = 50_000;
             plan.dma_backoff_base = 16;
-            let stats = engine_invariant_outcome(bench.name, &bench.build, plan, &bench.verify)
+            let stats = checked_outcome(bench.name, &bench.build, plan, &bench.verify)
                 .unwrap_or_else(|e| panic!("{} seed={seed}: {e}", bench.name));
             assert_eq!(
                 stats.instructions, clean.0.instructions,
@@ -182,7 +144,7 @@ fn dma_exhaustion_degrades_to_fallback_threads() {
         plan.dma_fail_ppm = 1_000_000;
         plan.dma_retry_budget = 2;
         plan.dma_backoff_base = 8;
-        let stats = engine_invariant_outcome(bench.name, &bench.build, plan, &bench.verify)
+        let stats = checked_outcome(bench.name, &bench.build, plan, &bench.verify)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         assert!(stats.dma_exhausted > 0, "{}: no exhaustion", bench.name);
         assert!(
@@ -199,7 +161,7 @@ fn dma_exhaustion_degrades_to_fallback_threads() {
 }
 
 /// Dropped, duplicated, and delayed scheduler messages are recovered by
-/// re-send and duplicate discard; results stay correct and engines agree.
+/// re-send and duplicate discard; results stay correct.
 #[test]
 fn message_faults_are_recovered() {
     for bench in &BENCHES {
@@ -209,7 +171,7 @@ fn message_faults_are_recovered() {
             plan.msg_drop_ppm = 20_000;
             plan.msg_dup_ppm = 20_000;
             plan.msg_delay_ppm = 20_000;
-            let stats = engine_invariant_outcome(bench.name, &bench.build, plan, &bench.verify)
+            let stats = checked_outcome(bench.name, &bench.build, plan, &bench.verify)
                 .unwrap_or_else(|e| panic!("{} seed={seed}: {e}", bench.name));
             fired.0 += stats.msgs_dropped;
             fired.1 += stats.msgs_duplicated;
@@ -231,21 +193,20 @@ fn falloc_denials_are_re_arbitrated() {
         let mut plan = FaultPlan::seeded(21);
         plan.falloc_deny_ppm = 200_000;
         plan.falloc_retry_timeout = 300;
-        let stats = engine_invariant_outcome(bench.name, &bench.build, plan, &bench.verify)
+        let stats = checked_outcome(bench.name, &bench.build, plan, &bench.verify)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         assert!(stats.falloc_denials > 0, "{}: no denials fired", bench.name);
     }
 }
 
 /// Permanently wedged DMA commands cannot complete; the run must end in a
-/// typed `Watchdog` error (not a hang, not a bare deadlock report), and
-/// both engines must agree.
+/// typed `Watchdog` error (not a hang, not a bare deadlock report).
 #[test]
 fn permanent_stalls_trip_the_watchdog() {
     for bench in &BENCHES {
         let mut plan = FaultPlan::seeded(31);
         plan.dma_stall_ppm = 1_000_000;
-        let err = engine_invariant_outcome(bench.name, &bench.build, plan, &bench.verify)
+        let err = checked_outcome(bench.name, &bench.build, plan, &bench.verify)
             .expect_err("an all-stall plan cannot complete");
         match err {
             RunError::Watchdog { stalled_dma, .. } => {
@@ -258,51 +219,27 @@ fn permanent_stalls_trip_the_watchdog() {
 
 /// A 2-node, 8-PE machine (failover needs peers; total PE count matches
 /// the paper platform so the benchmarks still fit comfortably).
-fn crash_cfg(faults: Option<FaultPlan>, par: Parallelism) -> SystemConfig {
+fn crash_cfg(faults: Option<FaultPlan>) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
     cfg.nodes = 2;
     cfg.pes_per_node = 4;
     cfg.max_cycles = MAX_CYCLES;
-    cfg.parallelism = par;
     cfg.faults = faults;
     cfg
 }
 
-/// Like [`engine_invariant_outcome`] but over an arbitrary config
-/// builder, so crash tests can use multi-node topologies.
-fn engine_invariant_cfg(
+/// Runs `build` under `cfg` (crash tests use multi-node topologies); a
+/// completed run must pass `verify`.
+fn checked_cfg(
     name: &str,
-    mk_cfg: &dyn Fn(Parallelism) -> SystemConfig,
+    cfg: SystemConfig,
     build: &dyn Fn() -> WorkloadProgram,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) -> Result<RunStats, RunError> {
-    let go = |par: Parallelism| {
-        let wp = build();
-        simulate(mk_cfg(par), Arc::new(wp.program), &wp.args)
-    };
-    let oracle = go(Parallelism::Off);
-    for par in ENGINES {
-        let got = go(par);
-        match (&oracle, &got) {
-            (Ok((os, _)), Ok((gs, sys))) => {
-                assert_eq!(os, gs, "{name}: {par:?} stats diverged");
-                verify(sys).unwrap_or_else(|e| panic!("{name}: {par:?} wrong result: {e}"));
-            }
-            (Err(oe), Err(ge)) => {
-                assert_eq!(
-                    std::mem::discriminant(oe),
-                    std::mem::discriminant(ge),
-                    "{name}: {par:?} error kind diverged: {oe} vs {ge}"
-                );
-            }
-            (o, g) => panic!(
-                "{name}: outcome diverged: Off {} vs {par:?} {}",
-                if o.is_ok() { "Ok" } else { "Err" },
-                if g.is_ok() { "Ok" } else { "Err" },
-            ),
-        }
-    }
-    oracle.map(|(s, _)| s)
+    let wp = build();
+    let (stats, sys) = simulate(cfg, Arc::new(wp.program), &wp.args)?;
+    verify(&sys).unwrap_or_else(|e| panic!("{name}: wrong result: {e}"));
+    Ok(stats)
 }
 
 /// The smallest seed whose per-node crash rolls match `want` exactly
@@ -319,7 +256,7 @@ fn seed_where(ppm: u32, want: &[bool]) -> u64 {
 
 /// One node's DSE dies mid-run and never comes back: arbitration fails
 /// over to the surviving peer, the dead node's LSEs re-register, and the
-/// run completes with verified results — identically on every engine.
+/// run completes with verified results.
 #[test]
 fn dse_crash_single_failure_fails_over_and_completes() {
     let ppm = 500_000;
@@ -328,9 +265,9 @@ fn dse_crash_single_failure_fails_over_and_completes() {
     plan.dse_crash_ppm = ppm;
     plan.dse_crash_window = 10_000;
     plan.dse_failover_detect = 500;
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "bitcnt(1024)+crash",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| bitcnt::build(1024, Variant::HandPrefetch),
         &|s| bitcnt::verify(s, 1024),
     )
@@ -356,9 +293,9 @@ fn dse_crash_restart_rejoins_cold() {
     plan.dse_crash_window = 10_000;
     plan.dse_failover_detect = 500;
     plan.dse_restart_after = 20_000;
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "mmul(16)+crash+restart",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| mmul::build(16, Variant::HandPrefetch),
         &|s| mmul::verify(s, 16),
     )
@@ -380,9 +317,9 @@ fn dse_crash_restart_during_rehome_keeps_arbitration_home() {
     plan.dse_crash_window = 10_000;
     plan.dse_failover_detect = 2_000;
     plan.dse_restart_after = 100; // well inside the lease
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "zoom(16)+fast-restart",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| zoom::build(16, Variant::HandPrefetch),
         &|s| zoom::verify(s, 16),
     )
@@ -396,17 +333,17 @@ fn dse_crash_restart_during_rehome_keeps_arbitration_home() {
 
 /// Double failure including crash-of-successor: every DSE dies and nobody
 /// restarts. The run must end in a typed `Watchdog` error carrying the
-/// crash evidence — not a hang, not a panic — on every engine.
+/// crash evidence — not a hang, not a panic.
 #[test]
 fn dse_crash_total_loss_is_a_typed_error() {
     let mut plan = FaultPlan::seeded(0xDEAD);
     plan.dse_crash_ppm = 1_000_000; // every node, including each successor
     plan.dse_crash_window = 2_000;
     plan.dse_failover_detect = 300;
-    let err = engine_invariant_cfg(
+    let err = checked_cfg(
         "bitcnt(1024)+total-loss",
-        &|par| {
-            let mut cfg = crash_cfg(Some(plan), par);
+        {
+            let mut cfg = crash_cfg(Some(plan));
             cfg.nodes = 4;
             cfg.pes_per_node = 2;
             cfg
@@ -433,10 +370,10 @@ fn dse_crash_total_loss_with_restarts_recovers() {
     plan.dse_crash_window = 2_000;
     plan.dse_failover_detect = 300;
     plan.dse_restart_after = 5_000;
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "bitcnt(1024)+restarts",
-        &|par| {
-            let mut cfg = crash_cfg(Some(plan), par);
+        {
+            let mut cfg = crash_cfg(Some(plan));
             cfg.nodes = 4;
             cfg.pes_per_node = 2;
             cfg
@@ -460,13 +397,8 @@ fn dse_crash_quiet_plan_is_byte_identical_to_off() {
     let off = FaultPlan::seeded(quiet);
     let wp = bitcnt::build(1024, Variant::HandPrefetch);
     let prog = Arc::new(wp.program);
-    let (s_on, _) = simulate(
-        crash_cfg(Some(on), Parallelism::Off),
-        prog.clone(),
-        &wp.args,
-    )
-    .expect("on");
-    let (s_off, _) = simulate(crash_cfg(Some(off), Parallelism::Off), prog, &wp.args).expect("off");
+    let (s_on, _) = simulate(crash_cfg(Some(on)), prog.clone(), &wp.args).expect("on");
+    let (s_off, _) = simulate(crash_cfg(Some(off)), prog, &wp.args).expect("off");
     assert_eq!(s_on, s_off, "a quiet crash plan must cost nothing");
     assert_eq!(s_on.dse_crashes, 0);
     assert_eq!(s_on.failovers, 0);
@@ -476,9 +408,9 @@ fn dse_crash_quiet_plan_is_byte_identical_to_off() {
 
 /// Randomised crash sweep: any mix of crash rate, window, lease and
 /// restart policy — stacked on light DMA/message faults — terminates in a
-/// verified result or a typed error, bit-identically on every engine.
+/// verified result or a typed error.
 #[test]
-fn dse_crash_sweep_is_engine_invariant_and_bounded() {
+fn dse_crash_sweep_is_bounded() {
     let mut rng = Rng::new(SEED ^ 0xD5EC);
     for case in 0..4 {
         let mut plan = FaultPlan::seeded(rng.next());
@@ -494,9 +426,9 @@ fn dse_crash_sweep_is_engine_invariant_and_bounded() {
         plan.msg_drop_ppm = rng.below(5_000) as u32;
         plan.msg_dup_ppm = rng.below(5_000) as u32;
         let bench = &BENCHES[case % BENCHES.len()];
-        let outcome = engine_invariant_cfg(
+        let outcome = checked_cfg(
             bench.name,
-            &|par| crash_cfg(Some(plan), par),
+            crash_cfg(Some(plan)),
             &bench.build,
             &bench.verify,
         );
@@ -517,9 +449,8 @@ fn dse_crash_sweep_is_engine_invariant_and_bounded() {
 
 /// Restart-vs-in-flight-message race: the DSE restarts just after its
 /// silence lease expires, so bounced FALLOCs, the failover hand-off, and
-/// the restart resync are all in flight at once. Whatever interleaving
-/// results must be bit-identical across engines (the
-/// [`engine_invariant_cfg`] harness asserts exactly that).
+/// the restart resync are all in flight at once; the run must still
+/// complete verified.
 #[test]
 fn dse_crash_restart_races_in_flight_messages() {
     let ppm = 500_000;
@@ -529,9 +460,9 @@ fn dse_crash_restart_races_in_flight_messages() {
     plan.dse_crash_window = 10_000;
     plan.dse_failover_detect = 500;
     plan.dse_restart_after = 600; // restart lands amid the bounce traffic
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "bitcnt(1024)+restart-race",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| bitcnt::build(1024, Variant::HandPrefetch),
         &|s| bitcnt::verify(s, 1024),
     )
@@ -556,8 +487,7 @@ const LSE_ONE: [bool; 8] = [true, false, false, false, false, false, false, fals
 
 /// One LSE dies mid-run and never comes back: pre-start frames are
 /// evacuated to a live peer, started instances are killed and replayed
-/// via fresh FALLOCs, and the run completes with verified results —
-/// identically on every engine.
+/// via fresh FALLOCs, and the run completes with verified results.
 #[test]
 fn lse_crash_single_failure_recovers_and_completes() {
     let ppm = 500_000;
@@ -565,9 +495,9 @@ fn lse_crash_single_failure_recovers_and_completes() {
     plan.lse_crash_ppm = ppm;
     plan.lse_crash_window = 5_000;
     plan.lse_detect = 500;
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "bitcnt(1024)+lse-crash",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| bitcnt::build(1024, Variant::HandPrefetch),
         &|s| bitcnt::verify(s, 1024),
     )
@@ -594,9 +524,9 @@ fn lse_crash_kills_started_instances_and_replays() {
     plan.lse_crash_window = 5_000;
     plan.lse_detect = 500;
     plan.lse_restart_after = 20_000;
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "bitcnt(1024)+lse-kill",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| bitcnt::build(1024, Variant::HandPrefetch),
         &|s| bitcnt::verify(s, 1024),
     )
@@ -610,7 +540,7 @@ fn lse_crash_kills_started_instances_and_replays() {
 
 /// The crashed LSE restarts after its planned outage: it rejoins cold
 /// with an empty frame table, re-registers with its arbiter, and serves
-/// new FALLOCs again — verified completion on every engine.
+/// new FALLOCs again — verified completion.
 #[test]
 fn lse_crash_restart_rejoins_cold() {
     let ppm = 500_000;
@@ -619,9 +549,9 @@ fn lse_crash_restart_rejoins_cold() {
     plan.lse_crash_window = 5_000;
     plan.lse_detect = 500;
     plan.lse_restart_after = 10_000;
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "bitcnt(1024)+lse-restart",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| bitcnt::build(1024, Variant::HandPrefetch),
         &|s| bitcnt::verify(s, 1024),
     )
@@ -673,18 +603,13 @@ fn lse_crash_with_dse_crash_on_same_node_recovers() {
         .copied()
         .find(|&s| {
             let wp = bitcnt::build(1024, Variant::HandPrefetch);
-            simulate(
-                crash_cfg(Some(mk_plan(s)), Parallelism::Off),
-                Arc::new(wp.program),
-                &wp.args,
-            )
-            .is_ok()
+            simulate(crash_cfg(Some(mk_plan(s))), Arc::new(wp.program), &wp.args).is_ok()
         })
         .expect("no candidate seed recovers from the compound failure");
     let plan = mk_plan(seed);
-    let stats = engine_invariant_cfg(
+    let stats = checked_cfg(
         "bitcnt(1024)+lse+dse-crash",
-        &|par| crash_cfg(Some(plan), par),
+        crash_cfg(Some(plan)),
         &|| bitcnt::build(1024, Variant::HandPrefetch),
         &|s| bitcnt::verify(s, 1024),
     )
@@ -705,13 +630,8 @@ fn lse_crash_quiet_plan_is_byte_identical_to_off() {
     let off = FaultPlan::seeded(quiet);
     let wp = bitcnt::build(1024, Variant::HandPrefetch);
     let prog = Arc::new(wp.program);
-    let (s_on, _) = simulate(
-        crash_cfg(Some(on), Parallelism::Off),
-        prog.clone(),
-        &wp.args,
-    )
-    .expect("on");
-    let (s_off, _) = simulate(crash_cfg(Some(off), Parallelism::Off), prog, &wp.args).expect("off");
+    let (s_on, _) = simulate(crash_cfg(Some(on)), prog.clone(), &wp.args).expect("on");
+    let (s_off, _) = simulate(crash_cfg(Some(off)), prog, &wp.args).expect("off");
     assert_eq!(s_on, s_off, "a quiet LSE crash plan must cost nothing");
     assert_eq!(s_on.lse_crashes, 0);
     assert_eq!(s_on.evacuated_frames, 0);
@@ -721,10 +641,9 @@ fn lse_crash_quiet_plan_is_byte_identical_to_off() {
 
 /// Randomised LSE crash sweep: any mix of crash rate, window, detect
 /// latency and restart policy — stacked on light DMA/message faults —
-/// terminates in a verified result or a typed error, bit-identically on
-/// every engine.
+/// terminates in a verified result or a typed error.
 #[test]
-fn lse_crash_sweep_is_engine_invariant_and_bounded() {
+fn lse_crash_sweep_is_bounded() {
     let mut rng = Rng::new(SEED ^ 0x15EC);
     for case in 0..4 {
         let mut plan = FaultPlan::seeded(rng.next());
@@ -740,9 +659,9 @@ fn lse_crash_sweep_is_engine_invariant_and_bounded() {
         plan.msg_drop_ppm = rng.below(5_000) as u32;
         plan.msg_dup_ppm = rng.below(5_000) as u32;
         let bench = &BENCHES[case % BENCHES.len()];
-        let outcome = engine_invariant_cfg(
+        let outcome = checked_cfg(
             bench.name,
-            &|par| crash_cfg(Some(plan), par),
+            crash_cfg(Some(plan)),
             &bench.build,
             &bench.verify,
         );
@@ -762,13 +681,13 @@ fn lse_crash_sweep_is_engine_invariant_and_bounded() {
 }
 
 /// Acceptance check at the paper's full benchmark sizes — bitcnt(10000),
-/// mmul(32), zoom(32) — under a seeded single-node crash: every engine
+/// mmul(32), zoom(32) — under a seeded single-node crash: each run
 /// completes verified with the crash and failover counters lit. Slow
 /// (minutes), so ignored by default; the quick-size `dse_crash_*` tests
 /// enforce the same property in CI. Run with `-- --ignored`.
 #[test]
 #[ignore = "paper-size acceptance run (minutes); quick-size dse_crash tests cover CI"]
-fn dse_crash_paper_sizes_engine_invariant() {
+fn dse_crash_paper_sizes_complete() {
     type Build = fn() -> WorkloadProgram;
     type Verify = fn(&System) -> Result<(), String>;
     let benches: [(&str, Build, Verify); 3] = [
@@ -795,10 +714,10 @@ fn dse_crash_paper_sizes_engine_invariant() {
     plan.dse_crash_window = 10_000;
     plan.dse_failover_detect = 500;
     for (name, build, verify) in benches {
-        let stats = engine_invariant_cfg(
+        let stats = checked_cfg(
             name,
-            &|par| {
-                let mut cfg = crash_cfg(Some(plan), par);
+            {
+                let mut cfg = crash_cfg(Some(plan));
                 cfg.max_cycles = 100_000_000;
                 cfg
             },
@@ -813,11 +732,11 @@ fn dse_crash_paper_sizes_engine_invariant() {
     }
 }
 
-/// Randomised sweep: whatever the mix of fault rates, every engine
-/// produces the same outcome — verified results or the same typed error —
-/// within the cycle bound. The test finishing at all is the no-hang proof.
+/// Randomised sweep: whatever the mix of fault rates, the run ends in
+/// verified results or a typed error within the cycle bound. The test
+/// finishing at all is the no-hang proof.
 #[test]
-fn chaos_sweep_is_engine_invariant_and_bounded() {
+fn chaos_sweep_is_bounded() {
     let mut rng = Rng::new(SEED);
     for case in 0..6 {
         let mut plan = FaultPlan::seeded(rng.next());
@@ -830,7 +749,7 @@ fn chaos_sweep_is_engine_invariant_and_bounded() {
         plan.msg_delay_ppm = rng.below(10_000) as u32;
         plan.falloc_deny_ppm = rng.below(50_000) as u32;
         let bench = &BENCHES[case % BENCHES.len()];
-        let outcome = engine_invariant_outcome(bench.name, &bench.build, plan, &bench.verify);
+        let outcome = checked_outcome(bench.name, &bench.build, plan, &bench.verify);
         if let Err(e) = outcome {
             assert!(
                 matches!(
@@ -850,15 +769,14 @@ fn chaos_sweep_is_engine_invariant_and_bounded() {
 /// observability bus reconciles *exactly* with the `RunStats` counters —
 /// the two are independent tallies of the same incidents (counters
 /// accumulate in the substrate, events on the bus), so any drift is a
-/// lost or double-counted incident. Checked on every engine, across
-/// plans that exercise each event family.
+/// lost or double-counted incident. Checked across plans that exercise
+/// each event family.
 #[test]
 fn obs_events_reconcile_with_run_stats() {
     use dta_core::{CountingSink, ObsMode};
 
-    // (name, plan, multi-node?) — all plans must complete Ok: retry
-    // events are emitted when a DMA plan is admitted but counted when it
-    // commits, so exactness holds only when everything planned runs.
+    // (name, plan, multi-node?) — all plans must complete Ok: the
+    // reconciliation reads the finished run's `RunStats`.
     let dma = {
         let mut p = FaultPlan::seeded(1);
         p.dma_fail_ppm = 50_000;
@@ -917,12 +835,7 @@ fn obs_events_reconcile_with_run_stats() {
             .take(8)
             .find(|&s| {
                 let wp = mmul::build(16, Variant::HandPrefetch);
-                simulate(
-                    crash_cfg(Some(mk(s)), Parallelism::Off),
-                    Arc::new(wp.program),
-                    &wp.args,
-                )
-                .is_ok()
+                simulate(crash_cfg(Some(mk(s))), Arc::new(wp.program), &wp.args).is_ok()
             })
             .expect("no candidate LSE crash seed completes under mmul");
         mk(seed)
@@ -938,94 +851,92 @@ fn obs_events_reconcile_with_run_stats() {
 
     let mut families = CountingSink::default();
     for (name, plan, multi_node) in scenarios {
-        for par in ENGINES {
-            let mut cfg = if multi_node {
-                crash_cfg(Some(plan), par)
-            } else {
-                cfg(Some(plan), par)
-            };
-            cfg.obs.mode = ObsMode::Events;
-            let wp = mmul::build(16, Variant::HandPrefetch);
-            let (stats, sys) = simulate(cfg, Arc::new(wp.program), &wp.args)
-                .unwrap_or_else(|e| panic!("{name} {par:?}: plan must complete: {e}"));
-            mmul::verify(&sys, 16).unwrap_or_else(|e| panic!("{name} {par:?}: {e}"));
+        let mut cfg = if multi_node {
+            crash_cfg(Some(plan))
+        } else {
+            cfg(Some(plan))
+        };
+        cfg.obs.mode = ObsMode::Events;
+        let wp = mmul::build(16, Variant::HandPrefetch);
+        let (stats, sys) = simulate(cfg, Arc::new(wp.program), &wp.args)
+            .unwrap_or_else(|e| panic!("{name}: plan must complete: {e}"));
+        mmul::verify(&sys, 16).unwrap_or_else(|e| panic!("{name}: {e}"));
 
-            let stream = sys.obs().expect("events enabled");
+        let stream = sys.obs().expect("events enabled");
+        assert_eq!(
+            stream.dropped, 0,
+            "{name}: ring overflow would break exact reconciliation"
+        );
+        let mut sink = CountingSink::default();
+        stream.feed(&mut sink);
+
+        let pairs: [(&str, u64, u64); 16] = [
+            ("dma_retries", sink.dma_retries, stats.dma_retries),
+            ("dma_exhausted", sink.dma_exhausted, stats.dma_exhausted),
+            (
+                "degraded_pes",
+                sink.degraded_pes,
+                stats.degraded_pes.len() as u64,
+            ),
+            ("watchdog_parks", sink.watchdog_parks, stats.watchdog_parks),
+            (
+                "fallback_instances",
+                sink.fallback_instances,
+                stats.fallback_instances,
+            ),
+            ("msgs_dropped", sink.msgs_dropped, stats.msgs_dropped),
+            (
+                "msgs_duplicated",
+                sink.msgs_duplicated,
+                stats.msgs_duplicated,
+            ),
+            ("msgs_delayed", sink.msgs_delayed, stats.msgs_delayed),
+            ("falloc_denials", sink.falloc_denials, stats.falloc_denials),
+            ("dse_crashes", sink.dse_crashes, stats.dse_crashes),
+            ("failovers", sink.failovers, stats.failovers),
+            ("resync_msgs", sink.resync_msgs, stats.resync_msgs),
+            ("lse_crashes", sink.lse_crashes, stats.lse_crashes),
+            (
+                "evacuated_frames",
+                sink.evacuated_frames,
+                stats.evacuated_frames,
+            ),
+            (
+                "readmitted_instances",
+                sink.readmitted_instances,
+                stats.readmitted_instances,
+            ),
+            (
+                "killed_instances",
+                sink.killed_instances,
+                stats.killed_instances,
+            ),
+        ];
+        for (field, from_events, from_stats) in pairs {
             assert_eq!(
-                stream.dropped, 0,
-                "{name} {par:?}: ring overflow would break exact reconciliation"
+                from_events, from_stats,
+                "{name}: {field} events diverge from RunStats"
             );
-            let mut sink = CountingSink::default();
-            stream.feed(&mut sink);
-
-            let pairs: [(&str, u64, u64); 16] = [
-                ("dma_retries", sink.dma_retries, stats.dma_retries),
-                ("dma_exhausted", sink.dma_exhausted, stats.dma_exhausted),
-                (
-                    "degraded_pes",
-                    sink.degraded_pes,
-                    stats.degraded_pes.len() as u64,
-                ),
-                ("watchdog_parks", sink.watchdog_parks, stats.watchdog_parks),
-                (
-                    "fallback_instances",
-                    sink.fallback_instances,
-                    stats.fallback_instances,
-                ),
-                ("msgs_dropped", sink.msgs_dropped, stats.msgs_dropped),
-                (
-                    "msgs_duplicated",
-                    sink.msgs_duplicated,
-                    stats.msgs_duplicated,
-                ),
-                ("msgs_delayed", sink.msgs_delayed, stats.msgs_delayed),
-                ("falloc_denials", sink.falloc_denials, stats.falloc_denials),
-                ("dse_crashes", sink.dse_crashes, stats.dse_crashes),
-                ("failovers", sink.failovers, stats.failovers),
-                ("resync_msgs", sink.resync_msgs, stats.resync_msgs),
-                ("lse_crashes", sink.lse_crashes, stats.lse_crashes),
-                (
-                    "evacuated_frames",
-                    sink.evacuated_frames,
-                    stats.evacuated_frames,
-                ),
-                (
-                    "readmitted_instances",
-                    sink.readmitted_instances,
-                    stats.readmitted_instances,
-                ),
-                (
-                    "killed_instances",
-                    sink.killed_instances,
-                    stats.killed_instances,
-                ),
-            ];
-            for (field, from_events, from_stats) in pairs {
-                assert_eq!(
-                    from_events, from_stats,
-                    "{name} {par:?}: {field} events diverge from RunStats"
-                );
-            }
-            // Thread lifecycle events always flow.
-            assert!(sink.thread_events > 0, "{name} {par:?}: silent bus");
-
-            families.dma_retries += sink.dma_retries;
-            families.dma_exhausted += sink.dma_exhausted;
-            families.msgs_dropped += sink.msgs_dropped;
-            families.msgs_duplicated += sink.msgs_duplicated;
-            families.msgs_delayed += sink.msgs_delayed;
-            families.falloc_denials += sink.falloc_denials;
-            families.dse_crashes += sink.dse_crashes;
-            families.failovers += sink.failovers;
-            families.dse_restarts += sink.dse_restarts;
-            families.resync_msgs += sink.resync_msgs;
-            families.fallback_instances += sink.fallback_instances;
-            families.lse_crashes += sink.lse_crashes;
-            families.lse_restarts += sink.lse_restarts;
-            families.evacuated_frames += sink.evacuated_frames;
-            families.readmitted_instances += sink.readmitted_instances;
-            families.killed_instances += sink.killed_instances;
         }
+        // Thread lifecycle events always flow.
+        assert!(sink.thread_events > 0, "{name}: silent bus");
+
+        families.dma_retries += sink.dma_retries;
+        families.dma_exhausted += sink.dma_exhausted;
+        families.msgs_dropped += sink.msgs_dropped;
+        families.msgs_duplicated += sink.msgs_duplicated;
+        families.msgs_delayed += sink.msgs_delayed;
+        families.falloc_denials += sink.falloc_denials;
+        families.dse_crashes += sink.dse_crashes;
+        families.failovers += sink.failovers;
+        families.dse_restarts += sink.dse_restarts;
+        families.resync_msgs += sink.resync_msgs;
+        families.fallback_instances += sink.fallback_instances;
+        families.lse_crashes += sink.lse_crashes;
+        families.lse_restarts += sink.lse_restarts;
+        families.evacuated_frames += sink.evacuated_frames;
+        families.readmitted_instances += sink.readmitted_instances;
+        families.killed_instances += sink.killed_instances;
     }
 
     // The scenario set must actually exercise every reconciled family —

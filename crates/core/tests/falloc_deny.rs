@@ -6,7 +6,7 @@
 //! (Replaces the temporary println-only `tmp_verify_deny` check from the
 //! fault-injection PR with real assertions.)
 
-use dta_core::{simulate, FaultPlan, Parallelism, RunStats, SystemConfig};
+use dta_core::{simulate, FaultPlan, RunStats, SystemConfig};
 use dta_workloads::{bitcnt, Variant};
 use std::sync::Arc;
 
@@ -15,7 +15,6 @@ fn run_with_deny(seed: u64, ppm: u32) -> RunStats {
     let wp = bitcnt::build(4096, Variant::HandPrefetch);
     let mut cfg = SystemConfig::paper_default();
     cfg.max_cycles = 50_000_000;
-    cfg.parallelism = Parallelism::Off;
     let mut plan = FaultPlan::seeded(seed);
     plan.falloc_deny_ppm = ppm;
     plan.falloc_retry_timeout = 300;

@@ -1,39 +1,29 @@
 //! Golden-digest invariance suite.
 //!
 //! How the host advances simulated time must never change a simulated
-//! result. Each case below runs at `Parallelism::{Off, Threads(2),
-//! Threads(4)}` and must reproduce committed digests exactly:
+//! result. Each case below must reproduce committed digests exactly:
 //! `fnv1a128` of the `RunStats` JSON, and `fnv1a128` of the codec JSON of
-//! the deterministic observability stream (engine epoch records
-//! stripped, ring-drop count kept). A run that must fail is pinned by
-//! the digest of its typed `RunError`'s `Debug` form instead.
+//! the observability stream (ring-drop count kept). A run that must fail
+//! is pinned by the digest of its typed `RunError`'s `Debug` form
+//! instead.
 //!
 //! The digests were generated with the original tick-every-PE ("dense")
-//! scheduler at `Parallelism::Off`, and the wake-heap scheduler matched
-//! them on the whole {dense, wake-heap} × {Off, Threads(2), Threads(4)}
-//! matrix before the dense loop was deleted. A mismatch here means a
-//! simulated cycle, counter or event moved; regenerate only for a change
-//! that is meant to alter simulated behaviour, and say so.
+//! scheduler, and the wake-set scheduler, the span executor and the
+//! since-deleted epoch-sharded engine all matched them before those
+//! changes landed. A mismatch here means a simulated cycle, counter or
+//! event moved; regenerate only for a change that is meant to alter
+//! simulated behaviour, and say so.
 //!
-//! Two closing tests pin that the host optimisations do something: the
-//! wake heap skips blocked/idle ticks, and the adaptive coordinator
-//! merges epochs when only one shard has activity due.
+//! A closing test pins that the wake set does something: it skips
+//! blocked/idle ticks.
 
-use dta_core::{
-    simulate, FaultPlan, ObsMode, ObsStream, Parallelism, RunError, RunStats, System, SystemConfig,
-};
+use dta_core::{simulate, FaultPlan, ObsMode, RunError, RunStats, System, SystemConfig};
 use dta_json::{fnv1a128, ToJson};
 use dta_mem::fault::{roll, SITE_DSE_CRASH, SITE_LSE_CRASH};
 use dta_workloads::{bitcnt, mmul, zoom, Variant, WorkloadProgram};
 use std::sync::Arc;
 
-const ENGINES: [Parallelism; 3] = [
-    Parallelism::Off,
-    Parallelism::Threads(2),
-    Parallelism::Threads(4),
-];
-
-/// What a case must reproduce on every engine.
+/// What a case must reproduce.
 #[derive(Debug, PartialEq)]
 enum Golden {
     /// A completed run: `(RunStats digest, stream digest)`.
@@ -42,9 +32,8 @@ enum Golden {
     Error(u128),
 }
 
-fn cfg(par: Parallelism, faults: Option<FaultPlan>) -> SystemConfig {
+fn cfg(faults: Option<FaultPlan>) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
-    cfg.parallelism = par;
     cfg.obs.mode = ObsMode::All;
     cfg.obs.metrics_interval = 500;
     cfg.faults = faults;
@@ -70,8 +59,7 @@ fn digest(run: &Result<(RunStats, System), RunError>) -> Golden {
     match run {
         Ok((stats, sys)) => {
             let obs = sys.obs().expect("observability on");
-            let det = ObsStream::from_records(obs.deterministic(), obs.dropped);
-            let stream = dta_obs::codec::stream_to_string(&det);
+            let stream = dta_obs::codec::stream_to_string(obs);
             Golden::Run(
                 fnv1a128(stats.to_json().to_string_compact().as_bytes()),
                 fnv1a128(stream.as_bytes()),
@@ -81,8 +69,8 @@ fn digest(run: &Result<(RunStats, System), RunError>) -> Golden {
     }
 }
 
-/// Runs `go` on every engine and checks the digests. Completed runs must
-/// also pass `verify`, conserve the fine cycle attribution (every
+/// Runs `go` and checks the digests. Completed runs must also pass
+/// `verify`, conserve the fine cycle attribution (every
 /// simulated PE-cycle in exactly one category), and reconcile the
 /// attribution-side overlap census (compute with DMA open) with the
 /// metrics fold's busy-span overlap, which also counts intra-span stall
@@ -90,48 +78,46 @@ fn digest(run: &Result<(RunStats, System), RunError>) -> Golden {
 fn assert_golden(
     name: &str,
     want: Golden,
-    go: &dyn Fn(Parallelism) -> Result<(RunStats, System), RunError>,
+    go: &dyn Fn() -> Result<(RunStats, System), RunError>,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) {
-    for par in ENGINES {
-        let run = go(par);
-        if let Ok((stats, sys)) = &run {
-            verify(sys).unwrap_or_else(|e| panic!("{name}: {par:?} result wrong: {e}"));
-            for (pe, p) in stats.per_pe.iter().enumerate() {
-                assert_eq!(
-                    p.total_fine_cycles(),
-                    p.total_cycles(),
-                    "{name}: {par:?} fine-attribution conservation violated on PE {pe}"
-                );
-            }
-            let attr_overlap: u64 = stats.per_pe.iter().map(|p| p.attr_overlap_cycles).sum();
-            let metrics = sys.metrics().expect("metrics on");
-            assert!(
-                attr_overlap <= metrics.overlap_cycles,
-                "{name}: {par:?} attribution overlap {attr_overlap} exceeds metrics overlap {}",
-                metrics.overlap_cycles
+    let run = go();
+    if let Ok((stats, sys)) = &run {
+        verify(sys).unwrap_or_else(|e| panic!("{name}: result wrong: {e}"));
+        for (pe, p) in stats.per_pe.iter().enumerate() {
+            assert_eq!(
+                p.total_fine_cycles(),
+                p.total_cycles(),
+                "{name}: fine-attribution conservation violated on PE {pe}"
             );
         }
-        let got = digest(&run);
-        assert_eq!(
-            got,
-            want,
-            "{name}: {par:?} diverged from the golden digest ({})",
-            match &run {
-                Ok((stats, _)) => format!("{} cycles", stats.cycles),
-                Err(e) => e.to_string(),
-            }
+        let attr_overlap: u64 = stats.per_pe.iter().map(|p| p.attr_overlap_cycles).sum();
+        let metrics = sys.metrics().expect("metrics on");
+        assert!(
+            attr_overlap <= metrics.overlap_cycles,
+            "{name}: attribution overlap {attr_overlap} exceeds metrics overlap {}",
+            metrics.overlap_cycles
         );
     }
+    let got = digest(&run);
+    assert_eq!(
+        got,
+        want,
+        "{name}: diverged from the golden digest ({})",
+        match &run {
+            Ok((stats, _)) => format!("{} cycles", stats.cycles),
+            Err(e) => e.to_string(),
+        }
+    );
 }
 
 fn workload(
     build: fn() -> WorkloadProgram,
     faults: Option<FaultPlan>,
-) -> impl Fn(Parallelism) -> Result<(RunStats, System), RunError> {
-    move |par| {
+) -> impl Fn() -> Result<(RunStats, System), RunError> {
+    move || {
         let wp = build();
-        simulate(cfg(par, faults), Arc::new(wp.program), &wp.args)
+        simulate(cfg(faults), Arc::new(wp.program), &wp.args)
     }
 }
 
@@ -239,8 +225,7 @@ fn zoom_under_faults_matches_golden() {
 
 /// The SP offload extension runs bitcnt's straight-line PF blocks on the
 /// LSE's SP pipeline (`Pe::run_pf_on_sp`); the stats digest pins its
-/// `sp_pf_cycles`. The extension forces the sequential engine, so every
-/// row runs it. These digests were taken before the pure-instruction
+/// `sp_pf_cycles`. These digests were taken before the pure-instruction
 /// semantics moved into the shared step.
 #[test]
 fn bitcnt_sp_offload_matches_golden() {
@@ -250,8 +235,8 @@ fn bitcnt_sp_offload_matches_golden() {
             0xc5bef7ee4c42f981361a5ec371e45241,
             0x1076af24b061948fc986ff61369ce660,
         ),
-        &|par| {
-            let mut c = cfg(par, None);
+        &|| {
+            let mut c = cfg(None);
             c.sp_pf_overlap = true;
             let wp = bitcnt::build(10_000, Variant::HandPrefetch);
             simulate(c, Arc::new(wp.program), &wp.args)
@@ -264,9 +249,9 @@ fn bitcnt_sp_offload_matches_golden() {
 fn two_nodes(
     plan: FaultPlan,
     build: fn() -> WorkloadProgram,
-) -> impl Fn(Parallelism) -> Result<(RunStats, System), RunError> {
-    move |par| {
-        let mut c = cfg(par, Some(plan));
+) -> impl Fn() -> Result<(RunStats, System), RunError> {
+    move || {
+        let mut c = cfg(Some(plan));
         c.nodes = 2;
         c.pes_per_node = 4;
         c.max_cycles = 5_000_000;
@@ -277,7 +262,7 @@ fn two_nodes(
 
 /// DSE crash + cold restart on a two-node topology: the failover
 /// detection timers, re-homing, and restart schedule must land on the
-/// same cycles on every engine.
+/// pinned cycles.
 #[test]
 fn dse_crash_restart_matches_golden() {
     let ppm = 500_000;
@@ -302,7 +287,7 @@ fn dse_crash_restart_matches_golden() {
 
 /// LSE crash + cold restart on a two-node topology: evacuation,
 /// re-admission, kill-and-replay and the restart resync are pure
-/// functions of the schedule, so every engine must agree bit-for-bit.
+/// functions of the schedule, so the run must match bit-for-bit.
 #[test]
 fn lse_crash_restart_matches_golden() {
     let ppm = 500_000;
@@ -326,20 +311,20 @@ fn lse_crash_restart_matches_golden() {
     );
 }
 
-/// An unrecoverable plan must produce the *same typed error* on every
-/// engine — skipping ticks may not turn a watchdog trip into a hang or a
+/// An unrecoverable plan must produce the pinned *typed error* —
+/// skipping ticks may not turn a watchdog trip into a hang or a
 /// different failure.
 #[test]
 fn watchdog_error_matches_golden() {
     let mut plan = FaultPlan::seeded(31);
     plan.dma_stall_ppm = 1_000_000;
-    let go = |par| {
-        let mut c = cfg(par, Some(plan));
+    let go = || {
+        let mut c = cfg(Some(plan));
         c.max_cycles = 5_000_000;
         let wp = bitcnt::build(1024, Variant::HandPrefetch);
         simulate(c, Arc::new(wp.program), &wp.args)
     };
-    match go(Parallelism::Off) {
+    match go() {
         Err(RunError::Watchdog { cycle: 307, .. }) => {}
         other => panic!(
             "expected a watchdog trip at cycle 307, got {:?}",
@@ -354,18 +339,18 @@ fn watchdog_error_matches_golden() {
     );
 }
 
-/// A run that trips `max_cycles` fails at the same cycle with the same
-/// live-instance diagnostic on every engine.
+/// A run that trips `max_cycles` fails at the pinned cycle with the
+/// pinned live-instance diagnostic.
 #[test]
 fn cycle_limit_error_matches_golden() {
-    let go = |par| {
-        let mut c = cfg(par, None);
+    let go = || {
+        let mut c = cfg(None);
         c.max_cycles = 2_000; // far too small for bitcnt(1024)
         let wp = bitcnt::build(1024, Variant::HandPrefetch);
         simulate(c, Arc::new(wp.program), &wp.args)
     };
     assert!(matches!(
-        go(Parallelism::Off),
+        go(),
         Err(RunError::CycleLimit { cycle: 2_000, .. })
     ));
     assert_golden(
@@ -382,8 +367,8 @@ fn cycle_limit_error_matches_golden() {
 #[test]
 fn fast_forward_skips_blocked_ticks() {
     let wp = mmul::build(32, Variant::Baseline);
-    let (_, sys) = simulate(cfg(Parallelism::Off, None), Arc::new(wp.program), &wp.args)
-        .expect("mmul(32)/baseline failed");
+    let (_, sys) =
+        simulate(cfg(None), Arc::new(wp.program), &wp.args).expect("mmul(32)/baseline failed");
     let r = sys.engine_report();
     let pes = sys.config().total_pes() as u64;
     assert_eq!(
@@ -392,49 +377,4 @@ fn fast_forward_skips_blocked_ticks() {
         "ticks and skips must partition visited cycles x PEs: {r:?}"
     );
     assert!(r.skipped_ticks > 0, "the wake heap skipped nothing: {r:?}");
-}
-
-/// When only one shard has activity due, the adaptive coordinator must
-/// widen epochs past the fixed lookahead. A single-thread program pins
-/// this deterministically: all activity lives on PE 0, so the second
-/// shard of a `Threads(2)` split is idle from cycle 0.
-#[test]
-fn adaptive_coordinator_merges_single_runner_epochs() {
-    use dta_isa::{reg::r, ProgramBuilder, ThreadBuilder};
-    let mut pb = ProgramBuilder::new();
-    let out = pb.global_zeroed("out", 4);
-    let main = pb.declare("main");
-    let mut t = ThreadBuilder::new("main");
-    t.begin_pl();
-    t.load(r(3), 0);
-    t.begin_ex();
-    t.add(r(4), r(3), 1);
-    t.li(r(5), out as i64);
-    t.begin_ps();
-    t.write(r(4), r(5), 0);
-    t.ffree_self();
-    t.stop();
-    pb.define(main, t);
-    pb.set_entry(main, 1);
-    let program = Arc::new(pb.build());
-
-    let go = |par| {
-        let mut c = cfg(par, None);
-        c.obs.mode = ObsMode::Off;
-        simulate(c, Arc::clone(&program), &[41]).expect("single-thread run failed")
-    };
-    let (sharded_stats, sharded) = go(Parallelism::Threads(2));
-    assert_eq!(sharded.read_global_word("out", 0), Some(42));
-    let report = sharded.engine_report();
-    assert!(
-        report.merged_epochs > 0,
-        "single-runner epochs were not merged: {report:?}"
-    );
-    assert!(report.epochs > 0);
-
-    let (sequential_stats, _) = go(Parallelism::Off);
-    assert_eq!(
-        sharded_stats, sequential_stats,
-        "adaptive epochs perturbed stats"
-    );
 }

@@ -1,34 +1,23 @@
 //! Memoization invariance properties (PR 10).
 //!
 //! Instance memoization + timing replay is a pure *host-time*
-//! optimisation: `RunStats`, the deterministic observability stream,
-//! and every typed `RunError` must be **bit-identical** across the full
-//! `{Off, Threads(2), Threads(4)} × memo {on, off}` matrix — on the
+//! optimisation: `RunStats`, the observability stream, and every typed
+//! `RunError` must be **bit-identical** with memo on and off — on the
 //! paper's benchmarks and under seeded fault plans (where the memo layer
-//! must disarm itself entirely). The memo-off `Off` oracle is itself
-//! pinned by the golden digests in `golden.rs`. A final
+//! must disarm itself entirely). The memo-off oracle is itself pinned by
+//! the golden digests in `golden.rs`. A final
 //! group of tests pins that the layer actually does something: replays
 //! fire on the paper workloads, and an open contention window
 //! (concurrent DMA on the same MFC) correctly suppresses firing.
 
 use dta_core::{
-    simulate, FaultPlan, MemoConfig, ObsMode, Parallelism, RunError, RunStats, System, SystemConfig,
+    simulate, FaultPlan, MemoConfig, ObsMode, RunError, RunStats, System, SystemConfig,
 };
 use dta_workloads::{bitcnt, mmul, zoom, Variant, WorkloadProgram};
 use std::sync::Arc;
 
-/// Every engine configuration the invariance property quantifies over.
-/// `Off` with memo off is the oracle; every other point of the
-/// `MATRIX × {memo on, memo off}` product must match it exactly.
-const MATRIX: [Parallelism; 3] = [
-    Parallelism::Off,
-    Parallelism::Threads(2),
-    Parallelism::Threads(4),
-];
-
-fn cfg(par: Parallelism, faults: Option<FaultPlan>, memo: bool) -> SystemConfig {
+fn cfg(faults: Option<FaultPlan>, memo: bool) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
-    cfg.parallelism = par;
     cfg.obs.mode = ObsMode::All;
     cfg.obs.metrics_interval = 500;
     cfg.faults = faults;
@@ -41,13 +30,12 @@ fn cfg(par: Parallelism, faults: Option<FaultPlan>, memo: bool) -> SystemConfig 
 
 fn run(
     build: &dyn Fn() -> WorkloadProgram,
-    par: Parallelism,
     faults: Option<FaultPlan>,
     memo: bool,
 ) -> (RunStats, System) {
     let wp = build();
-    simulate(cfg(par, faults, memo), Arc::new(wp.program), &wp.args)
-        .unwrap_or_else(|e| panic!("{par:?}/memo={memo} failed: {e}"))
+    simulate(cfg(faults, memo), Arc::new(wp.program), &wp.args)
+        .unwrap_or_else(|e| panic!("memo={memo} failed: {e}"))
 }
 
 /// Same mixed recoverable plan as the golden suite:
@@ -70,52 +58,36 @@ fn assert_memo_invariant(
     verify: &dyn Fn(&System) -> Result<(), String>,
     faults: Option<FaultPlan>,
 ) {
-    let (oracle_stats, oracle_sys) = run(build, Parallelism::Off, faults, false);
+    let (oracle_stats, oracle_sys) = run(build, faults, false);
     verify(&oracle_sys).unwrap_or_else(|e| panic!("{name}: oracle result wrong: {e}"));
     let oracle = oracle_sys.obs().expect("observability on");
-    let oracle_det = oracle.deterministic();
-    assert!(!oracle_det.is_empty(), "{name}: empty event stream");
+    assert!(!oracle.is_empty(), "{name}: empty event stream");
 
-    for memo in [false, true] {
-        for par in MATRIX {
-            if !memo && par == Parallelism::Off {
-                continue; // the oracle itself
-            }
-            let (stats, sys) = run(build, par, faults, memo);
-            verify(&sys)
-                .unwrap_or_else(|e| panic!("{name}: {par:?}/memo={memo} result wrong: {e}"));
-            assert_eq!(
-                oracle_stats, stats,
-                "{name}: {par:?}/memo={memo} stats diverged"
-            );
-            let stream = sys.obs().expect("observability on");
-            assert_eq!(
-                oracle.dropped, stream.dropped,
-                "{name}: {par:?}/memo={memo} ring-drop count diverged"
-            );
-            let det = stream.deterministic();
-            assert_eq!(
-                oracle_det.len(),
-                det.len(),
-                "{name}: {par:?}/memo={memo} stream length diverged"
-            );
-            for (i, (a, b)) in oracle_det.iter().zip(det.iter()).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "{name}: {par:?}/memo={memo} stream diverged at record {i}"
-                );
-            }
-            if memo && faults.is_some() {
-                // Non-benign plans disarm the memo layer entirely: it
-                // must neither fire nor record.
-                let r = sys.engine_report();
-                assert_eq!(
-                    (r.memo_hits, r.memo_misses),
-                    (0, 0),
-                    "{name}: {par:?} memo ran under a fault plan"
-                );
-            }
-        }
+    let (stats, sys) = run(build, faults, true);
+    verify(&sys).unwrap_or_else(|e| panic!("{name}: memo result wrong: {e}"));
+    assert_eq!(oracle_stats, stats, "{name}: memo stats diverged");
+    let stream = sys.obs().expect("observability on");
+    assert_eq!(
+        oracle.dropped, stream.dropped,
+        "{name}: memo ring-drop count diverged"
+    );
+    assert_eq!(
+        oracle.len(),
+        stream.len(),
+        "{name}: memo stream length diverged"
+    );
+    for (i, (a, b)) in oracle.records.iter().zip(&stream.records).enumerate() {
+        assert_eq!(a, b, "{name}: memo stream diverged at record {i}");
+    }
+    if faults.is_some() {
+        // Non-benign plans disarm the memo layer entirely: it must
+        // neither fire nor record.
+        let r = sys.engine_report();
+        assert_eq!(
+            (r.memo_hits, r.memo_misses),
+            (0, 0),
+            "{name}: memo ran under a fault plan"
+        );
     }
 }
 
@@ -173,36 +145,27 @@ fn bitcnt_under_faults_disarms_memo_and_stays_invariant() {
 
 /// A run that trips `max_cycles` must produce the *same typed error* —
 /// same cycle, same live-instance diagnostic — with memoization on or
-/// off, on every engine. (The fire gate refuses replays that would
-/// cross the cycle budget precisely so this holds.)
+/// off. (The fire gate refuses replays that would cross the cycle
+/// budget precisely so this holds.)
 #[test]
 fn cycle_limit_error_is_memo_invariant() {
-    let go = |par: Parallelism, memo: bool| {
-        let mut c = cfg(par, None, memo);
+    let go = |memo: bool| {
+        let mut c = cfg(None, memo);
         c.max_cycles = 2_000; // far too small for bitcnt(1024)
         let wp = bitcnt::build(1024, Variant::HandPrefetch);
         simulate(c, Arc::new(wp.program), &wp.args)
     };
-    let oracle =
-        go(Parallelism::Off, false).expect_err("a 2k-cycle budget cannot complete bitcnt(1024)");
+    let oracle = go(false).expect_err("a 2k-cycle budget cannot complete bitcnt(1024)");
     assert!(
         matches!(oracle, RunError::CycleLimit { .. }),
         "expected a cycle-limit trip, got: {oracle}"
     );
-    let oracle_dbg = format!("{oracle:?}");
-    for memo in [false, true] {
-        for par in MATRIX {
-            if !memo && par == Parallelism::Off {
-                continue;
-            }
-            let err = go(par, memo).expect_err("all engines must fail alike");
-            assert_eq!(
-                format!("{err:?}"),
-                oracle_dbg,
-                "{par:?}/memo={memo} error diverged"
-            );
-        }
-    }
+    let err = go(true).expect_err("memo on must fail alike");
+    assert_eq!(
+        format!("{err:?}"),
+        format!("{oracle:?}"),
+        "memo error diverged"
+    );
 }
 
 /// The layer must actually do something on the paper workloads: hits
@@ -210,7 +173,7 @@ fn cycle_limit_error_is_memo_invariant() {
 #[test]
 fn memo_fires_on_paper_workloads() {
     let build = || bitcnt::build(10_000, Variant::HandPrefetch);
-    let (stats, sys) = run(&build, Parallelism::Off, None, true);
+    let (stats, sys) = run(&build, None, true);
     let r = sys.engine_report();
     assert!(
         r.memo_hits > 0 && r.memo_replayed_cycles > 0,
@@ -281,7 +244,7 @@ fn contention_window_suppresses_firing() {
     let iters = 32;
     let program = contended_loop(iters);
     let go = |memo: bool| {
-        let mut c = cfg(Parallelism::Off, None, memo);
+        let mut c = cfg(None, memo);
         c.pes_per_node = 1;
         simulate(c, Arc::clone(&program), &[]).expect("contended loop failed")
     };

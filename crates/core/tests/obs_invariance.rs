@@ -4,9 +4,9 @@
 //! sinks on or off), that the metrics and the Perfetto export of
 //! mmul(32) PF actually show the paper's Fig. 4 overlap — DMA-in-flight
 //! spans overlapping other threads' EX slices on the same PE — and that
-//! the lifecycle table is a view of the stream. Bit-identity of the
-//! stream across `Parallelism::Off` and `Threads(2|4)`, with and without
-//! a seeded `FaultPlan`, is pinned by the golden digests in `golden.rs`.
+//! the lifecycle table is a view of the stream. The stream itself, with
+//! and without a seeded `FaultPlan`, is pinned by the golden digests in
+//! `golden.rs`.
 
 use dta_core::{simulate, ObsMode, RunStats, System, SystemConfig, ThreadEvent};
 use dta_workloads::{bitcnt, mmul, Variant, WorkloadProgram};

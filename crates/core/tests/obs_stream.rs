@@ -1,23 +1,20 @@
 //! Incremental observability streaming (`ObsConfig::stream_interval`).
 //!
-//! The engines can drain fully-simulated records out of the per-unit
-//! rings *during* the run — at loop bottoms in the sequential engines,
-//! at epoch barriers in the sharded one — feeding an attached
+//! The run loop can drain fully-simulated records out of the per-unit
+//! rings *during* the run — at the bottom of each visited cycle —
+//! feeding an attached
 //! [`ObsSink`] in wall order long before the post-run merge. This suite
 //! pins the contract on the paper workloads: the final merged stream
 //! (records **and** drop count) is bit-identical to a non-streaming
 //! run's, `RunStats` is untouched, and the live sink sees exactly the
 //! final stream, in exactly its order, batch by batch.
 
-use dta_core::{
-    simulate, FaultPlan, ObsMode, ObsRecord, ObsSink, Parallelism, RunStats, System, SystemConfig,
-};
+use dta_core::{simulate, FaultPlan, ObsMode, ObsRecord, ObsSink, RunStats, System, SystemConfig};
 use dta_workloads::{bitcnt, mmul, zoom, Variant, WorkloadProgram};
 use std::sync::{Arc, Mutex};
 
-fn cfg(par: Parallelism, stream_interval: u64, faults: Option<FaultPlan>) -> SystemConfig {
+fn cfg(stream_interval: u64, faults: Option<FaultPlan>) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
-    cfg.parallelism = par;
     cfg.obs.mode = ObsMode::All;
     cfg.obs.metrics_interval = 500;
     cfg.obs.stream_interval = stream_interval;
@@ -26,10 +23,10 @@ fn cfg(par: Parallelism, stream_interval: u64, faults: Option<FaultPlan>) -> Sys
     cfg
 }
 
-/// A sink that records everything it is fed, in feed order. The engines
-/// require `Send` sinks (bench sweeps move finished `System`s across
-/// threads), hence the mutex; there is no contention — the engine feeds
-/// from one thread at a time.
+/// A sink that records everything it is fed, in feed order. The system
+/// requires `Send` sinks (bench sweeps move finished `System`s across
+/// threads), hence the mutex; there is no contention — the run loop
+/// feeds from one thread.
 #[derive(Default)]
 struct CollectSink {
     out: Arc<Mutex<(Vec<ObsRecord>, u64)>>,
@@ -48,18 +45,19 @@ impl ObsSink for CollectSink {
 /// returns the run results plus everything the sink consumed.
 fn run_streaming(
     build: &dyn Fn() -> WorkloadProgram,
-    par: Parallelism,
     interval: u64,
     faults: Option<FaultPlan>,
 ) -> (RunStats, System, Vec<ObsRecord>, u64) {
     let wp = build();
-    let mut sys = System::new(cfg(par, interval, faults), Arc::new(wp.program)).expect("build");
+    let mut sys = System::new(cfg(interval, faults), Arc::new(wp.program)).expect("build");
     let collected = Arc::new(Mutex::new((Vec::new(), 0u64)));
     sys.attach_stream_sink(Box::new(CollectSink {
         out: Arc::clone(&collected),
     }));
     sys.launch(&wp.args).expect("launch");
-    let stats = sys.run().unwrap_or_else(|e| panic!("{par:?} failed: {e}"));
+    let stats = sys
+        .run()
+        .unwrap_or_else(|e| panic!("streaming run failed: {e}"));
     let (fed, dropped) = std::mem::take(&mut *collected.lock().unwrap());
     (stats, sys, fed, dropped)
 }
@@ -72,43 +70,33 @@ fn assert_streaming_invariant(
     // Oracle: no streaming, post-run merge only (the default path every
     // other suite exercises).
     let wp = build();
-    let (oracle_stats, oracle_sys) = simulate(
-        cfg(Parallelism::Off, 0, faults),
-        Arc::new(wp.program),
-        &wp.args,
-    )
-    .unwrap_or_else(|e| panic!("{name}: oracle failed: {e}"));
+    let (oracle_stats, oracle_sys) = simulate(cfg(0, faults), Arc::new(wp.program), &wp.args)
+        .unwrap_or_else(|e| panic!("{name}: oracle failed: {e}"));
     let oracle = oracle_sys.obs().expect("observability on");
     assert!(!oracle.records.is_empty(), "{name}: empty oracle stream");
 
-    for par in [Parallelism::Off, Parallelism::Threads(2)] {
-        let (stats, sys, fed, fed_dropped) = run_streaming(build, par, 512, faults);
-        assert_eq!(oracle_stats, stats, "{name}/{par:?}: stats perturbed");
-        let stream = sys.obs().expect("observability on");
-        assert_eq!(
-            oracle.dropped, stream.dropped,
-            "{name}/{par:?}: drop count diverged"
-        );
-        // The engine-invariant records match the oracle exactly; engine
-        // epoch records depend on the shard layout, so under Threads(2)
-        // only the deterministic projection is comparable.
-        assert_eq!(
-            oracle.deterministic(),
-            stream.deterministic(),
-            "{name}/{par:?}: streamed merge diverged from post-run merge"
-        );
-        // The live sink saw exactly the final stream, in wall order:
-        // batches are cycle-partitioned by the safe-horizon rule, so
-        // their concatenation is already sorted.
-        assert_eq!(
-            fed, stream.records,
-            "{name}/{par:?}: sink feed order diverged from the merged stream"
-        );
-        assert_eq!(
-            fed_dropped, stream.dropped,
-            "{name}/{par:?}: sink drop count diverged"
-        );
-    }
+    let (stats, sys, fed, fed_dropped) = run_streaming(build, 512, faults);
+    assert_eq!(oracle_stats, stats, "{name}: stats perturbed");
+    let stream = sys.obs().expect("observability on");
+    assert_eq!(
+        oracle.dropped, stream.dropped,
+        "{name}: drop count diverged"
+    );
+    assert_eq!(
+        oracle.records, stream.records,
+        "{name}: streamed merge diverged from post-run merge"
+    );
+    // The live sink saw exactly the final stream, in wall order: batches
+    // are cycle-partitioned by the safe-horizon rule, so their
+    // concatenation is already sorted.
+    assert_eq!(
+        fed, stream.records,
+        "{name}: sink feed order diverged from the merged stream"
+    );
+    assert_eq!(
+        fed_dropped, stream.dropped,
+        "{name}: sink drop count diverged"
+    );
 }
 
 #[test]
@@ -128,8 +116,8 @@ fn zoom_streaming_matches_post_run_merge() {
     assert_streaming_invariant("zoom", &|| zoom::build(16, Variant::HandPrefetch), None);
 }
 
-/// Fault records flow through `obs_misc` (the system/shard-local side
-/// vectors) — the streaming prefix drain must not lose or reorder them.
+/// Fault records flow through `obs_misc` (the system's side vector) —
+/// the streaming prefix drain must not lose or reorder them.
 #[test]
 fn faulty_run_streams_identically() {
     let mut plan = FaultPlan::seeded(0x0B5E_11A7);
@@ -150,12 +138,12 @@ fn faulty_run_streams_identically() {
 /// because fully-simulated records leave them mid-run. With rings far
 /// too small for the whole run, the post-run-merge path must drop
 /// records while the streaming path keeps every one — direct proof that
-/// batches really leave the rings between epochs, not just at the end.
+/// batches really leave the rings mid-run, not just at the end.
 #[test]
 fn streaming_relieves_ring_pressure() {
     let run = |interval: u64| {
         let wp = mmul::build(16, Variant::HandPrefetch);
-        let mut c = cfg(Parallelism::Off, interval, None);
+        let mut c = cfg(interval, None);
         c.obs.event_capacity = 48;
         c.obs.metrics_interval = 100;
         simulate(c, Arc::new(wp.program), &wp.args).expect("run failed")

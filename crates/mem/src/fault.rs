@@ -2,11 +2,10 @@
 //!
 //! Every fault decision in the simulator is a *pure function* of
 //! `(seed, site, key)` — there is no shared RNG state. This is what makes
-//! fault schedules reproducible and bit-identical across the sequential
-//! and epoch-sharded engines: the engines evaluate the same rolls for the
-//! same stable identifiers (per-MFC command index, message stamp, per-DSE
-//! request counter) regardless of host thread interleaving, and neither
-//! engine can desynchronise the other by consuming "extra" random numbers.
+//! fault schedules reproducible: a roll depends only on a stable
+//! identifier (per-MFC command index, message stamp, per-DSE request
+//! counter), never on how the host happened to advance time, and no
+//! code path can shift a later roll by consuming "extra" random numbers.
 //!
 //! Rates are expressed in parts-per-million so configuration stays
 //! integer-only (and therefore `Eq`/hashable).
@@ -76,8 +75,7 @@ pub struct DmaFaultPlan {
 }
 
 /// The fully resolved outcome of one DMA command under a fault plan,
-/// computed at *admission* time so both engines decide it at the same
-/// logical point (shard-local admit order equals barrier commit order).
+/// computed when the MFC accepts the command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DmaPlan {
     /// Engine attempts this command will consume (1 = clean first try).

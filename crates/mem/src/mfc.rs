@@ -101,6 +101,9 @@ pub struct DmaCompletion {
     /// Engine attempts the command consumed (1 = clean first try; a
     /// retried command still yields exactly *one* completion).
     pub attempts: u32,
+    /// The retry budget ran out: the transfer still completes via the
+    /// fail-safe slow path, but the owning PE must be marked degraded.
+    pub exhausted: bool,
     /// The command is permanently stuck: the caller must not schedule a
     /// completion delivery (the watchdog will surface the stall).
     pub stalled: bool,
@@ -144,12 +147,7 @@ pub struct Mfc {
     /// steady state). Stalled commands sit here forever (`u64::MAX`),
     /// wedging their queue slot — exactly like a stuck hardware tag.
     outstanding: VecDeque<u64>,
-    /// Fault outcomes planned (in admit order) for commands admitted via
-    /// [`Mfc::admit`] whose [`Mfc::commit`] has not happened yet
-    /// (epoch-batched sharded execution admits shard-locally and commits
-    /// at the epoch barrier; per-PE admit order equals commit order).
-    planned: VecDeque<DmaPlan>,
-    /// Monotone count of admitted commands — the deterministic fault key.
+    /// Monotone count of accepted commands — the deterministic fault key.
     admitted: u64,
     /// Fault schedule (`None` = fault-free).
     faults: Option<DmaFaultPlan>,
@@ -163,7 +161,6 @@ impl Mfc {
             params,
             engine_free_at: 0,
             outstanding: VecDeque::with_capacity(params.queue_capacity),
-            planned: VecDeque::new(),
             admitted: 0,
             faults: None,
             stats: MfcStats::default(),
@@ -188,27 +185,17 @@ impl Mfc {
     }
 
     /// Read-only in-flight count at cycle `now` (observability gauge).
-    ///
-    /// Counts admitted-but-uncommitted commands too: under sharded
-    /// execution a command sits in `planned` until the epoch barrier,
-    /// while the sequential engine commits it immediately — but its
-    /// completion can never be at or before the same epoch's horizon, so
-    /// both engines report the same total at any sample boundary.
     pub fn in_flight(&self, now: u64) -> usize {
-        self.outstanding.iter().filter(|&&t| t > now).count() + self.planned.len()
+        self.outstanding.iter().filter(|&&t| t > now).count()
     }
 
     /// The end of the quiet window that opens at `now`: the first cycle
-    /// after `now` at which a DMA completion can land — `now + 1` while a
-    /// command is admitted but uncommitted, `u64::MAX` when nothing is in
-    /// flight. No completion lands in `(now, h]` exactly when `h <
-    /// quiet_horizon(now)`; over such a window the in-flight count is
-    /// constant, so cycles charged inside it share one DMA-overlap
-    /// attribution.
+    /// after `now` at which a DMA completion can land, `u64::MAX` when
+    /// nothing is in flight. No completion lands in `(now, h]` exactly
+    /// when `h < quiet_horizon(now)`; over such a window the in-flight
+    /// count is constant, so cycles charged inside it share one
+    /// DMA-overlap attribution.
     pub fn quiet_horizon(&self, now: u64) -> u64 {
-        if !self.planned.is_empty() {
-            return now + 1;
-        }
         self.outstanding
             .iter()
             .copied()
@@ -231,6 +218,10 @@ impl Mfc {
     /// Returns `None` when the command queue is full (the pipeline must
     /// retry — this back-pressure is part of the prefetch overhead the
     /// paper measures).
+    ///
+    /// Under a fault plan the command's outcome is resolved here, from the
+    /// count of commands accepted so far (a pure function of the plan and
+    /// that index; see [`DmaFaultPlan::plan`]).
     pub fn enqueue(
         &mut self,
         now: u64,
@@ -239,27 +230,7 @@ impl Mfc {
         ls: &mut LocalStore,
         mem: &mut MainMemory,
     ) -> Option<DmaCompletion> {
-        self.admit(now)?;
-        Some(self.commit(now, cmd, sys, ls, mem))
-    }
-
-    /// Capacity check half of [`Mfc::enqueue`]: reserves a queue slot at
-    /// cycle `now` without touching the shared memory system, so sharded
-    /// execution can decide admission inside a shard and run the data
-    /// movement ([`Mfc::commit`]) at the epoch barrier.
-    ///
-    /// Sound as a split because a command admitted at `now` cannot retire
-    /// before `now + command_latency`, which is at or beyond the epoch
-    /// horizon — so pending commits always still occupy their slot at any
-    /// admission decision inside the same epoch.
-    ///
-    /// Returns `None` when the queue is full; otherwise the fault outcome
-    /// planned for this command. The plan is resolved *here* — at the
-    /// issue cycle, inside the shard — so retry exhaustion (and the PE
-    /// degradation it triggers) happens at the same logical point in both
-    /// engines.
-    pub fn admit(&mut self, now: u64) -> Option<DmaPlan> {
-        if self.outstanding(now) + self.planned.len() >= self.params.queue_capacity {
+        if self.outstanding(now) >= self.params.queue_capacity {
             self.stats.queue_full_rejections += 1;
             return None;
         }
@@ -268,23 +239,6 @@ impl Mfc {
             None => DmaPlan::CLEAN,
         };
         self.admitted += 1;
-        self.planned.push_back(plan);
-        Some(plan)
-    }
-
-    /// Data-movement + timing half of [`Mfc::enqueue`]; must follow a
-    /// successful [`Mfc::admit`] at the same logical cycle `now`.
-    /// Commands must be committed in their admit order (both engines
-    /// preserve per-PE program order, so this holds by construction).
-    pub fn commit(
-        &mut self,
-        now: u64,
-        cmd: DmaCommand,
-        sys: &mut MemorySystem,
-        ls: &mut LocalStore,
-        mem: &mut MainMemory,
-    ) -> DmaCompletion {
-        let plan = self.planned.pop_front().unwrap_or(DmaPlan::CLEAN);
 
         self.stats.commands += 1;
         self.stats.attempts += plan.attempts as u64;
@@ -299,13 +253,14 @@ impl Mfc {
             // no completion is ever delivered.
             self.stats.stalled += 1;
             self.outstanding.push_back(u64::MAX);
-            return DmaCompletion {
+            return Some(DmaCompletion {
                 owner: cmd.owner,
                 tag: cmd.tag,
                 at: u64::MAX,
                 attempts: plan.attempts,
+                exhausted: false,
                 stalled: true,
-            };
+            });
         }
 
         // Functional data movement.
@@ -373,13 +328,14 @@ impl Mfc {
 
         self.outstanding.push_back(at);
         self.stats.bytes += total;
-        DmaCompletion {
+        Some(DmaCompletion {
             owner: cmd.owner,
             tag: cmd.tag,
             at,
             attempts: plan.attempts,
+            exhausted: plan.exhausted,
             stalled: false,
-        }
+        })
     }
 }
 
@@ -627,8 +583,5 @@ mod tests {
         ] {
             assert_eq!(mfc.quiet_horizon(now), want, "now {now}");
         }
-        // An admitted, uncommitted command closes the window at once.
-        mfc.admit(b.at).unwrap();
-        assert_eq!(mfc.quiet_horizon(b.at), b.at + 1);
     }
 }

@@ -5,8 +5,8 @@
 //! DMA transfers → FALLOC grants.
 //!
 //! Everything here is a pure function of the deterministic stream plus
-//! the per-PE attribution counters, so the analysis inherits the
-//! engine-invariance guarantee: identical across `{Off, Threads(n)}`.
+//! the per-PE attribution counters, so the analysis is as reproducible
+//! as the run itself.
 
 use crate::{FineCat, ObsEvent, ObsRecord, ThreadEvent, NUM_FINE};
 use dta_json::Json;

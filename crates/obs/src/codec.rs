@@ -303,7 +303,7 @@ fn write_event(w: &mut Writer, ev: &ObsEvent) {
             fields(w, &[N(15), p(node), p(pe), N(free.into())])
         }
         ObsEvent::Gauge { pe, kind, value } => fields(w, &[N(16), p(pe), N(kind.slot()), W(value)]),
-        ObsEvent::Epoch { start, end } => fields(w, &[N(17), W(start), W(end)]),
+        // Tag 17 is retired (it carried engine epoch records).
         ObsEvent::LseCrash { pe } => fields(w, &[N(18), p(pe)]),
         ObsEvent::LseRestart { pe } => fields(w, &[N(19), p(pe)]),
         ObsEvent::LseEvacuated { pe, count } => fields(w, &[N(20), p(pe), W(count)]),
@@ -370,10 +370,6 @@ fn read_event(r: &mut Reader) -> Result<ObsEvent, ParseError> {
             pe: next(r)?,
             kind: gauge_kind_from(next(r)?).ok_or_else(|| r.err("unknown gauge kind"))?,
             value: next_wide(r)?,
-        },
-        17 => ObsEvent::Epoch {
-            start: next_wide(r)?,
-            end: next_wide(r)?,
         },
         18 => ObsEvent::LseCrash { pe: next(r)? },
         19 => ObsEvent::LseRestart { pe: next(r)? },
@@ -470,10 +466,6 @@ mod tests {
                 pe: 5,
                 kind: GaugeKind::DmaInFlight,
                 value: 4,
-            },
-            ObsEvent::Epoch {
-                start: 100,
-                end: 200,
             },
             ObsEvent::LseCrash { pe: 6 },
             ObsEvent::LseRestart { pe: 6 },

@@ -1,7 +1,7 @@
 //! Deterministic observability for the DTA simulator.
 //!
 //! This crate defines the structured event bus: every unit of the simulated machine (PE,
-//! DSE, the engine itself) appends [`ObsRecord`]s to a private
+//! DSE) appends [`ObsRecord`]s to a private
 //! [`ObsLog`]; after the run the logs are merged and sorted by the
 //! simulator's deterministic wall order `(cycle, unit, seq)` into an
 //! [`ObsStream`], which can then be fed to any [`ObsSink`]
@@ -9,27 +9,23 @@
 //!
 //! # Determinism rules
 //!
-//! The merged stream is required to be **bit-identical across engine
-//! modes** (`Parallelism::Off` and `Threads(n)` for any `n`). The
+//! The merged stream is required to be **bit-identical however the host
+//! advances time** (which PEs it skips, how far a span runs). The
 //! simulator guarantees this by construction:
 //!
 //! * every record is stamped with the cycle at which the underlying
 //!   state change happens, never with the host-visit time;
 //! * plain events take their `seq` from a per-unit counter that advances
-//!   in per-unit emission order, which both engines replay identically
-//!   (deliver-then-tick at every visited cycle);
+//!   in per-unit emission order (deliver-then-tick at every visited
+//!   cycle);
 //! * cycle-sampled gauges live in a *separate* sequence space
 //!   ([`GAUGE_SEQ_BIT`]` | sample_index * 4 + slot`) derived purely from
 //!   the sampling grid, so the host time at which a lazy flush runs is
 //!   irrelevant;
 //! * message-fault events reuse the faulted message's own stamp
-//!   (`src_rank`, `seq` + marker bits), which is engine-invariant;
+//!   (`src_rank`, `seq` + marker bits), a pure function of the send;
 //! * events and gauges ring-buffer *independently* per unit, so overflow
 //!   drops are a pure function of the per-unit emission order.
-//!
-//! The only exception is the engine's own unit ([`ENGINE_UNIT`]): epoch
-//! boundary records depend on the shard layout and are excluded from
-//! [`ObsStream::deterministic`].
 
 pub mod analyze;
 pub mod codec;
@@ -43,10 +39,6 @@ pub use perfetto::{PerfettoWriter, TrackLayout};
 pub use sink::{CountingSink, NullSink, ObsSink, RingSink};
 
 use std::collections::VecDeque;
-
-/// Unit id of the engine itself (epoch-boundary records). Not part of
-/// the deterministic stream: epoch layout depends on the shard count.
-pub const ENGINE_UNIT: u32 = u32::MAX;
 
 /// Marker bit distinguishing gauge-sample sequence numbers from the
 /// per-unit event counter.
@@ -67,8 +59,8 @@ pub const MSG_DUP_SEQ_BIT: u64 = 1 << 59;
 /// same charge sites that feed the coarse Fig.-5 buckets, so per-PE
 /// category sums equal the total attributed cycles *by construction*
 /// (the conservation invariant) and — because each charge is a pure
-/// function of simulated state — the tables are bit-identical across
-/// `{Off, Threads(n)}` engines.
+/// function of simulated state — the tables do not depend on the host
+/// schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum FineCat {
@@ -253,9 +245,6 @@ pub enum ObsEvent {
         kind: GaugeKind,
         value: u64,
     },
-    /// An engine epoch ran (non-deterministic unit; excluded from the
-    /// invariance guarantee).
-    Epoch { start: u64, end: u64 },
 }
 
 /// One timestamped record in a unit's log.
@@ -263,7 +252,7 @@ pub enum ObsEvent {
 pub struct ObsRecord {
     /// Cycle at which the recorded state change happens.
     pub cycle: u64,
-    /// Emitting unit (PE rank, DSE rank, or [`ENGINE_UNIT`]).
+    /// Emitting unit (PE rank, then DSE rank).
     pub unit: u32,
     /// Per-unit sequence number (see the crate docs for the spaces).
     pub seq: u64,
@@ -452,7 +441,7 @@ impl ObsLog {
 pub struct ObsStream {
     /// All records, sorted by [`ObsRecord::key`].
     pub records: Vec<ObsRecord>,
-    /// Records lost to per-unit ring overflow (engine unit excluded).
+    /// Records lost to per-unit ring overflow.
     pub dropped: u64,
 }
 
@@ -469,16 +458,6 @@ impl ObsStream {
             sink.record(r);
         }
         sink.dropped(self.dropped);
-    }
-
-    /// The engine-invariant portion of the stream: everything except
-    /// the engine unit's epoch records.
-    pub fn deterministic(&self) -> Vec<ObsRecord> {
-        self.records
-            .iter()
-            .copied()
-            .filter(|r| r.unit != ENGINE_UNIT)
-            .collect()
     }
 
     /// Number of records.
@@ -569,14 +548,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_sorts_by_wall_order_and_filters_engine_unit() {
+    fn stream_sorts_by_wall_order() {
         let recs = vec![
-            ObsRecord {
-                cycle: 5,
-                unit: ENGINE_UNIT,
-                seq: 0,
-                ev: ObsEvent::Epoch { start: 0, end: 8 },
-            },
             ObsRecord {
                 cycle: 5,
                 unit: 1,
@@ -592,6 +565,6 @@ mod tests {
         ];
         let s = ObsStream::from_records(recs, 0);
         assert_eq!(s.records[0].cycle, 2);
-        assert_eq!(s.deterministic().len(), 2);
+        assert_eq!(s.len(), 2);
     }
 }

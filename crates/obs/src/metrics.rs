@@ -43,16 +43,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Merges another histogram into this one (bucket-wise sum).
-    pub fn absorb(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.total == 0 {

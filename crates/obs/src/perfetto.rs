@@ -384,7 +384,6 @@ impl ObsSink for PerfettoWriter {
                     pe as u64 + 1,
                 );
             }
-            ObsEvent::Epoch { .. } => {}
         }
     }
 

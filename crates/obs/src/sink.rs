@@ -124,8 +124,6 @@ pub struct CountingSink {
     pub killed_instances: u64,
     /// Gauge samples seen.
     pub gauges: u64,
-    /// Engine epochs seen.
-    pub epochs: u64,
     /// Upstream ring-overflow drops.
     pub dropped: u64,
 }
@@ -155,7 +153,6 @@ impl ObsSink for CountingSink {
             ObsEvent::LseReadmitted { .. } => self.readmitted_instances += 1,
             ObsEvent::LseKilled { count, .. } => self.killed_instances += count,
             ObsEvent::Gauge { .. } => self.gauges += 1,
-            ObsEvent::Epoch { .. } => self.epochs += 1,
         }
     }
 

@@ -60,7 +60,7 @@ fn gen_gauge_kind(r: &mut Lcg) -> GaugeKind {
 fn gen_event(r: &mut Lcg) -> ObsEvent {
     let pe = |r: &mut Lcg| r.next() as u16;
     let node = |r: &mut Lcg| r.next() as u16;
-    match r.pick(23) {
+    match r.pick(22) {
         0 => ObsEvent::Thread {
             pe: pe(r),
             instance: r.next(),
@@ -119,17 +119,13 @@ fn gen_event(r: &mut Lcg) -> ObsEvent {
             kind: gen_gauge_kind(r),
             value: r.next(),
         },
-        17 => ObsEvent::Epoch {
-            start: r.next(),
-            end: r.next(),
-        },
-        18 => ObsEvent::LseCrash { pe: pe(r) },
-        19 => ObsEvent::LseRestart { pe: pe(r) },
-        20 => ObsEvent::LseEvacuated {
+        17 => ObsEvent::LseCrash { pe: pe(r) },
+        18 => ObsEvent::LseRestart { pe: pe(r) },
+        19 => ObsEvent::LseEvacuated {
             pe: pe(r),
             count: r.next(),
         },
-        21 => ObsEvent::LseReadmitted {
+        20 => ObsEvent::LseReadmitted {
             pe: pe(r),
             home: r.next() as u16,
         },
@@ -222,10 +218,7 @@ fn random_engine_reports_reencode_byte_identically() {
             visited_cycles: r.next(),
             pe_ticks: r.next(),
             skipped_ticks: r.next(),
-            epochs: r.next(),
-            merged_epochs: r.next(),
-            shard_wall_us: (0..r.pick(4)).map(|_| r.next()).collect(),
-            merge_wall_us: r.next(),
+            run_wall_us: r.next(),
             wake_heap_occupancy: heap,
             pe_deliveries: r.next(),
             dse_deliveries: r.next(),

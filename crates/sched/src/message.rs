@@ -93,14 +93,6 @@ pub enum Message {
         /// Tag group of the completed command.
         tag: u8,
     },
-    /// Memory system → pipeline: a deferred scalar `READ` resolved
-    /// (sharded execution only — the sequential engine blocks inline).
-    ReadDone {
-        /// The loaded, sign-extended word.
-        value: i64,
-        /// Cycle at which the destination register becomes usable.
-        ready_at: u64,
-    },
     /// DSE → itself: re-arbitrate FALLOCs parked by an injected denial.
     /// Posted as a one-shot timer when fault injection denies an
     /// allocation; exempt from message faults so recovery always runs.
@@ -186,15 +178,13 @@ pub struct Envelope {
 
 /// A deterministic source stamp for a posted message.
 ///
-/// Parallel (sharded) execution delivers messages from concurrently
-/// ticking units; to keep runs bit-identical regardless of shard count,
-/// every posted envelope carries the *logical* identity of its send:
-/// which unit sent it ([`MsgSeq::src_rank`], a partition-independent rank
-/// over all units in the machine) and that unit's monotonically
-/// increasing send counter ([`MsgSeq::seq`]). Sorting same-cycle
-/// deliveries by this stamp reproduces the sequential simulator's
-/// delivery order exactly, because ranks enumerate units in the order the
-/// sequential loop ticks them.
+/// Every posted envelope carries the *logical* identity of its send:
+/// which unit sent it ([`MsgSeq::src_rank`], a fixed rank over all units
+/// in the machine) and that unit's monotonically increasing send counter
+/// ([`MsgSeq::seq`]). The run loop delivers same-cycle messages in stamp
+/// order, so delivery order is a function of what the units did, never
+/// of the order the host happened to queue the posts in. Message-fault
+/// rolls are keyed on the stamp for the same reason.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub struct MsgSeq {
     /// Rank of the sending unit in the sequential tick order (PEs first

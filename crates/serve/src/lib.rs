@@ -281,7 +281,7 @@ struct FlightState {
     attempts: u32,
     /// Rendered payload of the most recent panic.
     last_panic: String,
-    /// Tickets of currently waiting subscribers, in arrival order. On
+    /// The currently waiting subscribers' tickets, in arrival order. On
     /// failover the *lowest* waiting ticket is elected — a rule that is
     /// deterministic given the arrival order.
     waiters: BTreeSet<u64>,

@@ -1,47 +1,36 @@
-//! Engine-equivalence property: the sharded engine must produce
-//! bit-identical `RunStats` to the sequential oracle for every thread
-//! count, and repeated runs must be identical, on the paper's three
+//! Repeatability property: the same job run twice must produce
+//! bit-identical `RunStats` and a verified result, on the paper's three
 //! benchmarks (bitcnt(10000), mmul(32), zoom(32)).
 
-use dta_core::{simulate, Parallelism, RunStats, System, SystemConfig};
+use dta_core::{simulate, RunStats, System, SystemConfig};
 use dta_workloads::{bitcnt, mmul, zoom, Variant, WorkloadProgram};
 use std::sync::Arc;
 
-fn run(build: impl Fn() -> WorkloadProgram, par: Parallelism) -> (RunStats, System) {
+fn run(build: impl Fn() -> WorkloadProgram) -> (RunStats, System) {
     let wp = build();
-    let mut cfg = SystemConfig::paper_default();
-    cfg.parallelism = par;
-    simulate(cfg, Arc::new(wp.program), &wp.args)
-        .unwrap_or_else(|e| panic!("{:?} failed: {e}", par))
+    simulate(
+        SystemConfig::paper_default(),
+        Arc::new(wp.program),
+        &wp.args,
+    )
+    .unwrap_or_else(|e| panic!("run failed: {e}"))
 }
 
-fn assert_engine_equivalence(
+fn assert_repeatable(
     name: &str,
     build: impl Fn() -> WorkloadProgram,
     verify: impl Fn(&System) -> Result<(), String>,
 ) {
-    let (oracle, sys) = run(&build, Parallelism::Off);
-    verify(&sys).unwrap_or_else(|e| panic!("{name} sequential result wrong: {e}"));
-
-    let (repeat, _) = run(&build, Parallelism::Off);
-    assert_eq!(oracle, repeat, "{name}: sequential run not repeatable");
-
-    for threads in [1u16, 2, 4] {
-        let (stats, sys) = run(&build, Parallelism::Threads(threads));
-        verify(&sys).unwrap_or_else(|e| panic!("{name} Threads({threads}) result wrong: {e}"));
-        assert_eq!(
-            oracle, stats,
-            "{name}: Threads({threads}) diverged from the sequential oracle"
-        );
-        let (again, _) = run(&build, Parallelism::Threads(threads));
-        assert_eq!(stats, again, "{name}: Threads({threads}) not repeatable");
-    }
+    let (first, sys) = run(&build);
+    verify(&sys).unwrap_or_else(|e| panic!("{name} result wrong: {e}"));
+    let (repeat, _) = run(&build);
+    assert_eq!(first, repeat, "{name}: run not repeatable");
 }
 
 #[test]
-fn bitcnt_is_engine_invariant() {
+fn bitcnt_is_repeatable() {
     for variant in [Variant::Baseline, Variant::HandPrefetch] {
-        assert_engine_equivalence(
+        assert_repeatable(
             "bitcnt(10000)",
             || bitcnt::build(10_000, variant),
             |sys| bitcnt::verify(sys, 10_000),
@@ -50,9 +39,9 @@ fn bitcnt_is_engine_invariant() {
 }
 
 #[test]
-fn mmul_is_engine_invariant() {
+fn mmul_is_repeatable() {
     for variant in [Variant::Baseline, Variant::HandPrefetch] {
-        assert_engine_equivalence(
+        assert_repeatable(
             "mmul(32)",
             || mmul::build(32, variant),
             |sys| mmul::verify(sys, 32),
@@ -61,20 +50,12 @@ fn mmul_is_engine_invariant() {
 }
 
 #[test]
-fn zoom_is_engine_invariant() {
+fn zoom_is_repeatable() {
     for variant in [Variant::Baseline, Variant::HandPrefetch] {
-        assert_engine_equivalence(
+        assert_repeatable(
             "zoom(32)",
             || zoom::build(32, variant),
             |sys| zoom::verify(sys, 32),
         );
     }
-}
-
-#[test]
-fn auto_parallelism_matches_oracle() {
-    let (oracle, _) = run(|| mmul::build(16, Variant::HandPrefetch), Parallelism::Off);
-    let (auto, sys) = run(|| mmul::build(16, Variant::HandPrefetch), Parallelism::Auto);
-    mmul::verify(&sys, 16).expect("auto-parallel result wrong");
-    assert_eq!(oracle, auto, "Auto diverged from the sequential oracle");
 }

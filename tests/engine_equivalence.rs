@@ -1,43 +1,34 @@
-//! Seconds-scale engine equivalence: the sequential loop and the
-//! epoch-sharded loop share one wake set, and must produce identical
-//! results at small sizes with memoization off and on.
+//! Seconds-scale execution-path equivalence: the plain issue path and the
+//! memoizing path run on the one sequential loop and its wake set, and
+//! must produce identical results at small sizes.
 //!
-//! Each case runs at `Parallelism::Off` and `Parallelism::Threads(2)` on
-//! 16 PEs and compares the `RunStats` JSON and the deterministic
-//! observability stream (engine epoch records stripped). The sequential
-//! run must also account for every PE at every visited cycle as either a
-//! tick or a skipped tick, and must actually skip some. The paper-size
-//! version of this matrix is `crates/core/tests/golden.rs`.
-//!
-//! The sharded engine resolves shared-memory accesses in `(cycle, PE)`
-//! order at its barriers whatever order its PEs ticked in, while the
-//! sequential engine reserves memory ports in tick order. A wake set
-//! that ticks a cycle's due PEs out of ascending order therefore makes
-//! the two engines disagree; zoom(32) is the case here that shows it.
+//! Each case runs on 16 PEs with memoization off and on and compares the
+//! `RunStats` JSON and the observability stream. Every run must also
+//! account for every PE at every visited cycle as either a tick or a
+//! skipped tick, and must actually skip some. `tests/oracle.rs` pins
+//! committed digests for smaller or equal shapes (its zoom case is
+//! zoom(16)); the paper-size version of this matrix is
+//! `crates/core/tests/golden.rs`.
 
-use dta::core::{
-    simulate, MemoConfig, ObsMode, ObsStream, Parallelism, RunStats, System, SystemConfig,
-};
+use dta::core::{simulate, MemoConfig, ObsMode, RunStats, System, SystemConfig};
 use dta::workloads::{bitcnt, gather, mmul, zoom, Variant, WorkloadProgram};
 use dta_json::ToJson;
 use std::sync::Arc;
 
 const PES: u64 = 16;
 
-fn run(wp: &WorkloadProgram, parallelism: Parallelism, memo: bool) -> (RunStats, System) {
+fn run(wp: &WorkloadProgram, memo: bool) -> (RunStats, System) {
     let mut cfg = SystemConfig::with_pes(PES as u16);
-    cfg.parallelism = parallelism;
     cfg.obs.mode = ObsMode::All;
     if memo {
         cfg.memo = MemoConfig::on();
     }
     simulate(cfg, Arc::new(wp.program.clone()), &wp.args)
-        .unwrap_or_else(|e| panic!("{parallelism:?} memo={memo}: {e}"))
+        .unwrap_or_else(|e| panic!("memo={memo}: {e}"))
 }
 
-fn deterministic_stream(sys: &System) -> ObsStream {
-    let obs = sys.obs().expect("observability on");
-    ObsStream::from_records(obs.deterministic(), obs.dropped)
+fn stream(sys: &System) -> String {
+    dta_obs::codec::stream_to_string(sys.obs().expect("observability on"))
 }
 
 fn assert_engines_agree(
@@ -45,20 +36,11 @@ fn assert_engines_agree(
     wp: &WorkloadProgram,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) {
-    for memo in [false, true] {
-        let (seq, seq_sys) = run(wp, Parallelism::Off, memo);
-        let (par, par_sys) = run(wp, Parallelism::Threads(2), memo);
-        verify(&seq_sys).unwrap_or_else(|e| panic!("{name} memo={memo}: {e}"));
-        assert_eq!(
-            seq.to_json().to_string_compact(),
-            par.to_json().to_string_compact(),
-            "{name} memo={memo}: RunStats differ between Off and Threads(2)"
-        );
-        assert!(
-            deterministic_stream(&seq_sys) == deterministic_stream(&par_sys),
-            "{name} memo={memo}: observability streams differ between Off and Threads(2)"
-        );
-        let r = seq_sys.engine_report();
+    let (plain, plain_sys) = run(wp, false);
+    let (memo, memo_sys) = run(wp, true);
+    for (memo, sys) in [(false, &plain_sys), (true, &memo_sys)] {
+        verify(sys).unwrap_or_else(|e| panic!("{name} memo={memo}: {e}"));
+        let r = sys.engine_report();
         assert_eq!(
             r.pe_ticks + r.skipped_ticks,
             r.visited_cycles * PES,
@@ -69,6 +51,15 @@ fn assert_engines_agree(
             "{name} memo={memo}: the wake set skipped nothing"
         );
     }
+    assert_eq!(
+        plain.to_json().to_string_compact(),
+        memo.to_json().to_string_compact(),
+        "{name}: RunStats differ between memo off and on"
+    );
+    assert!(
+        stream(&plain_sys) == stream(&memo_sys),
+        "{name}: observability streams differ between memo off and on"
+    );
 }
 
 #[test]

@@ -2,16 +2,18 @@
 //!
 //! Small runs of every paper workload shape must reproduce committed
 //! digests exactly: `fnv1a128` of the `RunStats` JSON and of the codec
-//! JSON of the deterministic observability stream (engine epoch records
-//! stripped, ring-drop count kept), with every event class recorded and
-//! the metrics fold on. Each case runs on the sequential engine and on
-//! `Parallelism::Threads(2)`; both must match.
+//! JSON of the observability stream (ring-drop count kept), with every
+//! event class recorded and the metrics fold on. Each case runs with
+//! memoization off and on; both must match, since memo is a host-time
+//! optimisation only. Every run must also account for each PE at each
+//! visited cycle as either a tick or a skipped tick, and must actually
+//! skip some.
 //!
-//! Each case also runs once as a [`SimJob`] on the sequential engine and
-//! pins the whole service-path output byte for byte: `fnv1a128` of
+//! Each case also runs once as a [`SimJob`] with memo off and pins the
+//! whole service-path output byte for byte: `fnv1a128` of
 //! `JobResult::canonical_string()` (key, stats, engine report, globals
-//! and the full stream, epoch records included) and of the
-//! `perfetto_trace` text. One cycle-limit job pins the `err` branch of
+//! and the full stream) and of the `perfetto_trace` text. One
+//! cycle-limit job pins the `err` branch of
 //! the canonical document. The document is digested with the host
 //! engine's tick counters (`visited_cycles`, `pe_ticks`,
 //! `skipped_ticks`, `wake_heap_occupancy`) reset, the way the codec
@@ -31,37 +33,51 @@
 //! this oracle is `crates/core/tests/golden.rs`.
 
 use dta::core::{
-    perfetto_trace, run_job, simulate, JobError, ObsMode, ObsStream, Parallelism, RunStats, SimJob,
-    System, SystemConfig,
+    perfetto_trace, run_job, simulate, EngineReport, JobError, MemoConfig, ObsMode, RunStats,
+    SimJob, System, SystemConfig,
 };
 use dta::workloads::{bitcnt, gather, mmul, zoom, Variant, WorkloadProgram};
 use dta_json::{fnv1a128, ToJson};
 use dta_obs::Histogram;
 use std::sync::Arc;
 
-fn config(pes: u16, par: Parallelism) -> SystemConfig {
+fn config(pes: u16, memo: bool) -> SystemConfig {
     let mut cfg = SystemConfig::with_pes(pes);
-    cfg.parallelism = par;
     cfg.obs.mode = ObsMode::All;
     cfg.obs.metrics_interval = 250;
+    if memo {
+        cfg.memo = MemoConfig::on();
+    }
     cfg
 }
 
+/// Every PE at every visited cycle either ticked or was skipped, and the
+/// wake set skipped something.
+fn assert_ticks_partition(name: &str, r: &EngineReport, pes: u16) {
+    assert_eq!(
+        r.pe_ticks + r.skipped_ticks,
+        r.visited_cycles * pes as u64,
+        "{name}: every PE at every visited cycle ticks or is skipped: {r:?}"
+    );
+    assert!(r.skipped_ticks > 0, "{name}: the wake set skipped nothing");
+}
+
 /// Runs `wp` on `pes` PEs and returns `(RunStats digest, stream digest)`
-/// after checking the result with `verify`.
+/// after checking the result with `verify` and the tick partition.
 fn digests(
+    name: &str,
     wp: &WorkloadProgram,
     pes: u16,
-    par: Parallelism,
+    memo: bool,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) -> (u128, u128) {
-    let cfg = config(pes, par);
+    let cfg = config(pes, memo);
     let (stats, sys): (RunStats, System) = simulate(cfg, Arc::new(wp.program.clone()), &wp.args)
-        .unwrap_or_else(|e| panic!("{par:?}: {e}"));
-    verify(&sys).unwrap_or_else(|e| panic!("{par:?}: result wrong: {e}"));
+        .unwrap_or_else(|e| panic!("{name} memo={memo}: {e}"));
+    verify(&sys).unwrap_or_else(|e| panic!("{name} memo={memo}: result wrong: {e}"));
+    assert_ticks_partition(&format!("{name} memo={memo}"), sys.engine_report(), pes);
     let obs = sys.obs().expect("observability on");
-    let det = ObsStream::from_records(obs.deterministic(), obs.dropped);
-    let stream = dta_obs::codec::stream_to_string(&det);
+    let stream = dta_obs::codec::stream_to_string(obs);
     (
         fnv1a128(stats.to_json().to_string_compact().as_bytes()),
         fnv1a128(stream.as_bytes()),
@@ -72,20 +88,21 @@ fn digests(
 /// visited: `(pe_ticks, visited_cycles)`.
 type Ticks = (u64, u64);
 
-/// Runs `wp` as a job on the sequential engine and returns
-/// `(canonical result digest, Perfetto trace digest)`, the document
-/// digested with the engine's tick counters reset, and the counters
-/// themselves for their own pin.
-fn document_digests(wp: &WorkloadProgram, pes: u16) -> ((u128, u128), Ticks) {
+/// Runs `wp` as a job with memo off and returns `(canonical result
+/// digest, Perfetto trace digest)`, the document digested with the
+/// engine's tick counters reset, and the counters themselves for their
+/// own pin.
+fn document_digests(name: &str, wp: &WorkloadProgram, pes: u16) -> ((u128, u128), Ticks) {
     let job = SimJob::new(
         Arc::new(wp.program.clone()),
         wp.args.clone(),
-        config(pes, Parallelism::Off),
+        config(pes, false),
     );
     let mut result = run_job(&job);
     let out = result.outcome.as_mut().expect("oracle jobs succeed");
     let trace = perfetto_trace(&job.config, &job.program, out.obs.as_ref().unwrap());
     let engine = &mut out.engine;
+    assert_ticks_partition(name, engine, pes);
     let ticks = (engine.pe_ticks, engine.visited_cycles);
     engine.visited_cycles = 0;
     engine.pe_ticks = 0;
@@ -109,15 +126,15 @@ fn assert_oracle(
     pes: u16,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) {
-    for par in [Parallelism::Off, Parallelism::Threads(2)] {
-        let got = digests(&wp, pes, par, verify);
+    for memo in [false, true] {
+        let got = digests(name, &wp, pes, memo, verify);
         assert_eq!(
             got, want,
-            "{name}: {par:?} diverged from the oracle (got {:#034x}, {:#034x})",
+            "{name}: memo={memo} diverged from the oracle (got {:#034x}, {:#034x})",
             got.0, got.1
         );
     }
-    let (got, ticks) = document_digests(&wp, pes);
+    let (got, ticks) = document_digests(name, &wp, pes);
     assert_eq!(
         got, want_doc,
         "{name}: result document or trace diverged from the oracle (got {:#034x}, {:#034x})",
@@ -138,7 +155,7 @@ fn bitcnt_hand_prefetch_matches_oracle() {
             0xfd23757bc7f4a6dbed5e172205a3af96,
         ),
         (
-            0x0ece40b1a54fc2483933d477f2230020,
+            0x29a14f52f23f9ec43fd87177c9d370af,
             0x91c5f15e6705134adf09e0f46e1b1f72,
         ),
         (6447, 5390),
@@ -157,7 +174,7 @@ fn mmul_hand_prefetch_matches_oracle() {
             0x73836d5cb48dab5977d85a9ce7eb7f87,
         ),
         (
-            0xa255b85c2bd2415a3122fd8c43df8aab,
+            0x1d0eff23e1835d6dcc327ff1e8762305,
             0x856173dd4d49176204ea051b10e24539,
         ),
         (204, 193),
@@ -178,7 +195,7 @@ fn mmul_baseline_matches_oracle() {
             0x2c730d2a0d2a086eb424bd367b16a987,
         ),
         (
-            0xa89417d69edae5daf63f74daa60536a7,
+            0x20cf54ddcae95b7c123c9350f69b3dcb,
             0x345b0682e90e14f1b181b0a462f5c8a3,
         ),
         (1172, 1174),
@@ -197,7 +214,7 @@ fn zoom_hand_prefetch_matches_oracle() {
             0xc1edad4df7c180222927d17523bee82a,
         ),
         (
-            0xcb24687b80edcf7bd4486145f6858aa9,
+            0x0440918cafc613b0ae1f7a22c3e4c930,
             0x1cc315dfffdd02351c796fe976cca19e,
         ),
         (5171, 4112),
@@ -216,7 +233,7 @@ fn gather_on_sixteen_pes_matches_oracle() {
             0xcc200c29a425f76f6af55db07ebd0c5a,
         ),
         (
-            0x31b008e9a8e1a983af6c11757a19b7c6,
+            0xeddec995b136924c95caab1330c8eb39,
             0xec2672c19a2e80557b8dc002163e62a2,
         ),
         (572, 560),
@@ -231,7 +248,7 @@ fn gather_on_sixteen_pes_matches_oracle() {
 #[test]
 fn cycle_limit_error_document_matches_oracle() {
     let wp = mmul::build(8, Variant::HandPrefetch);
-    let mut cfg = config(8, Parallelism::Off);
+    let mut cfg = config(8, false);
     cfg.max_cycles = 500;
     let job = SimJob::new(Arc::new(wp.program), wp.args, cfg);
     let result = run_job(&job);
@@ -242,7 +259,7 @@ fn cycle_limit_error_document_matches_oracle() {
     );
     let got = fnv1a128(result.canonical_string().as_bytes());
     assert_eq!(
-        got, 0x6bed1e7b5dfbf227dac6c9433a316a13,
+        got, 0xbb4f03a75eddca974fafa5f683c26c6a,
         "cycle-limit document diverged from the oracle (got {got:#034x})"
     );
 }
