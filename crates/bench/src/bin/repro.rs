@@ -2,14 +2,14 @@
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--quick] [--pes N] [--out DIR]
-//!       [--sweep-threads N] [--cache-dir DIR] [--deadline-ms N] [--memo]
+//!       [--sweep-threads N] [--cache-dir DIR] [--deadline-ms N]
 //!       [--fault-seed N] [--fault-rate PPM] [--lse-crash-ppm PPM] [--obs MODE]
 //!       [--metrics-interval N] [--obs-stream N] [--trace-out PATH]
 //!
 //! EXPERIMENT: config table5 fig5 fig6 fig7 fig8 fig9 lat1
 //!             ablate-split ablate-vfp ablate-hw
 //!             ext-cache ext-spxp ext-wholeobj
-//!             speed faults failover observe profile serve all
+//!             faults failover observe profile serve all
 //!             (default: all)
 //! --quick     scaled-down workload sizes (CI-friendly)
 //! --pes N     PEs for the non-scalability experiments (default 8)
@@ -25,10 +25,6 @@
 //!             exceeding it completes as a typed host-side `Timeout`
 //!             (never cached); the deterministic backstop remains each
 //!             job's `max_cycles`
-//! --memo      run every experiment with instance memoization + timing
-//!             replay on. A pure host-time optimisation — results are
-//!             bit-identical — mainly for A/B timing; the `speed`
-//!             experiment pins memo on/off explicitly
 //! --fault-seed N   base seed for the `faults`/`failover` sweeps
 //!                  (default 0xDA7A)
 //! --fault-rate PPM single injected fault rate for the `faults`
@@ -58,7 +54,7 @@
 use dta_bench::experiments::{
     ablate_hw, ablate_split, ablate_vfp, config, ext_cache, ext_spxp, ext_wholeobj, failover_bench,
     faults_bench, fig5, fig9, fig_exec_scalability, lat1, observe_bench, profile_bench,
-    serve_bench, speed_bench, table5,
+    serve_bench, table5,
 };
 use dta_bench::{emit, Bench, ExperimentResult};
 use std::path::PathBuf;
@@ -79,7 +75,6 @@ struct Options {
     sweep_threads: Option<usize>,
     cache_dir: Option<PathBuf>,
     deadline_ms: Option<u64>,
-    memo: bool,
     fault_seed: u64,
     fault_rate: Option<u32>,
     lse_crash_ppm: Option<u32>,
@@ -98,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
         sweep_threads: None,
         cache_dir: None,
         deadline_ms: None,
-        memo: false,
         fault_seed: 0xDA7A,
         fault_rate: None,
         lse_crash_ppm: None,
@@ -140,7 +134,6 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|_| "--deadline-ms needs a millisecond count")?,
                 );
             }
-            "--memo" => opts.memo = true,
             "--fault-seed" => {
                 let v = args.next().ok_or("--fault-seed needs a value")?;
                 opts.fault_seed = v
@@ -225,7 +218,6 @@ fn parse_args() -> Result<Options, String> {
             "ext-cache",
             "ext-spxp",
             "ext-wholeobj",
-            "speed",
             "faults", // also emits the failover sweep
             "observe",
             "profile",
@@ -253,9 +245,6 @@ fn main() -> ExitCode {
         opts.cache_dir.as_deref(),
         opts.deadline_ms,
     );
-    if opts.memo {
-        dta_bench::experiments::set_default_memo(dta_core::MemoConfig::on());
-    }
     if opts.obs.is_some() || opts.metrics_interval.is_some() || opts.obs_stream.is_some() {
         let mut obs = dta_core::ObsConfig::default();
         if let Some(mode) = opts.obs {
@@ -298,22 +287,6 @@ fn main() -> ExitCode {
             "ext-cache" => ext_cache(mmul_n, zoom_n, opts.pes),
             "ext-spxp" => ext_spxp(&suite, opts.pes),
             "ext-wholeobj" => ext_wholeobj(bitcnt_n, opts.pes),
-            "speed" => {
-                use dta_workloads::Variant::{Baseline, HandPrefetch};
-                let gather_n = if opts.quick { 256 } else { 2048 };
-                // The wake set pays off when many PEs sit idle while a
-                // few work, so the sweep includes a wide-machine gather
-                // case on top of the paper-default width (DESIGN.md §12).
-                let wide = if opts.quick { 32 } else { 128 };
-                let cases = [
-                    (Bench::Bitcnt(bitcnt_n), HandPrefetch, opts.pes),
-                    (Bench::Mmul(mmul_n), HandPrefetch, opts.pes),
-                    (Bench::Zoom(zoom_n), HandPrefetch, opts.pes),
-                    (Bench::Gather(gather_n), Baseline, opts.pes),
-                    (Bench::Gather(gather_n), Baseline, wide),
-                ];
-                speed_bench(&cases)
-            }
             "faults" => {
                 let rates: Vec<u32> = match opts.fault_rate {
                     Some(r) => vec![0, r],

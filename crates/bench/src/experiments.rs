@@ -6,10 +6,9 @@
 
 use crate::report::text_table;
 use crate::runner::{
-    job_for, run, sweep, sweep_ok, try_run_timed, try_run_timed_stats, try_run_traced, Bench, Row,
-    SweepPoint,
+    job_for, run, sweep, sweep_ok, try_run_timed, try_run_traced, Bench, Row, SweepPoint,
 };
-use dta_core::{MemoConfig, ObsConfig, StallCat, SystemConfig};
+use dta_core::{ObsConfig, StallCat, SystemConfig};
 use dta_workloads::Variant;
 use std::sync::OnceLock;
 
@@ -23,19 +22,6 @@ static DEFAULT_OBS: OnceLock<ObsConfig> = OnceLock::new();
 /// call wins; later calls are ignored.
 pub fn set_default_obs(obs: ObsConfig) {
     let _ = DEFAULT_OBS.set(obs);
-}
-
-/// Process-wide memoization config, applied to every experiment run
-/// (set once by `repro --memo`). Memoized timing replay is a pure
-/// host-time optimisation — results are bit-identical either way — so
-/// it composes freely with the other defaults. The `speed` benchmark
-/// ignores it because it pins memo on/off explicitly.
-static DEFAULT_MEMO: OnceLock<MemoConfig> = OnceLock::new();
-
-/// Sets the memoization config every experiment runs under. First call
-/// wins; later calls are ignored.
-pub fn set_default_memo(memo: MemoConfig) {
-    let _ = DEFAULT_MEMO.set(memo);
 }
 
 /// The result of one experiment.
@@ -62,9 +48,6 @@ fn pes8(suite_pes: u16) -> SystemConfig {
     let mut cfg = SystemConfig::with_pes(suite_pes);
     if let Some(&obs) = DEFAULT_OBS.get() {
         cfg.obs = obs;
-    }
-    if let Some(&memo) = DEFAULT_MEMO.get() {
-        cfg.memo = memo;
     }
     cfg
 }
@@ -700,82 +683,6 @@ pub fn ext_wholeobj(n: usize, pes: u16) -> ExperimentResult {
         profile: None,
         id: "ext-wholeobj".into(),
         title: format!("Extension: whole-structure table prefetch, bitcnt({n})"),
-        text: text_table(&table),
-        rows,
-    }
-}
-
-/// Scheduler benchmark: host wall-clock of the event-driven scheduler
-/// with and without instance memoization, on the paper suite plus the
-/// DMA-dominated `gather` stress. Written as `BENCH_speed.json` so
-/// successive PRs can track simulator performance. Each pair must report
-/// a byte-identical `RunStats` — memoized replay is a pure host-time
-/// optimisation — and the table carries the skipped-tick and memo
-/// counters that explain the timings.
-pub fn speed_bench(cases: &[(Bench, Variant, u16)]) -> ExperimentResult {
-    let mut rows = Vec::new();
-    let mut table = vec![vec![
-        "benchmark".to_string(),
-        "variant".into(),
-        "pes".into(),
-        "memo".into(),
-        "cycles".into(),
-        "visited".into(),
-        "PE ticks".into(),
-        "skipped".into(),
-        "memo hits".into(),
-        "replayed cyc".into(),
-        "sim ms".into(),
-        "Mcyc/s".into(),
-        "speedup".into(),
-    ]];
-    for &(bench, variant, pes) in cases {
-        let mut plain = None;
-        for memo in [false, true] {
-            let mut cfg = pes8(pes);
-            cfg.memo = if memo {
-                MemoConfig::on()
-            } else {
-                MemoConfig::default()
-            };
-            let (mut row, ms, stats) =
-                try_run_timed_stats(bench, variant, cfg).unwrap_or_else(|e| panic!("{e}"));
-            let (base_ms, base_stats) = plain.get_or_insert((ms, stats.clone()));
-            // The hard invariance gate: every counter, per-PE breakdown
-            // and fault tally of the simulated run must be bit-identical
-            // with and without memoization.
-            assert_eq!(
-                &stats,
-                base_stats,
-                "{} [{}]: memoized replay changed the simulation",
-                bench.name(),
-                row.variant,
-            );
-            let base_ms = *base_ms;
-            row.wall_ms = Some(ms);
-            table.push(vec![
-                row.bench.clone(),
-                row.variant.clone(),
-                row.pes.to_string(),
-                if memo { "on" } else { "off" }.into(),
-                row.cycles.to_string(),
-                row.visited_cycles.to_string(),
-                row.pe_ticks.to_string(),
-                row.skipped_ticks.to_string(),
-                row.memo_hits.to_string(),
-                row.memo_replayed_cycles.to_string(),
-                format!("{ms:.1}"),
-                format!("{:.2}", row.cycles as f64 / ms / 1e3),
-                format!("{:.2}x", base_ms / ms),
-            ]);
-            rows.push(row);
-        }
-    }
-    ExperimentResult {
-        health: None,
-        profile: None,
-        id: "BENCH_speed".into(),
-        title: "Scheduler wall-clock: memoized replay vs interpretation".into(),
         text: text_table(&table),
         rows,
     }
@@ -1711,31 +1618,6 @@ mod tests {
             handovers += h;
         }
         assert!(handovers > 0, "no seed produced a DSE handover");
-    }
-
-    #[test]
-    fn quick_speed_bench_is_pure_and_skips_ticks() {
-        let r = speed_bench(&[(Bench::Gather(64), Variant::Baseline, 4)]);
-        assert_eq!(r.id, "BENCH_speed");
-        assert_eq!(r.rows.len(), 2);
-        // A pure host-time optimisation: identical simulated outcome
-        // (speed_bench itself hard-asserts full RunStats equality)...
-        assert_eq!(r.rows[0].cycles, r.rows[1].cycles);
-        // ...where the wake set skips blocked/idle PE ticks...
-        let pes = u64::from(r.rows[0].pes);
-        assert_eq!(
-            r.rows[0].pe_ticks + r.rows[0].skipped_ticks,
-            r.rows[0].visited_cycles * pes
-        );
-        assert!(r.rows[0].skipped_ticks > 0);
-        // ...the memo row replays segments instead of re-interpreting
-        // them...
-        assert_eq!(r.rows[0].memo_hits, 0);
-        assert!(r.rows[1].memo_hits > 0);
-        assert!(r.rows[1].memo_replayed_cycles > 0);
-        // ...and the memo-off row issues runs of pure cycles in one tick
-        // (spans stay off while memo runs), so it ticks no more often.
-        assert!(r.rows[0].pe_ticks <= r.rows[1].pe_ticks);
     }
 
     #[test]

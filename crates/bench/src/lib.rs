@@ -16,7 +16,6 @@
 //! | `ablate-split` | §3 split-transaction alternative |
 //! | `ablate-vfp`   | §4.3 virtual frame pointers |
 //! | `ablate-hw`    | bus/queue sensitivity |
-//! | `speed`    | host scheduler wall-clock, with and without memoized replay (`BENCH_speed.json`) |
 //! | `faults`   | fault-injection sweep: recovery cost vs rate (`BENCH_faults.json`) |
 //! | `failover` | DSE crash/failover sweep (`BENCH_failover.json`) |
 //! | `observe`  | observability overhead: bus off vs events vs full metrics + Perfetto (`BENCH_observe.json`) |

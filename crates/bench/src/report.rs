@@ -54,10 +54,6 @@ impl ToJson for Row {
             ("mem_requests", self.mem_requests.to_json()),
             ("wake_heap_mean", self.wake_heap_mean.to_json()),
             ("wake_heap_max", self.wake_heap_max.to_json()),
-            ("memo_hits", self.memo_hits.to_json()),
-            ("memo_misses", self.memo_misses.to_json()),
-            ("memo_replayed_cycles", self.memo_replayed_cycles.to_json()),
-            ("memo_aborts", self.memo_aborts.to_json()),
             ("job_key", self.job_key.to_json()),
             ("cache_hit", self.cache_hit.to_json()),
         ])

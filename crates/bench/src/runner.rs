@@ -7,9 +7,9 @@
 //! returned [`dta_core::JobResult`] is folded into a [`Row`].
 //!
 //! The timed paths ([`try_run_timed`], [`try_run_traced`]) bypass the
-//! cache on purpose, calling [`run_job`] directly: the speed/observe
-//! benchmarks measure the *simulator*, and a cache hit would
-//! report a near-zero wall clock and corrupt every measured speedup.
+//! cache on purpose, calling [`run_job`] directly: the observe
+//! benchmark measures the *simulator*, and a cache hit would report a
+//! near-zero wall clock and corrupt every measured overhead.
 
 use dta_core::{
     run_job, Breakdown, GlobalRead, JobResult, MetricsSink, ObsMode, RunStats, SimJob, StallCat,
@@ -240,15 +240,6 @@ pub struct Row {
     pub wake_heap_mean: f64,
     /// Peak wake-set occupancy.
     pub wake_heap_max: u64,
-    /// Memoized segment replays fired (0 with memo off).
-    pub memo_hits: u64,
-    /// Segment recordings started (memo cold paths).
-    pub memo_misses: u64,
-    /// Simulated cycles covered by replays instead of interpretation.
-    pub memo_replayed_cycles: u64,
-    /// Replay attempts refused (contention window open, invalidated
-    /// recording, cache full, or the cycle budget would be crossed).
-    pub memo_aborts: u64,
     /// Content hash of the job that produced this row (`JobKey` hex).
     pub job_key: String,
     /// Whether this row was served from the result cache (memory, disk
@@ -307,10 +298,6 @@ pub(crate) fn row_from_result(
     row.mem_requests = out.engine.mem_requests;
     row.wake_heap_mean = out.engine.wake_heap_occupancy.mean();
     row.wake_heap_max = out.engine.wake_heap_occupancy.max;
-    row.memo_hits = out.engine.memo_hits;
-    row.memo_misses = out.engine.memo_misses;
-    row.memo_replayed_cycles = out.engine.memo_replayed_cycles;
-    row.memo_aborts = out.engine.memo_aborts;
     if let Some(stream) = &out.obs {
         row.obs_events = stream.len() as u64;
         row.obs_dropped = stream.dropped;
@@ -352,28 +339,6 @@ pub fn try_run_timed(
     let sim_ms = started.elapsed().as_secs_f64() * 1e3;
     let row = row_from_result(bench, variant, &job.config, &result)?;
     Ok((row, sim_ms))
-}
-
-/// Like [`try_run_timed`], additionally returning the full [`RunStats`]
-/// so callers can hard-assert byte-identity of simulated results across
-/// engine/memoization configurations (the `speed` benchmark does).
-pub fn try_run_timed_stats(
-    bench: Bench,
-    variant: Variant,
-    cfg: SystemConfig,
-) -> Result<(Row, f64, RunStats), String> {
-    let job = job_for(bench, variant, cfg);
-    let started = std::time::Instant::now();
-    let result = run_job(&job);
-    let sim_ms = started.elapsed().as_secs_f64() * 1e3;
-    let row = row_from_result(bench, variant, &job.config, &result)?;
-    let stats = result
-        .outcome
-        .as_ref()
-        .expect("row_from_result verified")
-        .stats
-        .clone();
-    Ok((row, sim_ms, stats))
 }
 
 /// Like [`try_run_timed`], but additionally renders the Perfetto trace
@@ -493,10 +458,6 @@ fn row_from(bench: &Bench, variant: Variant, pes: u16, mem_latency: u64, stats: 
         mem_requests: 0,
         wake_heap_mean: 0.0,
         wake_heap_max: 0,
-        memo_hits: 0,
-        memo_misses: 0,
-        memo_replayed_cycles: 0,
-        memo_aborts: 0,
         job_key: String::new(),
         cache_hit: false,
     }

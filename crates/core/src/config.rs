@@ -179,11 +179,10 @@ impl FaultPlan {
     /// Is this plan's schedule guaranteed fault-free? True when every
     /// rate is zero: the plan arms the watchdog but can never fire a
     /// fault, so execution is cycle-identical to running with no plan at
-    /// all. Memoized timing replay keys off this — any plan that *can*
-    /// fire disables replay firing entirely, so fault schedules (which
-    /// are keyed by per-site counters, not wall cycles) are never
-    /// perturbed. Destructured without `..` so a new fault knob fails to
-    /// compile here until its benignity is classified.
+    /// all. The span executor keys off this — any plan that *can* fire
+    /// turns spans off (DESIGN.md §12). Destructured without `..` so a
+    /// new fault knob fails to compile here until its benignity is
+    /// classified.
     pub fn is_benign(&self) -> bool {
         let FaultPlan {
             seed: _,
@@ -332,34 +331,18 @@ impl ObsConfig {
     }
 }
 
-/// Instance-level memoization & timing replay (DESIGN.md §16).
-///
-/// When enabled, each PE keeps a per-PE cache of *timing skeletons* for
-/// pure instruction segments (spans between boundary instructions that
-/// touch shared resources). A repeated segment is replayed — its cycle
-/// charges, scoreboard end state, and outbound messages re-injected at
-/// shifted absolute cycles — instead of re-interpreted instruction by
-/// instruction. Replay is an optimization only: `RunStats`, the
-/// deterministic `ObsStream`, and typed errors are bit-identical with
-/// memoization on or off (pinned by `memo_invariance`).
+/// An inert stand-in for the retired instance-memoization switch: it
+/// has no fields, nothing reads it, and it is not part of
+/// [`SystemConfig::canonical_json`]. Kept only because the benchmark
+/// harness still names it (its `paper-memo` workload); it leaves with
+/// `paper-memo` in the next change to the benchmark.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoConfig {
-    /// Master switch (off reproduces the PR 5 interpreter exactly —
-    /// trivially, since nothing else runs). The cache capacity, minimum
-    /// span and pre-execution step cap are fixed constants in
-    /// [`memo`](crate::memo).
-    pub enabled: bool,
-}
+pub struct MemoConfig;
 
 impl MemoConfig {
-    /// Memoization on.
+    /// The former "memoization on" setting; the same as the default.
     pub fn on() -> Self {
-        MemoConfig { enabled: true }
-    }
-
-    /// Canonical encoding (part of the versioned job form).
-    pub fn canonical_json(&self) -> Json {
-        Json::obj([("enabled", Json::Bool(self.enabled))])
+        MemoConfig
     }
 }
 
@@ -445,8 +428,9 @@ pub struct SystemConfig {
     /// recovery machinery and the watchdog are armed only when set).
     pub faults: Option<FaultPlan>,
 
-    /// Instance-level memoization & timing replay (host-side perf; the
-    /// simulated results are bit-identical on or off).
+    /// Unread and not part of [`Self::canonical_json`] (see
+    /// [`MemoConfig`]); it goes with `paper-memo` in the next change to
+    /// the benchmark harness.
     pub memo: MemoConfig,
 }
 
@@ -491,7 +475,7 @@ impl SystemConfig {
             max_cycles: 2_000_000_000,
             parallelism: Parallelism::Off,
             faults: None,
-            memo: MemoConfig::default(),
+            memo: MemoConfig,
         }
     }
 
@@ -668,7 +652,6 @@ impl SystemConfig {
                     Some(f) => f.canonical_json(),
                 },
             ),
-            ("memo", self.memo.canonical_json()),
         ])
     }
 
@@ -777,9 +760,9 @@ mod tests {
             .to_string_compact();
         assert_eq!(a, b, "canonical form must be deterministic");
 
-        let mut memo = SystemConfig::paper_default();
-        memo.memo = MemoConfig::on();
-        assert_ne!(a, memo.canonical_json().to_string_compact());
+        let mut other = SystemConfig::paper_default();
+        other.dispatch_penalty += 1;
+        assert_ne!(a, other.canonical_json().to_string_compact());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// stored format disagrees are discarded on load). Bump it whenever the
 /// canonical config form, the program byte encoding, or the result
 /// encoding changes meaning.
-pub const JOB_FORMAT_VERSION: u32 = 7;
+pub const JOB_FORMAT_VERSION: u32 = 8;
 
 /// Content hash identifying a job (see the module docs for the exact
 /// preimage). Rendered as 32 lowercase hex digits in reports and file
@@ -832,10 +832,6 @@ mod tests {
         let mut other_pes = base.clone();
         other_pes.config.pes_per_node = 2;
         assert_ne!(k, other_pes.key());
-
-        let mut other_memo = base.clone();
-        other_memo.config.memo = crate::config::MemoConfig::on();
-        assert_ne!(k, other_memo.key());
     }
 
     #[test]

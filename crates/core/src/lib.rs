@@ -49,7 +49,6 @@
 pub mod config;
 pub mod fault;
 pub mod job;
-pub mod memo;
 pub mod pipeline;
 pub mod stats;
 pub(crate) mod step;
@@ -63,7 +62,6 @@ pub use job::{
     lifecycle_table, perfetto_trace, run_job, run_job_with_sink, GlobalRead, GlobalSnapshot,
     JobError, JobKey, JobOutput, JobResult, SimJob, JOB_FORMAT_VERSION,
 };
-pub use memo::MemoCounters;
 pub use pipeline::{Activity, Pe, PipelineParams};
 pub use stats::{Breakdown, EngineReport, PeStats, RunStats, StallCat};
 pub use system::{simulate, RunError, System};

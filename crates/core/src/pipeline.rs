@@ -14,13 +14,11 @@
 //! spent anywhere inside a PF code block (including waiting for a full MFC
 //! queue) are *Prefetching* overhead, as in the paper's Fig. 5.
 
-use crate::memo::{self, MemoCounters, MemoState, Recording, Replay, Skeleton};
 use crate::stats::{FineCat, PeStats, StallCat};
 use crate::step::{self, ea, Effect, Step};
 use crate::uop::{Uop, UopTable};
 use dta_isa::{
     CodeBlock, FramePtr, Instr, Program, Reg, Src, FRAME_PTR_REG, NUM_REGS, PREFETCH_BASE_REG,
-    ZERO_REG,
 };
 use dta_mem::{
     Cache, CacheParams, DmaCommand, DmaCompletion, DmaKind, LocalStore, MainMemory, MemorySystem,
@@ -59,15 +57,11 @@ pub struct PipelineParams {
     pub obs_interval: u64,
     /// Per-unit observability ring capacity.
     pub obs_capacity: usize,
-    /// Memoization may actually run on this PE (config on, no SP
-    /// offload, fault plan benign).
-    pub memo_active: bool,
-    /// A tick may issue a span of quiet cycles ahead of global time
-    /// (memoization off, no SP offload, fault plan benign; DESIGN.md
-    /// §12).
+    /// A tick may issue a span of quiet cycles ahead of global time (no
+    /// SP offload, fault plan benign; DESIGN.md §12).
     pub spans: bool,
-    /// Run cycle budget: replays and spans never extend past it, so the
-    /// cycle-limit error path is memo- and span-invariant.
+    /// Run cycle budget: spans never extend past it, so the cycle-limit
+    /// error path is span-invariant.
     pub max_cycles: u64,
 }
 
@@ -182,9 +176,6 @@ pub struct Pe {
     /// delivery). Compute cycles charged while this is non-zero feed
     /// `PeStats::attr_overlap_cycles`.
     pub dma_open: u64,
-    /// Instance-memoization state (segment cache, recording/replay
-    /// cursors, counters).
-    memo: MemoState,
     /// Executed-instruction counters.
     pub stats: PeStats,
     /// Structured observability log (events + gauge samples), merged
@@ -228,7 +219,6 @@ impl Pe {
             watchdog_parks: 0,
             parked_hint: false,
             dma_open: 0,
-            memo: MemoState::new(params.memo_active),
             stats: PeStats::default(),
             obs: ObsLog::new(
                 pe as u32,
@@ -369,7 +359,6 @@ impl Pe {
                 resume - self.falloc_block_start,
             );
             self.resume_at = resume;
-            self.memo.arm();
             return;
         }
         let pos = self
@@ -495,9 +484,9 @@ impl Pe {
     /// Without spans that is `now + 1`. With them, the window runs to
     /// the cycle budget, so the cycle-limit error sees the state the
     /// per-cycle loop leaves. While this PE has DMA in flight it also
-    /// stops short of the next completion (memo's window rule), whose
-    /// delivery changes `dma_open`, which the overlap attribution of
-    /// every charged cycle reads.
+    /// stops short of the next completion, whose delivery changes
+    /// `dma_open`, which the overlap attribution of every charged cycle
+    /// reads.
     fn span_horizon(&self, now: u64) -> u64 {
         if !self.params.spans {
             return now + 1;
@@ -560,7 +549,7 @@ impl Pe {
             }
         }
 
-        let act = self.memo_issue(now, ctx);
+        let act = self.issue(now, ctx);
         debug_assert!(
             act != Activity::Active || self.resume_at <= now + 1,
             "PE {}: Active at {now} with the pipeline due at {}",
@@ -593,7 +582,6 @@ impl Pe {
         self.current = Some(id);
         self.parked_hint = false;
         self.record(now, id, ThreadEvent::Dispatched);
-        self.memo.arm();
     }
 
     /// Issues the current instance from `now` on, up to the end of the
@@ -721,9 +709,6 @@ impl Pe {
                     }
                 }
                 self.charge(cycle_cat, self.act_fine(in_pf), 1);
-                if memo::may_bound_segment(&u1.instr) {
-                    self.memo.arm();
-                }
                 ControlFlow::Continue(next)
             }
             Exec::Redirect(target) => {
@@ -737,7 +722,6 @@ impl Pe {
                 let until = until.max(t + 1);
                 self.charge(cat, fine, until - t);
                 self.resume_at = until;
-                self.memo.arm();
                 ControlFlow::Continue(pc + 1)
             }
             Exec::BlockFalloc => {
@@ -764,223 +748,7 @@ impl Pe {
         }
     }
 
-    /// [`Self::issue`] with the memoization layer interposed (a straight
-    /// pass-through when memoization is inactive).
-    ///
-    /// Order matters: an active replay advances first; otherwise a
-    /// completed recording is finalised *before* its boundary issues
-    /// (the span's stats delta must not include boundary charges); then
-    /// an armed segment entry attempts to fire or record; finally the
-    /// normal interpreter runs, with its outbox pushes captured into any
-    /// recording in progress.
-    fn memo_issue(&mut self, now: u64, ctx: &mut SysCtx<'_>) -> Activity {
-        if !self.memo.active {
-            return self.issue(now, ctx);
-        }
-        if self.memo.replay.is_some() {
-            if let Some(act) = self.replay_step(now, ctx) {
-                return act;
-            }
-            // Segment end reached: the boundary issues below, this tick.
-        } else {
-            self.maybe_finalize(now);
-            if self.memo.armed {
-                self.memo.armed = false;
-                self.memo_attempt(now, ctx);
-                if self.memo.replay.is_some() {
-                    if let Some(act) = self.replay_step(now, ctx) {
-                        return act;
-                    }
-                }
-            }
-        }
-        let out_before = ctx.out.len();
-        let act = self.issue(now, ctx);
-        if let Some(rec) = self.memo.recording.as_mut() {
-            for _ in out_before..ctx.out.len() {
-                rec.post_rels.push(now - rec.base);
-            }
-        }
-        act
-    }
-
-    /// If a recording's segment just completed (the pipeline is at its
-    /// boundary pc), files it as a cached skeleton — unless something
-    /// perturbed the span (instance switched, a DMA completion landed,
-    /// the path diverged from pre-execution), in which case it is
-    /// discarded: a miss, never an error.
-    fn maybe_finalize(&mut self, now: u64) {
-        let Some(rec) = self.memo.recording.as_ref() else {
-            return;
-        };
-        if self.current != Some(rec.owner) {
-            self.memo.recording = None;
-            self.memo.counters.aborts += 1;
-            return;
-        }
-        if self.lse.instance(rec.owner).pc != rec.stop_pc {
-            return; // still mid-span
-        }
-        let rec = self.memo.recording.take().expect("checked above");
-        if self.dma_open != rec.dma_open_at_base || rec.post_rels.len() != rec.expected_posts {
-            self.memo.counters.aborts += 1;
-            return;
-        }
-        let mut delta = self.stats.delta_since(&rec.stats_at);
-        let overlap_cycles =
-            delta.fine[FineCat::Compute as usize] + delta.fine[FineCat::Degraded as usize];
-        // With `dma_open` constant through the span (checked above) the
-        // overlap attribution is exactly the compute+degraded fine
-        // cycles when DMA was in flight, zero otherwise — so it can be
-        // normalised out here and re-derived at fire time.
-        debug_assert_eq!(
-            delta.attr_overlap_cycles,
-            if rec.dma_open_at_base > 0 {
-                overlap_cycles
-            } else {
-                0
-            },
-            "span overlap attribution must be a pure function of its fine cycles"
-        );
-        delta.attr_overlap_cycles = 0;
-        let mut end_reg_rel = [0u64; NUM_REGS];
-        for (rel, &ready) in end_reg_rel.iter_mut().zip(&self.reg_ready) {
-            *rel = ready.saturating_sub(rec.base);
-        }
-        let ls_rel: Vec<u64> = self
-            .ls_ports
-            .free_times()
-            .iter()
-            .map(|&t| t.saturating_sub(rec.base))
-            .collect();
-        let skel = Skeleton {
-            len: now - rec.base,
-            stop_pc: rec.stop_pc,
-            post_rels: rec.post_rels,
-            stats_delta: delta,
-            overlap_cycles,
-            end_reg_rel,
-            end_reg_stall: self.reg_stall,
-            ls_rel,
-            ls_busy_delta: self.ls_ports.busy_cycles() - rec.ls_busy_at,
-        };
-        self.memo.insert(rec.key, skel);
-    }
-
-    /// Attempts to fire or record the segment starting at the current
-    /// pc. Every bail-out path falls back to plain interpretation.
-    fn memo_attempt(&mut self, now: u64, ctx: &mut SysCtx<'_>) {
-        // A recording that never reached its boundary (the instance left
-        // the pipeline mid-span) is stale by the next segment entry.
-        if self.memo.recording.is_some() {
-            self.memo.recording = None;
-            self.memo.counters.aborts += 1;
-        }
-        let id = self.current.expect("memo attempt without a current thread");
-        let inst = self.lse.instance(id);
-        let thread = &ctx.program.threads[inst.thread.index()];
-        let Some(fx) = memo::fn_exec(
-            thread,
-            inst,
-            &self.ls,
-            &self.reg_ready,
-            &self.reg_stall,
-            self.ls_ports.free_times(),
-            self.degraded,
-            now,
-        ) else {
-            self.memo.counters.aborts += 1;
-            return;
-        };
-        if fx.steps < memo::MIN_SPAN {
-            return; // too short to be worth caching: neither miss nor abort
-        }
-        if let Some(skel) = self.memo.lookup(fx.key) {
-            // Fire only inside a contention-free window: either no DMA
-            // in flight, or the in-flight set provably constant through
-            // the span — and never across the cycle-limit horizon, so
-            // the `CycleLimit` error path stays memo-invariant.
-            let end = now + skel.len;
-            let overlap_add = if self.dma_open == 0 {
-                Some(0)
-            } else if end < self.mfc.quiet_horizon(now) {
-                Some(skel.overlap_cycles)
-            } else {
-                None
-            };
-            match overlap_add {
-                Some(overlap_add) if end <= self.params.max_cycles => {
-                    debug_assert_eq!(skel.stop_pc, fx.stop_pc);
-                    debug_assert_eq!(skel.post_rels.len(), fx.effects.len());
-                    self.memo.counters.hits += 1;
-                    self.memo.counters.replayed_cycles += skel.len;
-                    self.memo.replay = Some(Replay {
-                        skel,
-                        base: now,
-                        effects: fx.effects,
-                        regs: fx.regs,
-                        next_effect: 0,
-                        overlay: fx.overlay,
-                        overlap_add,
-                    });
-                }
-                _ => self.memo.counters.aborts += 1,
-            }
-        } else if self.memo.can_insert() {
-            self.memo.counters.misses += 1;
-            self.memo.recording = Some(Recording {
-                key: fx.key,
-                owner: id,
-                base: now,
-                stop_pc: fx.stop_pc,
-                dma_open_at_base: self.dma_open,
-                expected_posts: fx.effects.len(),
-                stats_at: self.stats,
-                ls_busy_at: self.ls_ports.busy_cycles(),
-                post_rels: Vec::new(),
-            });
-        } else {
-            self.memo.counters.aborts += 1;
-        }
-    }
-
-    /// Advances an active replay at `now`: emits the effects recorded
-    /// for this cycle through the normal post path, then sleeps to the
-    /// next event. Returns `None` once the segment end is reached — the
-    /// boundary then issues normally in the same tick, exactly as
-    /// interpretation would.
-    fn replay_step(&mut self, now: u64, ctx: &mut SysCtx<'_>) -> Option<Activity> {
-        let id = self.current.expect("replay without a current thread");
-        loop {
-            let rep = self.memo.replay.as_ref().expect("active replay");
-            let i = rep.next_effect;
-            if i >= rep.effects.len() || rep.base + rep.skel.post_rels[i] != now {
-                break;
-            }
-            let effect = rep.effects[i];
-            self.memo
-                .replay
-                .as_mut()
-                .expect("active replay")
-                .next_effect = i + 1;
-            self.emit_effect(now, id, effect, ctx);
-        }
-        let rep = self.memo.replay.as_ref().expect("active replay");
-        let end = rep.base + rep.skel.len;
-        if now < end {
-            let next = match rep.skel.post_rels.get(rep.next_effect) {
-                Some(&rel) => (rep.base + rel).min(end),
-                None => end,
-            };
-            self.resume_at = next;
-            return Some(Activity::Blocked(next));
-        }
-        self.finish_replay(now, id);
-        None
-    }
-
-    /// Posts a `STORE`/`FFREE` effect to the owning LSE: the one post path
-    /// for interpreted and replayed effects alike.
+    /// Posts a `STORE`/`FFREE` effect to the owning LSE.
     fn emit_effect(&mut self, now: u64, id: InstanceId, effect: Effect, ctx: &mut SysCtx<'_>) {
         let (dest_pe, msg) = match effect {
             Effect::Store { frame, slot, value } => {
@@ -992,42 +760,6 @@ impl Pe {
         let stamp = self.stamp.bump();
         self.lse.instance_mut(id).tainted = true;
         ctx.out.push((now + delay, Dest::Lse(dest_pe), msg, stamp));
-    }
-
-    /// Installs a finished replay's end state: final registers and pc,
-    /// scoreboard, LS writes and port watermarks, and the span's stats
-    /// delta with the fire-window's overlap attribution re-added.
-    fn finish_replay(&mut self, now: u64, id: InstanceId) {
-        let rep = self.memo.replay.take().expect("active replay");
-        debug_assert_eq!(now, rep.base + rep.skel.len);
-        debug_assert_eq!(rep.next_effect, rep.effects.len());
-        // Local-store writes: nothing observes LS bytes mid-span inside
-        // a contention-free window (no SP offload, no DMA completion),
-        // so applying them at the segment end is order-equivalent.
-        for &(addr, value) in &rep.overlay {
-            self.ls.write_u32(addr, value);
-        }
-        {
-            let inst = self.lse.instance_mut(id);
-            let mut regs = rep.regs;
-            regs[ZERO_REG.index()] = inst.regs[ZERO_REG.index()];
-            inst.regs = regs;
-            inst.pc = rep.skel.stop_pc;
-        }
-        for (ready, &rel) in self.reg_ready.iter_mut().zip(&rep.skel.end_reg_rel) {
-            *ready = rep.base + rel;
-        }
-        self.reg_stall = rep.skel.end_reg_stall;
-        self.ls_ports
-            .restore(rep.base, &rep.skel.ls_rel, rep.skel.ls_busy_delta);
-        self.stats.merge(&rep.skel.stats_delta);
-        self.stats.attr_overlap_cycles += rep.overlap_add;
-    }
-
-    /// This PE's memoization counters (host-side observability, summed
-    /// into the [`EngineReport`](crate::stats::EngineReport)).
-    pub fn memo_counters(&self) -> MemoCounters {
-        self.memo.counters
     }
 
     /// Parks the current instance after `watchdog_spin_limit` consecutive

@@ -194,67 +194,6 @@ impl PeStats {
         self.dma_queue_retries += other.dma_queue_retries;
         self.sp_pf_cycles += other.sp_pf_cycles;
     }
-
-    /// Field-wise difference against an earlier snapshot of the same
-    /// counters (all fields are monotone, so plain subtraction is exact).
-    /// Together with [`Self::merge`] this is the record/replay seam of
-    /// the memoization layer: a segment's stat delta is captured once and
-    /// re-merged on every replay. Destructured without `..` so a new
-    /// counter cannot be silently dropped from recorded skeletons.
-    pub fn delta_since(&self, earlier: &PeStats) -> PeStats {
-        let PeStats {
-            mut cycles,
-            mut fine,
-            mut attr_overlap_cycles,
-            mut issued,
-            mut dual_cycles,
-            mut issue_cycles,
-            mut class_counts,
-            mut loads,
-            mut stores,
-            mut reads,
-            mut writes,
-            mut threads_dispatched,
-            mut dma_queue_retries,
-            mut sp_pf_cycles,
-        } = *self;
-        for (c, e) in cycles.iter_mut().zip(earlier.cycles.iter()) {
-            *c -= e;
-        }
-        for (f, e) in fine.iter_mut().zip(earlier.fine.iter()) {
-            *f -= e;
-        }
-        for (c, e) in class_counts.iter_mut().zip(earlier.class_counts.iter()) {
-            *c -= e;
-        }
-        attr_overlap_cycles -= earlier.attr_overlap_cycles;
-        issued -= earlier.issued;
-        dual_cycles -= earlier.dual_cycles;
-        issue_cycles -= earlier.issue_cycles;
-        loads -= earlier.loads;
-        stores -= earlier.stores;
-        reads -= earlier.reads;
-        writes -= earlier.writes;
-        threads_dispatched -= earlier.threads_dispatched;
-        dma_queue_retries -= earlier.dma_queue_retries;
-        sp_pf_cycles -= earlier.sp_pf_cycles;
-        PeStats {
-            cycles,
-            fine,
-            attr_overlap_cycles,
-            issued,
-            dual_cycles,
-            issue_cycles,
-            class_counts,
-            loads,
-            stores,
-            reads,
-            writes,
-            threads_dispatched,
-            dma_queue_retries,
-            sp_pf_cycles,
-        }
-    }
 }
 
 /// A normalised execution-time breakdown (Fig. 5 bar).
@@ -358,17 +297,16 @@ pub struct EngineReport {
     /// Host-side transfer requests resolved by the shared memory system
     /// (bus + memory ports), including DMA, scalar and PF traffic.
     pub mem_requests: u64,
-    /// Memoized segments fired as timing replays (summed across PEs).
+    /// The four `memo_*` counters are always zero and not part of the
+    /// JSON encoding: instance memoization is retired. They stay only
+    /// because the benchmark harness still reads them, and go with its
+    /// `paper-memo` workload in the next change to the benchmark.
     pub memo_hits: u64,
-    /// Memoizable segments executed live because their key was not yet
-    /// cached (each starts a recording).
+    /// Always zero (see `memo_hits`).
     pub memo_misses: u64,
-    /// Simulated cycles covered by fired replays — span lengths the host
-    /// did not re-interpret instruction by instruction.
+    /// Always zero (see `memo_hits`).
     pub memo_replayed_cycles: u64,
-    /// Memoization attempts abandoned by a safety gate: a contention
-    /// window (DMA completions landing inside the would-be span), the
-    /// pre-execution step cap, a full cache, or the cycle-limit guard.
+    /// Always zero (see `memo_hits`).
     pub memo_aborts: u64,
 }
 
@@ -386,10 +324,6 @@ impl ToJson for EngineReport {
             ("pe_deliveries", self.pe_deliveries.to_json()),
             ("dse_deliveries", self.dse_deliveries.to_json()),
             ("mem_requests", self.mem_requests.to_json()),
-            ("memo_hits", self.memo_hits.to_json()),
-            ("memo_misses", self.memo_misses.to_json()),
-            ("memo_replayed_cycles", self.memo_replayed_cycles.to_json()),
-            ("memo_aborts", self.memo_aborts.to_json()),
         ])
     }
 }
@@ -632,10 +566,7 @@ impl EngineReport {
             pe_deliveries: u64_field(v, "pe_deliveries")?,
             dse_deliveries: u64_field(v, "dse_deliveries")?,
             mem_requests: u64_field(v, "mem_requests")?,
-            memo_hits: u64_field(v, "memo_hits")?,
-            memo_misses: u64_field(v, "memo_misses")?,
-            memo_replayed_cycles: u64_field(v, "memo_replayed_cycles")?,
-            memo_aborts: u64_field(v, "memo_aborts")?,
+            ..EngineReport::default()
         })
     }
 }
@@ -825,10 +756,7 @@ mod tests {
             pe_deliveries: 17,
             dse_deliveries: 6,
             mem_requests: 12,
-            memo_hits: 4100,
-            memo_misses: 9,
-            memo_replayed_cycles: 777_216,
-            memo_aborts: 3,
+            ..EngineReport::default()
         };
         let er_text = er.to_json().to_string_compact();
         assert_eq!(

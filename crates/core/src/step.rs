@@ -5,9 +5,7 @@
 //! instance's registers and frame slots and on the PE's local store.
 //! [`step`] says what one does; each executor applies the result and adds
 //! only its own concerns: the main pipeline its scoreboard, LS ports and
-//! stall buckets, the SP offload its serial clock, and the memo layer's
-//! functional pre-executor its path hash, LS write overlay and step
-//! budget.
+//! stall buckets, and the SP offload its serial clock.
 
 use dta_isa::{FramePtr, Instr, Reg, Src, NUM_REGS};
 use std::fmt;
@@ -131,7 +129,7 @@ pub(crate) fn set(regs: &mut [i64; NUM_REGS], r: Reg, v: i64) {
 /// is always inlined, and a fault is a [`Step`] variant rather than an
 /// `Err`: only then does the compiler fold the caller's match on the
 /// result into this match on the instruction. A call, or a `Result`
-/// around the step, made memoized mmul(32) about 10% slower.
+/// around the step, once made mmul(32) about 10% slower.
 #[inline(always)]
 pub(crate) fn step(
     i: Instr,

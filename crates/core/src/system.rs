@@ -1180,7 +1180,6 @@ impl System {
         let lse_params = config
             .lse_params(program.max_prefetch_bytes())
             .map_err(RunError::Launch)?;
-        let inert = !config.sp_pf_overlap && config.faults.is_none_or(|f| f.is_benign());
         let pparams = PipelineParams {
             taken_branch_penalty: config.taken_branch_penalty,
             dispatch_penalty: config.dispatch_penalty,
@@ -1192,14 +1191,12 @@ impl System {
             obs_events: config.obs.events_on(),
             obs_interval: config.obs_interval(),
             obs_capacity: config.obs.event_capacity,
-            // Memoization and spans only run where they are provably
-            // inert: the SP offload mutates LS bytes asynchronously
-            // mid-segment, and a non-benign fault plan perturbs
-            // latencies/liveness in ways the contention-window check
-            // cannot see. Spans stay off while memoization runs, so the
-            // memo path issues exactly as it always has.
-            memo_active: config.memo.enabled && inert,
-            spans: !config.memo.enabled && inert,
+            // Spans only run where they are provably inert: the SP
+            // offload writes LS bytes asynchronously, which a span
+            // running ahead of global time could read too early, and a
+            // non-benign fault plan can crash an LSE, taking its PE
+            // down mid-span.
+            spans: !config.sp_pf_overlap && config.faults.is_none_or(|f| f.is_benign()),
             max_cycles: config.max_cycles,
         };
         let mut pes = Vec::with_capacity(config.total_pes() as usize);
@@ -1606,13 +1603,6 @@ impl System {
     fn seal_report(&mut self, mut report: EngineReport, wall: std::time::Instant) {
         report.run_wall_us = wall.elapsed().as_micros() as u64;
         report.mem_requests = self.memsys.stats().total();
-        for pe in &self.pes {
-            let m = pe.memo_counters();
-            report.memo_hits += m.hits;
-            report.memo_misses += m.misses;
-            report.memo_replayed_cycles += m.replayed_cycles;
-            report.memo_aborts += m.aborts;
-        }
         self.engine_report = report;
     }
 

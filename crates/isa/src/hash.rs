@@ -1,10 +1,10 @@
 //! A fast hasher for simulator-internal integer keys.
 //!
-//! The simulator's hot tables (LSE instance tables, main-memory pages,
-//! memo skeleton caches) are keyed by values the simulator itself
-//! mints: instance ids, page numbers and 128-bit content digests. No
-//! adversary chooses them, so the std default hasher's HashDoS
-//! resistance buys nothing and its SipHash rounds sit on every lookup.
+//! The simulator's hot tables (LSE instance tables, main-memory pages)
+//! are keyed by values the simulator itself mints: instance ids and
+//! page numbers. No adversary chooses them, so the std default hasher's
+//! HashDoS resistance buys nothing and its SipHash rounds sit on every
+//! lookup.
 //! [`IdHasher`] is a single Fibonacci multiply per word instead.
 //! Hashbrown takes its control byte from the top 7 bits and its bucket
 //! index from the low bits. The multiply by an odd constant is a
@@ -47,11 +47,6 @@ impl Hasher for IdHasher {
     fn write_u64(&mut self, n: u64) {
         self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(K);
     }
-
-    #[inline]
-    fn write_u128(&mut self, n: u128) {
-        self.write_u64(n as u64 ^ (n >> 64) as u64);
-    }
 }
 
 #[cfg(test)]
@@ -91,23 +86,6 @@ mod tests {
             .flat_map(|pe| (0..1024u64).map(move |c| (pe << 48) | c))
             .collect();
         assert_spread(&ids.iter().map(|&id| hash(id)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn random_digests_spread() {
-        // A splitmix64 stream stands in for fnv1a128 digests.
-        let mut s = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let digests: Vec<u128> = (0..4096)
-            .map(|_| (u128::from(next()) << 64) | u128::from(next()))
-            .collect();
-        assert_spread(&digests.iter().map(|&d| hash(d)).collect::<Vec<_>>());
     }
 
     #[test]

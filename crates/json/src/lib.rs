@@ -839,9 +839,13 @@ impl<'a> Reader<'a> {
             return Ok(Number::Int { neg, mag });
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        text.parse()
-            .map(Number::Float)
-            .map_err(|_| self.err("malformed number"))
+        match text.parse::<f64>() {
+            // An exponent past f64's range parses as infinity, which the
+            // writer can only render as `null`: refuse it.
+            Ok(f) if f.is_finite() => Ok(Number::Float(f)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("malformed number")),
+        }
     }
 
     /// Reads a string token; borrowed when it holds no escapes.
@@ -998,7 +1002,7 @@ mod tests {
     fn parse_rejects_non_json_numbers() {
         for bad in [
             "[007]", "[-01]", "[00]", "[1.]", "[.5]", "[+1]", "[1e]", "[1e+]", "[-]", "[0x1]",
-            "[1.5.2]", "[--1]",
+            "[1.5.2]", "[--1]", "[1e999]", "[-1E400]",
         ] {
             assert!(parse(bad).is_err(), "{bad} parsed");
         }

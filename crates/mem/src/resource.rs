@@ -75,28 +75,6 @@ impl ResourcePool {
         self.free_at.iter().copied().min().unwrap_or(0)
     }
 
-    /// Per-channel free times, in channel order. Values at or before the
-    /// current cycle are equivalent (a reservation starts no earlier than
-    /// `now`), so callers snapshotting state relative to a base cycle
-    /// should saturate the subtraction.
-    #[inline]
-    pub fn free_times(&self) -> &[u64] {
-        &self.free_at
-    }
-
-    /// Restores the pool to a state snapshot taken relative to a base
-    /// cycle: channel `i` becomes free at `base + rel[i]`, and
-    /// `busy_delta` busy cycles are re-accumulated. Used by timing replay
-    /// to reproduce a recorded span's end state without re-running its
-    /// reservations.
-    pub fn restore(&mut self, base: u64, rel: &[u64], busy_delta: u64) {
-        assert_eq!(rel.len(), self.free_at.len(), "channel count mismatch");
-        for (f, &r) in self.free_at.iter_mut().zip(rel) {
-            *f = base + r;
-        }
-        self.busy_cycles += busy_delta;
-    }
-
     /// Total busy cycles accumulated across all channels.
     #[inline]
     pub fn busy_cycles(&self) -> u64 {

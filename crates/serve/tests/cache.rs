@@ -3,13 +3,13 @@
 //! Pins the three cache-correctness contracts:
 //!
 //! 1. identical jobs hit the cache with **byte-identical** canonical
-//!    `JobResult`s, with memo `off|on`;
+//!    `JobResult`s;
 //! 2. any single behavioural field perturbation (fault seed, ppm, PE
-//!    count, memo, argument) changes the `JobKey`;
+//!    count, argument) changes the `JobKey`;
 //! 3. cached replay of a faulting job returns the same typed error,
 //!    from memory and from disk.
 
-use dta_core::{FaultPlan, JobError, MemoConfig, ObsMode, SimJob, SystemConfig};
+use dta_core::{FaultPlan, JobError, ObsMode, SimJob, SystemConfig};
 use dta_serve::{CacheStatus, Service};
 use dta_workloads::{vecscale, Variant};
 use std::collections::HashSet;
@@ -33,42 +33,23 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn identical_jobs_hit_cache_byte_identical_across_memo_modes() {
-    let mut all_stats = Vec::new();
-    let mut all_obs = Vec::new();
-    for memo in [false, true] {
-        let mut cfg = base_config(4);
-        if memo {
-            cfg.memo = MemoConfig::on();
-        }
-        let job = job_with(cfg);
-        let service = Service::in_memory(1);
+fn identical_jobs_hit_cache_byte_identical() {
+    let job = job_with(base_config(4));
+    let service = Service::in_memory(1);
 
-        let cold = service.submit(&job);
-        assert_eq!(cold.status, CacheStatus::Miss);
-        let warm = service.submit(&job);
-        assert_eq!(
-            warm.status,
-            CacheStatus::Memory,
-            "memo={memo}: second submission must hit"
-        );
-        assert_eq!(
-            warm.result.canonical_string(),
-            cold.result.canonical_string(),
-            "memo={memo}: cached result must be byte-identical"
-        );
-
-        let out = cold.result.outcome.as_ref().expect("vecscale succeeds");
-        all_stats.push(out.stats.clone());
-        all_obs.push(out.obs.clone().expect("events on"));
-    }
-    // Memo is a host-time optimisation: both modes produced the same
-    // stats and the same event stream.
+    let cold = service.submit(&job);
+    assert_eq!(cold.status, CacheStatus::Miss);
+    let warm = service.submit(&job);
     assert_eq!(
-        all_stats[1], all_stats[0],
-        "RunStats must be memo-invariant"
+        warm.status,
+        CacheStatus::Memory,
+        "second submission must hit"
     );
-    assert_eq!(all_obs[1], all_obs[0], "obs stream must be memo-invariant");
+    assert_eq!(
+        warm.result.canonical_string(),
+        cold.result.canonical_string(),
+        "cached result must be byte-identical"
+    );
 }
 
 #[test]
@@ -98,10 +79,6 @@ fn any_single_field_perturbation_changes_the_key() {
     let mut j = base.clone();
     j.config.pes_per_node = 8;
     variants.push(("PE count", j));
-
-    let mut j = base.clone();
-    j.config.memo = MemoConfig::on();
-    variants.push(("memo", j));
 
     let mut j = base.clone();
     j.args.push(1); // vecscale takes no host args; adding one still perturbs

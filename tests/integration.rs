@@ -2,7 +2,7 @@
 //! validator → prefetch compiler → simulator → verified results.
 
 use dta::compiler::{prefetch_program, TransformOptions};
-use dta::core::{simulate, MemoConfig, RunError, StallCat, System, SystemConfig};
+use dta::core::{simulate, RunError, StallCat, System, SystemConfig};
 use dta::isa::asm::{assemble, program_to_asm};
 use dta::isa::validate_program;
 use dta::workloads::{bitcnt, colsum, mmul, stencil, vecscale, zoom, Variant};
@@ -55,9 +55,7 @@ done:
 }
 
 /// Effective addresses wrap: `base + off` past `i64::MAX` lands on the
-/// low 32 bits for the local store, in debug and release builds alike,
-/// and the memo layer's pre-executor agrees with the pipeline (it keeps
-/// the segment instead of bailing).
+/// low 32 bits for the local store, in debug and release builds alike.
 #[test]
 fn effective_addresses_wrap_in_every_executor() {
     let src = r#"
@@ -79,15 +77,8 @@ fn effective_addresses_wrap_in_every_executor() {
 .end
 "#;
     let program = Arc::new(assemble(src).expect("assembles"));
-    for memo in [MemoConfig::default(), MemoConfig::on()] {
-        let mut cfg = SystemConfig::with_pes(1);
-        cfg.memo = memo;
-        let (_, sys) = simulate(cfg, program.clone(), &[]).unwrap();
-        assert_eq!(sys.read_global_word("out", 0), Some(77), "{memo:?}");
-        let report = sys.engine_report();
-        assert_eq!(report.memo_aborts, 0, "{memo:?}");
-        assert_eq!(report.memo_misses, memo.enabled as u64, "{memo:?}");
-    }
+    let (_, sys) = simulate(SystemConfig::with_pes(1), program, &[]).unwrap();
+    assert_eq!(sys.read_global_word("out", 0), Some(77));
 }
 
 /// DTA's multi-node scheduler: a 2-node × 4-PE system must produce the

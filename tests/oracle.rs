@@ -3,13 +3,11 @@
 //! Small runs of every paper workload shape must reproduce committed
 //! digests exactly: `fnv1a128` of the `RunStats` JSON and of the codec
 //! JSON of the observability stream (ring-drop count kept), with every
-//! event class recorded and the metrics fold on. Each case runs with
-//! memoization off and on; both must match, since memo is a host-time
-//! optimisation only. Every run must also account for each PE at each
-//! visited cycle as either a tick or a skipped tick, and must actually
-//! skip some.
+//! event class recorded and the metrics fold on. Every run must also
+//! account for each PE at each visited cycle as either a tick or a
+//! skipped tick, and must actually skip some.
 //!
-//! Each case also runs once as a [`SimJob`] with memo off and pins the
+//! Each case also runs once as a [`SimJob`] and pins the
 //! whole service-path output byte for byte: `fnv1a128` of
 //! `JobResult::canonical_string()` (key, stats, engine report, globals
 //! and the full stream) and of the `perfetto_trace` text. One
@@ -33,21 +31,18 @@
 //! this oracle is `crates/core/tests/golden.rs`.
 
 use dta::core::{
-    perfetto_trace, run_job, simulate, EngineReport, JobError, MemoConfig, ObsMode, RunStats,
-    SimJob, System, SystemConfig,
+    perfetto_trace, run_job, simulate, EngineReport, JobError, ObsMode, RunStats, SimJob, System,
+    SystemConfig,
 };
 use dta::workloads::{bitcnt, gather, mmul, zoom, Variant, WorkloadProgram};
 use dta_json::{fnv1a128, ToJson};
 use dta_obs::Histogram;
 use std::sync::Arc;
 
-fn config(pes: u16, memo: bool) -> SystemConfig {
+fn config(pes: u16) -> SystemConfig {
     let mut cfg = SystemConfig::with_pes(pes);
     cfg.obs.mode = ObsMode::All;
     cfg.obs.metrics_interval = 250;
-    if memo {
-        cfg.memo = MemoConfig::on();
-    }
     cfg
 }
 
@@ -68,14 +63,13 @@ fn digests(
     name: &str,
     wp: &WorkloadProgram,
     pes: u16,
-    memo: bool,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) -> (u128, u128) {
-    let cfg = config(pes, memo);
-    let (stats, sys): (RunStats, System) = simulate(cfg, Arc::new(wp.program.clone()), &wp.args)
-        .unwrap_or_else(|e| panic!("{name} memo={memo}: {e}"));
-    verify(&sys).unwrap_or_else(|e| panic!("{name} memo={memo}: result wrong: {e}"));
-    assert_ticks_partition(&format!("{name} memo={memo}"), sys.engine_report(), pes);
+    let (stats, sys): (RunStats, System) =
+        simulate(config(pes), Arc::new(wp.program.clone()), &wp.args)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    verify(&sys).unwrap_or_else(|e| panic!("{name}: result wrong: {e}"));
+    assert_ticks_partition(name, sys.engine_report(), pes);
     let obs = sys.obs().expect("observability on");
     let stream = dta_obs::codec::stream_to_string(obs);
     (
@@ -88,16 +82,12 @@ fn digests(
 /// visited: `(pe_ticks, visited_cycles)`.
 type Ticks = (u64, u64);
 
-/// Runs `wp` as a job with memo off and returns `(canonical result
+/// Runs `wp` as a job and returns `(canonical result
 /// digest, Perfetto trace digest)`, the document digested with the
 /// engine's tick counters reset, and the counters themselves for their
 /// own pin.
 fn document_digests(name: &str, wp: &WorkloadProgram, pes: u16) -> ((u128, u128), Ticks) {
-    let job = SimJob::new(
-        Arc::new(wp.program.clone()),
-        wp.args.clone(),
-        config(pes, false),
-    );
+    let job = SimJob::new(Arc::new(wp.program.clone()), wp.args.clone(), config(pes));
     let mut result = run_job(&job);
     let out = result.outcome.as_mut().expect("oracle jobs succeed");
     let trace = perfetto_trace(&job.config, &job.program, out.obs.as_ref().unwrap());
@@ -126,14 +116,12 @@ fn assert_oracle(
     pes: u16,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) {
-    for memo in [false, true] {
-        let got = digests(name, &wp, pes, memo, verify);
-        assert_eq!(
-            got, want,
-            "{name}: memo={memo} diverged from the oracle (got {:#034x}, {:#034x})",
-            got.0, got.1
-        );
-    }
+    let got = digests(name, &wp, pes, verify);
+    assert_eq!(
+        got, want,
+        "{name}: diverged from the oracle (got {:#034x}, {:#034x})",
+        got.0, got.1
+    );
     let (got, ticks) = document_digests(name, &wp, pes);
     assert_eq!(
         got, want_doc,
@@ -155,7 +143,7 @@ fn bitcnt_hand_prefetch_matches_oracle() {
             0xfd23757bc7f4a6dbed5e172205a3af96,
         ),
         (
-            0x29a14f52f23f9ec43fd87177c9d370af,
+            0x32e8b8edb89c7abc24a35a42a6cdd65e,
             0x91c5f15e6705134adf09e0f46e1b1f72,
         ),
         (6447, 5390),
@@ -174,7 +162,7 @@ fn mmul_hand_prefetch_matches_oracle() {
             0x73836d5cb48dab5977d85a9ce7eb7f87,
         ),
         (
-            0x1d0eff23e1835d6dcc327ff1e8762305,
+            0x62c6fcc583b05ea859f9a9c8fb6058c1,
             0x856173dd4d49176204ea051b10e24539,
         ),
         (204, 193),
@@ -195,7 +183,7 @@ fn mmul_baseline_matches_oracle() {
             0x2c730d2a0d2a086eb424bd367b16a987,
         ),
         (
-            0x20cf54ddcae95b7c123c9350f69b3dcb,
+            0x97f9baeace9399f4a57124c32950f203,
             0x345b0682e90e14f1b181b0a462f5c8a3,
         ),
         (1172, 1174),
@@ -214,7 +202,7 @@ fn zoom_hand_prefetch_matches_oracle() {
             0xc1edad4df7c180222927d17523bee82a,
         ),
         (
-            0x0440918cafc613b0ae1f7a22c3e4c930,
+            0x64b6438dceb45998e0f8068813214e37,
             0x1cc315dfffdd02351c796fe976cca19e,
         ),
         (5171, 4112),
@@ -233,7 +221,7 @@ fn gather_on_sixteen_pes_matches_oracle() {
             0xcc200c29a425f76f6af55db07ebd0c5a,
         ),
         (
-            0xeddec995b136924c95caab1330c8eb39,
+            0x9b420e603e9e064d9da7f8b67aa5e4e1,
             0xec2672c19a2e80557b8dc002163e62a2,
         ),
         (572, 560),
@@ -248,7 +236,7 @@ fn gather_on_sixteen_pes_matches_oracle() {
 #[test]
 fn cycle_limit_error_document_matches_oracle() {
     let wp = mmul::build(8, Variant::HandPrefetch);
-    let mut cfg = config(8, false);
+    let mut cfg = config(8);
     cfg.max_cycles = 500;
     let job = SimJob::new(Arc::new(wp.program), wp.args, cfg);
     let result = run_job(&job);
@@ -259,7 +247,7 @@ fn cycle_limit_error_document_matches_oracle() {
     );
     let got = fnv1a128(result.canonical_string().as_bytes());
     assert_eq!(
-        got, 0xbb4f03a75eddca974fafa5f683c26c6a,
+        got, 0x4d68e06c5b6ac16c0a0634005a0914bf,
         "cycle-limit document diverged from the oracle (got {got:#034x})"
     );
 }
