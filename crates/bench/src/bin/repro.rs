@@ -345,7 +345,7 @@ fn main() -> ExitCode {
             cfg.obs.metrics_interval = n;
         }
         match dta_bench::runner::try_run_traced(bench, dta_workloads::Variant::HandPrefetch, cfg) {
-            Ok((row, _, _, trace)) => {
+            Ok((row, trace)) => {
                 if let Err(e) = std::fs::write(path, &trace) {
                     eprintln!("failed to write {}: {e}", path.display());
                     return ExitCode::FAILURE;

@@ -6,7 +6,7 @@
 
 use crate::report::text_table;
 use crate::runner::{
-    job_for, run, sweep, sweep_ok, try_run_timed, try_run_traced, Bench, Row, SweepPoint,
+    job_for, run, sweep, sweep_ok, try_run, try_run_traced, Bench, Row, SweepPoint,
 };
 use dta_core::{ObsConfig, StallCat, SystemConfig};
 use dta_workloads::Variant;
@@ -1052,12 +1052,13 @@ pub fn failover_bench(
     }
 }
 
-/// Observability overhead benchmark (observability PR): the same
-/// prefetched run with the bus off, with events only (bounded rings),
-/// and with everything on plus a Perfetto render. Simulated cycles and
-/// results must be **identical** across all three — collection happens
-/// post-run from the merged stream, so the only cost is host wall
-/// clock, which this table quantifies. Written as `BENCH_observe.json`.
+/// Observability benchmark (observability PR): the same prefetched run
+/// with the bus off, with events only (bounded rings), and with
+/// everything on plus a Perfetto render. Simulated cycles and results
+/// must be **identical** across all three: collection happens post-run
+/// from the merged stream. The table reports what each mode collects;
+/// host time is measured by `perfbench/`. Written as
+/// `BENCH_observe.json`.
 pub fn observe_bench(suite: &[Bench], pes: u16) -> ExperimentResult {
     use dta_core::ObsMode;
 
@@ -1069,36 +1070,30 @@ pub fn observe_bench(suite: &[Bench], pes: u16) -> ExperimentResult {
         "events".into(),
         "dropped".into(),
         "overlap cycles".into(),
-        "sim ms".into(),
-        "overhead".into(),
         "trace KB".into(),
     ]];
-    let mut worst_overhead = 1.0f64;
     for &bench in suite {
-        let mut baseline: Option<(f64, Row)> = None;
-        for label in ["off", "events", "all+perfetto"] {
+        let mut baseline: Option<Row> = None;
+        for (label, mode) in [
+            ("off", Some(ObsMode::Off)),
+            ("events", Some(ObsMode::Events)),
+            ("all+perfetto", None),
+        ] {
             let mut cfg = pes8(pes);
-            let (row, sim_ms, render_ms, trace_kb) = match label {
-                "off" => {
-                    cfg.obs.mode = ObsMode::Off;
-                    let (row, ms) = try_run_timed(bench, Variant::HandPrefetch, cfg)
+            let (row, trace_kb) = match mode {
+                Some(mode) => {
+                    cfg.obs.mode = mode;
+                    let row = try_run(bench, Variant::HandPrefetch, cfg)
                         .unwrap_or_else(|e| panic!("{e}"));
-                    (row, ms, 0.0, None)
+                    (row, None)
                 }
-                "events" => {
-                    cfg.obs.mode = ObsMode::Events;
-                    let (row, ms) = try_run_timed(bench, Variant::HandPrefetch, cfg)
+                None => {
+                    let (row, trace) = try_run_traced(bench, Variant::HandPrefetch, cfg)
                         .unwrap_or_else(|e| panic!("{e}"));
-                    (row, ms, 0.0, None)
-                }
-                _ => {
-                    let (row, ms, render_ms, trace) =
-                        try_run_traced(bench, Variant::HandPrefetch, cfg)
-                            .unwrap_or_else(|e| panic!("{e}"));
-                    (row, ms, render_ms, Some(trace.len() as f64 / 1024.0))
+                    (row, Some(trace.len() as f64 / 1024.0))
                 }
             };
-            let (base_ms, base_row) = baseline.get_or_insert((sim_ms, row.clone()));
+            let base_row = baseline.get_or_insert(row.clone());
             // Observation is pure: any simulated-state drift is a bug.
             assert_eq!(
                 row.cycles,
@@ -1112,10 +1107,6 @@ pub fn observe_bench(suite: &[Bench], pes: u16) -> ExperimentResult {
                 "{} [{label}]: observability changed the simulation",
                 bench.name()
             );
-            let overhead = (sim_ms + render_ms) / *base_ms;
-            worst_overhead = worst_overhead.max(overhead);
-            let mut row = row;
-            row.wall_ms = Some(sim_ms + render_ms);
             table.push(vec![
                 bench.name(),
                 label.to_string(),
@@ -1123,23 +1114,18 @@ pub fn observe_bench(suite: &[Bench], pes: u16) -> ExperimentResult {
                 row.obs_events.to_string(),
                 row.obs_dropped.to_string(),
                 row.overlap_cycles.to_string(),
-                format!("{sim_ms:.1}"),
-                format!("{overhead:.2}x"),
                 trace_kb.map_or("-".into(), |kb| format!("{kb:.0}")),
             ]);
             rows.push(row);
         }
     }
     let mut text = text_table(&table);
-    text.push_str(&format!(
-        "worst host overhead: {worst_overhead:.2}x (simulated cycles identical in all modes; \
-         the cycle-delta budget is 0, and wall overhead is post-run collection only)\n"
-    ));
+    text.push_str("simulated cycles identical in all modes (the cycle-delta budget is 0)\n");
     ExperimentResult {
         health: None,
         profile: None,
         id: "BENCH_observe".into(),
-        title: "Observability overhead: bus off vs event rings vs full metrics + Perfetto".into(),
+        title: "Observability: bus off vs event rings vs full metrics + Perfetto".into(),
         text,
         rows,
     }

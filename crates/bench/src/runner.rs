@@ -6,10 +6,9 @@
 //! content-addressed cache or coalesce onto an in-flight run), and the
 //! returned [`dta_core::JobResult`] is folded into a [`Row`].
 //!
-//! The timed paths ([`try_run_timed`], [`try_run_traced`]) bypass the
-//! cache on purpose, calling [`run_job`] directly: the observe
-//! benchmark measures the *simulator*, and a cache hit would report a
-//! near-zero wall clock and corrupt every measured overhead.
+//! [`try_run_traced`] calls [`run_job`] directly: it needs the run's
+//! observability stream to render a trace. Host timing is measured by
+//! `perfbench/`, not here.
 
 use dta_core::{
     run_job, Breakdown, GlobalRead, JobResult, MetricsSink, ObsMode, RunStats, SimJob, StallCat,
@@ -324,45 +323,22 @@ pub fn try_run(bench: Bench, variant: Variant, cfg: SystemConfig) -> Result<Row,
     Ok(row)
 }
 
-/// Like [`try_run`], additionally returning the host wall-clock of the
-/// simulation alone (excluding workload build and host-side
-/// verification), in milliseconds. **Bypasses the cache**: a hit would
-/// report lookup time, not simulation time.
-pub fn try_run_timed(
-    bench: Bench,
-    variant: Variant,
-    cfg: SystemConfig,
-) -> Result<(Row, f64), String> {
-    let job = job_for(bench, variant, cfg);
-    let started = std::time::Instant::now();
-    let result = run_job(&job);
-    let sim_ms = started.elapsed().as_secs_f64() * 1e3;
-    let row = row_from_result(bench, variant, &job.config, &result)?;
-    Ok((row, sim_ms))
-}
-
-/// Like [`try_run_timed`], but additionally renders the Perfetto trace
-/// (forcing full observability if the config left it off). Returns the
-/// row, the simulate wall clock, the trace render wall clock (both in
-/// milliseconds), and the `trace.json` text. Bypasses the cache like
-/// every timed path.
+/// Runs one benchmark configuration with full observability forced
+/// on, verifying the result, and renders its Perfetto trace. Returns
+/// the row and the `trace.json` text.
 pub fn try_run_traced(
     bench: Bench,
     variant: Variant,
     mut cfg: SystemConfig,
-) -> Result<(Row, f64, f64, String), String> {
+) -> Result<(Row, String), String> {
     cfg.obs.mode = ObsMode::All;
     let job = job_for(bench, variant, cfg);
-    let started = std::time::Instant::now();
     let result = run_job(&job);
-    let sim_ms = started.elapsed().as_secs_f64() * 1e3;
     let row = row_from_result(bench, variant, &job.config, &result)?;
     let out = result.outcome.as_ref().expect("row_from_result verified");
     let stream = out.obs.as_ref().expect("full observability was forced on");
-    let started = std::time::Instant::now();
     let trace = dta_core::perfetto_trace(&job.config, &job.program, stream);
-    let render_ms = started.elapsed().as_secs_f64() * 1e3;
-    Ok((row, sim_ms, render_ms, trace))
+    Ok((row, trace))
 }
 
 /// Runs a whole sweep grid through the shared service's batch executor

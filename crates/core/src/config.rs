@@ -31,6 +31,12 @@ pub enum Parallelism {
 /// a plan's schedule is reproducible from its seed. Rates are in
 /// parts-per-million (integer-only config). `FaultPlan::default()` is
 /// benign: all rates zero, recovery budgets and the watchdog armed.
+///
+/// Every plan runs on the span executor (DESIGN.md §12). Two fault
+/// kinds can reach the cycles a span runs ahead, and its window stops at
+/// both: a PE's planned LSE crash, and a `DmaDone` that a message fault
+/// delayed past its MFC completion. Every other fault changes nothing a
+/// span reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed for every roll.
@@ -174,47 +180,6 @@ impl FaultPlan {
     /// Can any LSE crash under this plan?
     pub fn has_lse_crash(&self) -> bool {
         self.lse_crash_ppm > 0
-    }
-
-    /// Is this plan's schedule guaranteed fault-free? True when every
-    /// rate is zero: the plan arms the watchdog but can never fire a
-    /// fault, so execution is cycle-identical to running with no plan at
-    /// all. The span executor keys off this — any plan that *can* fire
-    /// turns spans off (DESIGN.md §12). Destructured without `..` so a
-    /// new fault knob fails to compile here until its benignity is
-    /// classified.
-    pub fn is_benign(&self) -> bool {
-        let FaultPlan {
-            seed: _,
-            dma_fail_ppm,
-            dma_stall_ppm,
-            dma_retry_budget: _,
-            dma_backoff_base: _,
-            msg_drop_ppm,
-            msg_dup_ppm,
-            msg_delay_ppm,
-            msg_resend_timeout: _,
-            msg_delay_jitter: _,
-            falloc_deny_ppm,
-            falloc_retry_timeout: _,
-            dse_crash_ppm,
-            dse_crash_window: _,
-            dse_failover_detect: _,
-            dse_restart_after: _,
-            lse_crash_ppm,
-            lse_crash_window: _,
-            lse_detect: _,
-            lse_restart_after: _,
-            watchdog_spin_limit: _,
-        } = *self;
-        dma_fail_ppm == 0
-            && dma_stall_ppm == 0
-            && msg_drop_ppm == 0
-            && msg_dup_ppm == 0
-            && msg_delay_ppm == 0
-            && falloc_deny_ppm == 0
-            && dse_crash_ppm == 0
-            && lse_crash_ppm == 0
     }
 
     /// Canonical encoding of every fault knob, in declaration order.

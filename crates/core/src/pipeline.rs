@@ -57,9 +57,6 @@ pub struct PipelineParams {
     pub obs_interval: u64,
     /// Per-unit observability ring capacity.
     pub obs_capacity: usize,
-    /// A tick may issue a span of quiet cycles ahead of global time (no
-    /// SP offload, fault plan benign; DESIGN.md §12).
-    pub spans: bool,
     /// Run cycle budget: spans never extend past it, so the cycle-limit
     /// error path is span-invariant.
     pub max_cycles: u64,
@@ -314,8 +311,10 @@ impl Pe {
         self.current = None;
         // The crash destroys every local instance; their in-flight DMA
         // completions (if any) will be dropped as stale upstream, so the
-        // overlap census restarts from zero.
+        // overlap census restarts from zero and the MFC stops counting
+        // their commands against it.
         self.dma_open = 0;
+        self.mfc.disown();
         self.parked_fallocs.clear();
         self.spin = 0;
         // Execution latencies (a blocking READ's included) are attributed
@@ -481,19 +480,29 @@ impl Pe {
     /// The end of the span window opening at `now` (DESIGN.md §12): the
     /// first cycle a tick at `now` may not issue in the same host call.
     ///
-    /// Without spans that is `now + 1`. With them, the window runs to
-    /// the cycle budget, so the cycle-limit error sees the state the
-    /// per-cycle loop leaves. While this PE has DMA in flight it also
+    /// The window runs to the cycle budget, so the cycle-limit error
+    /// sees the state the per-cycle loop leaves, and stops at this PE's
+    /// planned LSE crash (read from `failover`) while it lies ahead: the
+    /// crash takes the pipeline down. While this PE has DMA open it also
     /// stops short of the next completion, whose delivery changes
     /// `dma_open`, which the overlap attribution of every charged cycle
-    /// reads.
-    fn span_horizon(&self, now: u64) -> u64 {
-        if !self.params.spans {
-            return now + 1;
-        }
+    /// reads. A completion that message faults delayed past its cycle is
+    /// overdue: its delivery could land at any cycle, so the window is
+    /// the one cycle `now`.
+    fn span_horizon(&self, now: u64, failover: Option<&crate::fault::FailoverSchedule>) -> u64 {
         let mut h = self.params.max_cycles.saturating_add(1);
+        if let Some(o) = failover.and_then(|f| f.lse_outage(self.pe)) {
+            if o.crash_at > now {
+                h = h.min(o.crash_at);
+            }
+        }
         if self.dma_open > 0 {
-            h = h.min(self.mfc.quiet_horizon(now));
+            let (next, in_flight) = self.mfc.quiet_horizon(now);
+            h = if in_flight < self.dma_open {
+                now + 1
+            } else {
+                h.min(next)
+            };
         }
         h.max(now + 1)
     }
@@ -597,8 +606,7 @@ impl Pe {
     /// post, a shared-memory access, a DMA or scheduler operation — ends
     /// the call and issues as the first cycle of the next tick. An
     /// operand stall whose end is known is charged in one step, up to
-    /// the window's end. Without spans the window is `now + 1`: one
-    /// cycle per tick.
+    /// the window's end.
     fn issue(&mut self, now: u64, ctx: &mut SysCtx<'_>) -> Activity {
         let id = self.current.expect("issue without a current thread");
         let (thread, mut pc) = {
@@ -607,6 +615,7 @@ impl Pe {
         };
         let table: &UopTable = ctx.uops;
         let uops = table.thread(thread);
+        let failover = ctx.failover;
         // Fixed by the state after cycle `now`: the quiet cycles after it
         // change nothing the window depends on. A stall at `now` issues
         // nothing, so computing it then is the same.
@@ -617,7 +626,7 @@ impl Pe {
             debug_assert!(t == now || u.ahead, "a boundary issued ahead of its cycle");
             let in_pf = u.block == CodeBlock::Pf;
             if let Some((ready, cat, fine)) = self.operand_stall(u.uses, t, in_pf) {
-                let h = *horizon.get_or_insert_with(|| self.span_horizon(now));
+                let h = *horizon.get_or_insert_with(|| self.span_horizon(now, failover));
                 let until = ready.min(h);
                 self.charge(cat, fine, until - t);
                 t = until;
@@ -628,7 +637,7 @@ impl Pe {
                 }
                 t = self.resume_at.max(t + 1);
             }
-            let h = *horizon.get_or_insert_with(|| self.span_horizon(now));
+            let h = *horizon.get_or_insert_with(|| self.span_horizon(now, failover));
             if t >= h || !uops[pc as usize].ahead {
                 break;
             }

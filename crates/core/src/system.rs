@@ -1191,12 +1191,6 @@ impl System {
             obs_events: config.obs.events_on(),
             obs_interval: config.obs_interval(),
             obs_capacity: config.obs.event_capacity,
-            // Spans only run where they are provably inert: the SP
-            // offload writes LS bytes asynchronously, which a span
-            // running ahead of global time could read too early, and a
-            // non-benign fault plan can crash an LSE, taking its PE
-            // down mid-span.
-            spans: !config.sp_pf_overlap && config.faults.is_none_or(|f| f.is_benign()),
             max_cycles: config.max_cycles,
         };
         let mut pes = Vec::with_capacity(config.total_pes() as usize);

@@ -142,11 +142,12 @@ pub struct MfcStats {
 pub struct Mfc {
     params: MfcParams,
     engine_free_at: u64,
-    /// Completion times of commands still outstanding (bounded by
-    /// `queue_capacity`, so a linear scan is fine and allocation-free in
-    /// steady state). Stalled commands sit here forever (`u64::MAX`),
-    /// wedging their queue slot — exactly like a stuck hardware tag.
-    outstanding: VecDeque<u64>,
+    /// Completion times of commands still outstanding, each with whether
+    /// an owner still waits for it (bounded by `queue_capacity`, so a
+    /// linear scan is fine and allocation-free in steady state). Stalled
+    /// commands sit here forever (`u64::MAX`), wedging their queue slot —
+    /// exactly like a stuck hardware tag.
+    outstanding: VecDeque<(u64, bool)>,
     /// Monotone count of accepted commands — the deterministic fault key.
     admitted: u64,
     /// Fault schedule (`None` = fault-free).
@@ -180,28 +181,34 @@ impl Mfc {
 
     /// Number of commands outstanding at cycle `now`.
     pub fn outstanding(&mut self, now: u64) -> usize {
-        self.outstanding.retain(|&t| t > now);
+        self.outstanding.retain(|&(t, _)| t > now);
         self.outstanding.len()
     }
 
     /// Read-only in-flight count at cycle `now` (observability gauge).
     pub fn in_flight(&self, now: u64) -> usize {
-        self.outstanding.iter().filter(|&&t| t > now).count()
+        self.outstanding.iter().filter(|&&(t, _)| t > now).count()
     }
 
-    /// The end of the quiet window that opens at `now`: the first cycle
-    /// after `now` at which a DMA completion can land, `u64::MAX` when
-    /// nothing is in flight. No completion lands in `(now, h]` exactly
-    /// when `h < quiet_horizon(now)`; over such a window the in-flight
-    /// count is constant, so cycles charged inside it share one
-    /// DMA-overlap attribution.
-    pub fn quiet_horizon(&self, now: u64) -> u64 {
+    /// The quiet window that opens at `now`, from one pass over the
+    /// queue: the first cycle after `now` at which an owned command
+    /// completes (`u64::MAX` when none is in flight), and how many owned
+    /// commands are in flight at `now`. No owned completion lands in
+    /// `(now, h]` exactly when `h` is below that cycle. A caller awaiting
+    /// more completions than the count has some whose cycle has passed
+    /// but whose delivery has not.
+    pub fn quiet_horizon(&self, now: u64) -> (u64, u64) {
         self.outstanding
             .iter()
-            .copied()
-            .filter(|&t| t > now)
-            .min()
-            .unwrap_or(u64::MAX)
+            .filter(|&&(t, owned)| owned && t > now)
+            .fold((u64::MAX, 0), |(next, n), &(t, _)| (next.min(t), n + 1))
+    }
+
+    /// Every queued command loses its owner (an LSE crash destroyed
+    /// them). Each keeps its queue slot until it completes, a stalled one
+    /// forever, but [`Self::quiet_horizon`] no longer counts it.
+    pub fn disown(&mut self) {
+        self.outstanding.iter_mut().for_each(|e| e.1 = false);
     }
 
     /// Counters.
@@ -252,7 +259,7 @@ impl Mfc {
             // The command wedges its queue slot forever; no data moves and
             // no completion is ever delivered.
             self.stats.stalled += 1;
-            self.outstanding.push_back(u64::MAX);
+            self.outstanding.push_back((u64::MAX, true));
             return Some(DmaCompletion {
                 owner: cmd.owner,
                 tag: cmd.tag,
@@ -326,7 +333,7 @@ impl Mfc {
             }
         };
 
-        self.outstanding.push_back(at);
+        self.outstanding.push_back((at, true));
         self.stats.bytes += total;
         Some(DmaCompletion {
             owner: cmd.owner,
@@ -556,9 +563,9 @@ mod tests {
     }
 
     #[test]
-    fn quiet_horizon_is_the_next_completion() {
+    fn quiet_horizon_is_the_next_owned_completion() {
         let (mut mfc, mut sys, mut ls, mut mem) = rig();
-        assert_eq!(mfc.quiet_horizon(0), u64::MAX);
+        assert_eq!(mfc.quiet_horizon(0), (u64::MAX, 0));
         let get = |tag, mem_addr| DmaCommand {
             owner: 0,
             tag,
@@ -574,14 +581,21 @@ mod tests {
             .unwrap();
         assert!(a.at < b.at);
         for (now, want) in [
-            (0, a.at),
-            (40, a.at),
-            (a.at - 1, a.at),
-            (a.at, b.at),
-            (b.at - 1, b.at),
-            (b.at, u64::MAX),
+            (0, (a.at, 2)),
+            (40, (a.at, 2)),
+            (a.at - 1, (a.at, 2)),
+            (a.at, (b.at, 1)),
+            (b.at - 1, (b.at, 1)),
+            (b.at, (u64::MAX, 0)),
         ] {
             assert_eq!(mfc.quiet_horizon(now), want, "now {now}");
         }
+        // Disowned commands keep their slots but leave the window.
+        mfc.disown();
+        let c = mfc
+            .enqueue(40, get(2, 0x800), &mut sys, &mut ls, &mut mem)
+            .unwrap();
+        assert_eq!(mfc.in_flight(40), 3);
+        assert_eq!(mfc.quiet_horizon(40), (c.at, 1));
     }
 }

@@ -1,6 +1,7 @@
 //! Seconds-scale result oracle.
 //!
-//! Small runs of every paper workload shape must reproduce committed
+//! Small runs of every paper workload shape, and of bitcnt under a fault
+//! plan, an LSE crash and the SP offload, must reproduce committed
 //! digests exactly: `fnv1a128` of the `RunStats` JSON and of the codec
 //! JSON of the observability stream (ring-drop count kept), with every
 //! event class recorded and the metrics fold on. Every run must also
@@ -25,14 +26,15 @@
 //!
 //! The `RunStats` and stream digests were taken from the per-cycle
 //! pipeline, before the PE learned to issue a run of pure cycles in one
-//! host call (DESIGN.md §12). A mismatch means a simulated cycle,
+//! host call (DESIGN.md §12); those of the fault, crash and SP-offload
+//! cases before spans ran in those configurations. A mismatch means a simulated cycle,
 //! counter or event moved; regenerate only for a change that is meant
 //! to alter simulated behaviour, and say so. The paper-size version of
 //! this oracle is `crates/core/tests/golden.rs`.
 
 use dta::core::{
-    perfetto_trace, run_job, simulate, EngineReport, JobError, ObsMode, RunStats, SimJob, System,
-    SystemConfig,
+    perfetto_trace, run_job, simulate, EngineReport, FaultPlan, JobError, ObsMode, RunStats,
+    SimJob, System, SystemConfig,
 };
 use dta::workloads::{bitcnt, gather, mmul, zoom, Variant, WorkloadProgram};
 use dta_json::{fnv1a128, ToJson};
@@ -57,19 +59,19 @@ fn assert_ticks_partition(name: &str, r: &EngineReport, pes: u16) {
     assert!(r.skipped_ticks > 0, "{name}: the wake set skipped nothing");
 }
 
-/// Runs `wp` on `pes` PEs and returns `(RunStats digest, stream digest)`
+/// Runs `wp` under `cfg` and returns `(RunStats digest, stream digest)`
 /// after checking the result with `verify` and the tick partition.
 fn digests(
     name: &str,
     wp: &WorkloadProgram,
-    pes: u16,
+    cfg: &SystemConfig,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) -> (u128, u128) {
     let (stats, sys): (RunStats, System) =
-        simulate(config(pes), Arc::new(wp.program.clone()), &wp.args)
+        simulate(cfg.clone(), Arc::new(wp.program.clone()), &wp.args)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     verify(&sys).unwrap_or_else(|e| panic!("{name}: result wrong: {e}"));
-    assert_ticks_partition(name, sys.engine_report(), pes);
+    assert_ticks_partition(name, sys.engine_report(), cfg.total_pes());
     let obs = sys.obs().expect("observability on");
     let stream = dta_obs::codec::stream_to_string(obs);
     (
@@ -86,13 +88,13 @@ type Ticks = (u64, u64);
 /// digest, Perfetto trace digest)`, the document digested with the
 /// engine's tick counters reset, and the counters themselves for their
 /// own pin.
-fn document_digests(name: &str, wp: &WorkloadProgram, pes: u16) -> ((u128, u128), Ticks) {
-    let job = SimJob::new(Arc::new(wp.program.clone()), wp.args.clone(), config(pes));
+fn document_digests(name: &str, wp: &WorkloadProgram, cfg: &SystemConfig) -> ((u128, u128), Ticks) {
+    let job = SimJob::new(Arc::new(wp.program.clone()), wp.args.clone(), cfg.clone());
     let mut result = run_job(&job);
     let out = result.outcome.as_mut().expect("oracle jobs succeed");
     let trace = perfetto_trace(&job.config, &job.program, out.obs.as_ref().unwrap());
     let engine = &mut out.engine;
-    assert_ticks_partition(name, engine, pes);
+    assert_ticks_partition(name, engine, cfg.total_pes());
     let ticks = (engine.pe_ticks, engine.visited_cycles);
     engine.visited_cycles = 0;
     engine.pe_ticks = 0;
@@ -113,16 +115,16 @@ fn assert_oracle(
     want_doc: (u128, u128),
     want_ticks: Ticks,
     wp: WorkloadProgram,
-    pes: u16,
+    cfg: SystemConfig,
     verify: &dyn Fn(&System) -> Result<(), String>,
 ) {
-    let got = digests(name, &wp, pes, verify);
+    let got = digests(name, &wp, &cfg, verify);
     assert_eq!(
         got, want,
         "{name}: diverged from the oracle (got {:#034x}, {:#034x})",
         got.0, got.1
     );
-    let (got, ticks) = document_digests(name, &wp, pes);
+    let (got, ticks) = document_digests(name, &wp, &cfg);
     assert_eq!(
         got, want_doc,
         "{name}: result document or trace diverged from the oracle (got {:#034x}, {:#034x})",
@@ -148,7 +150,7 @@ fn bitcnt_hand_prefetch_matches_oracle() {
         ),
         (6447, 5390),
         bitcnt::build(200, Variant::HandPrefetch),
-        8,
+        config(8),
         &|s| bitcnt::verify(s, 200),
     );
 }
@@ -167,7 +169,7 @@ fn mmul_hand_prefetch_matches_oracle() {
         ),
         (204, 193),
         mmul::build(8, Variant::HandPrefetch),
-        8,
+        config(8),
         &|s| mmul::verify(s, 8),
     );
 }
@@ -188,7 +190,7 @@ fn mmul_baseline_matches_oracle() {
         ),
         (1172, 1174),
         mmul::build(8, Variant::Baseline),
-        8,
+        config(8),
         &|s| mmul::verify(s, 8),
     );
 }
@@ -207,7 +209,7 @@ fn zoom_hand_prefetch_matches_oracle() {
         ),
         (5171, 4112),
         zoom::build(16, Variant::HandPrefetch),
-        8,
+        config(8),
         &|s| zoom::verify(s, 16),
     );
 }
@@ -226,8 +228,135 @@ fn gather_on_sixteen_pes_matches_oracle() {
         ),
         (572, 560),
         gather::build(256, Variant::Baseline),
-        16,
+        config(16),
         &|s| gather::verify(s, 256),
+    );
+}
+
+/// `crates/core/tests/golden.rs`'s mixed recoverable fault plan: DMA
+/// retries, every message-fault kind and FALLOC denials.
+fn mixed_plan() -> FaultPlan {
+    let mut plan = FaultPlan::seeded(0x0B5E_11A7);
+    plan.dma_fail_ppm = 30_000;
+    plan.dma_backoff_base = 16;
+    plan.msg_drop_ppm = 10_000;
+    plan.msg_dup_ppm = 10_000;
+    plan.msg_delay_ppm = 10_000;
+    plan.falloc_deny_ppm = 50_000;
+    plan
+}
+
+/// Dropped and delayed `DmaDone`s arrive after their MFC completion; a
+/// span must not run past one of them.
+#[test]
+fn bitcnt_under_faults_matches_oracle() {
+    let mut cfg = config(8);
+    cfg.faults = Some(mixed_plan());
+    assert_oracle(
+        "bitcnt(200)+faults",
+        (
+            0x6955e7cd4159bd97e414da118480cf62,
+            0xf25e461698a793f30fd5ac3bacfd5cb8,
+        ),
+        (
+            0xbd63ff4b2777a4fc91524a44c4479c39,
+            0xe432752c9349fcb648fa661f4cac93bf,
+        ),
+        (6464, 5695),
+        bitcnt::build(200, Variant::HandPrefetch),
+        cfg,
+        &|s| bitcnt::verify(s, 200),
+    );
+}
+
+/// Seed 20 crashes PE 0's LSE alone, mid-run: a started instance is
+/// killed and replayed, pre-start frames are evacuated, and the LSE
+/// restarts cold. No span may run into the crash cycle.
+#[test]
+fn bitcnt_lse_crash_restart_matches_oracle() {
+    let mut plan = FaultPlan::seeded(20);
+    plan.lse_crash_ppm = 200_000;
+    plan.lse_crash_window = 3_000;
+    plan.lse_detect = 200;
+    plan.lse_restart_after = 1_000;
+    let mut cfg = config(8);
+    cfg.faults = Some(plan);
+    assert_oracle(
+        "bitcnt(200)+lse-crash",
+        (
+            0xbf4562189fc4acd9fe65e3ee4f5f7ee2,
+            0x3251c6fd4f439e9a67f874a90600333a,
+        ),
+        (
+            0x3c356ce8677e015330ed0b29b9a3fc4d,
+            0x1fada3f1acc4595786712979b596aff0,
+        ),
+        (6443, 5521),
+        bitcnt::build(200, Variant::HandPrefetch),
+        cfg,
+        &|s| bitcnt::verify(s, 200),
+    );
+}
+
+/// Seed 45 crashes LSEs with DMA commands in flight, some stalled for
+/// good. The commands of the killed instances keep their MFC queue
+/// slots, the stalled ones forever, and their owners never collect
+/// them. After a restart, a live command's `DmaDone` that a message
+/// fault delayed is overdue while an orphan still counts as in flight:
+/// a window that set the MFC's whole in-flight count against
+/// `dma_open` would miss the overdue delivery and run past it, moving
+/// the `RunStats` digest.
+#[test]
+fn bitcnt_crash_orphaning_dma_matches_oracle() {
+    let mut plan = FaultPlan::seeded(45);
+    plan.lse_crash_ppm = 500_000;
+    plan.lse_crash_window = 2_000;
+    plan.lse_detect = 50;
+    plan.lse_restart_after = 1_000;
+    plan.msg_delay_ppm = 300_000;
+    plan.msg_delay_jitter = 40;
+    plan.msg_drop_ppm = 50_000;
+    plan.dma_stall_ppm = 20_000;
+    plan.watchdog_spin_limit = 2_000;
+    let mut cfg = config(8);
+    cfg.faults = Some(plan);
+    assert_oracle(
+        "bitcnt(200)+orphaned-dma",
+        (
+            0x1de50668bc6a2ca3ca2759661243c5b1,
+            0x60c3e232d26b04089518548296b9b944,
+        ),
+        (
+            0xdbb12c602b3a0fba772ea50a5870cf99,
+            0xf79672bc2115f5f0d4f88ccf45ddbbce,
+        ),
+        (6762, 6390),
+        bitcnt::build(200, Variant::HandPrefetch),
+        cfg,
+        &|s| bitcnt::verify(s, 200),
+    );
+}
+
+/// The SP offload runs bitcnt's straight-line PF blocks on the LSE's SP
+/// pipeline at dispatch.
+#[test]
+fn bitcnt_sp_offload_matches_oracle() {
+    let mut cfg = config(8);
+    cfg.sp_pf_overlap = true;
+    assert_oracle(
+        "bitcnt(200)+sp-offload",
+        (
+            0x83ad2a9352ae9faef49a6624891bd10f,
+            0x2dcbc83641795dc2d9b84412e3d0cbbe,
+        ),
+        (
+            0xa0a28ff3f7c7aa287f219fe2b3e4584e,
+            0x81f3c1952b7a9b0143e0102c606677b8,
+        ),
+        (6167, 5159),
+        bitcnt::build(200, Variant::HandPrefetch),
+        cfg,
+        &|s| bitcnt::verify(s, 200),
     );
 }
 
