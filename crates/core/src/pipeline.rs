@@ -25,7 +25,9 @@ use dta_mem::{
     Mfc, MfcParams, ResourcePool, TransferKind,
 };
 use dta_obs::{GaugeKind, ObsEvent, ObsLog, ThreadEvent};
-use dta_sched::{CrashReport, Dest, InstanceId, Lse, LseParams, Message, MsgSeq, ThreadState};
+use dta_sched::{
+    CrashReport, Dest, InstanceId, Lse, LseParams, Message, MsgSeq, Slot, ThreadState,
+};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
@@ -132,7 +134,9 @@ pub struct Pe {
     /// The SP pipeline (PF offload) is free from this cycle.
     sp_free_at: u64,
     params: PipelineParams,
-    current: Option<InstanceId>,
+    /// The instance on the pipeline and its slot in the LSE's slab (live
+    /// for as long as the instance is current).
+    current: Option<(InstanceId, Slot)>,
     /// Pipeline resumes at this cycle (stall already attributed).
     resume_at: u64,
     /// Destination register of an in-flight FALLOC.
@@ -243,7 +247,7 @@ impl Pe {
     /// The instance currently on the pipeline.
     #[inline]
     pub fn current(&self) -> Option<InstanceId> {
-        self.current
+        self.current.map(|(id, _)| id)
     }
 
     /// Charges `n` cycles to a coarse/fine category pair, accumulating
@@ -286,7 +290,7 @@ impl Pe {
     /// Would a `FallocResponse` for `for_inst` land on a live wait?
     /// (Stale responses for instances destroyed by an LSE crash drop.)
     pub fn expects_falloc_response(&self, for_inst: InstanceId) -> bool {
-        (self.waiting_falloc.is_some() && self.current == Some(for_inst))
+        (self.waiting_falloc.is_some() && self.current() == Some(for_inst))
             || self.parked_fallocs.contains(&for_inst)
     }
 
@@ -347,9 +351,10 @@ impl Pe {
     /// thread was descheduled by a `FallocDeferred`, re-readies the parked
     /// instance.
     pub fn complete_falloc(&mut self, now: u64, frame: FramePtr, for_inst: InstanceId) {
-        if self.waiting_falloc.is_some() && self.current == Some(for_inst) {
+        if self.waiting_falloc.is_some() && self.current() == Some(for_inst) {
             let rd = self.waiting_falloc.take().expect("checked");
-            self.set_reg(for_inst, rd, frame.encode() as i64, now, StallCat::Working);
+            let (_, at) = self.current.expect("checked");
+            self.set_reg(at, rd, frame.encode() as i64, now, StallCat::Working);
             // The response itself takes a cycle to process.
             let resume = now + 1;
             self.charge(
@@ -369,7 +374,8 @@ impl Pe {
             .parked_fallocs
             .remove(pos)
             .expect("position just found");
-        let inst = self.lse.instance_mut(id);
+        let at = self.lse.slot_of(id).expect("parked instance is live");
+        let inst = self.lse.at_mut(at);
         let rd = inst
             .pending_falloc
             .take()
@@ -377,21 +383,21 @@ impl Pe {
         if !rd.is_zero() {
             inst.regs[rd.index()] = frame.encode() as i64;
         }
-        self.lse.make_ready(now, id);
+        self.lse.make_ready(now, at);
     }
 
     /// Delivers a `FallocDeferred` nack: the waiting thread leaves the
     /// pipeline so other ready threads can run; its grant arrives later as
     /// a normal response.
     pub fn defer_falloc(&mut self, now: u64, for_inst: InstanceId) {
-        if self.waiting_falloc.is_none() || self.current != Some(for_inst) {
+        if self.waiting_falloc.is_none() || self.current() != Some(for_inst) {
             // Under injected message delays a nack can arrive after the
             // grant already completed the FALLOC; it is stale — ignore it.
             return;
         }
         let rd = self.waiting_falloc.take().expect("checked");
-        let id = self.current.take().expect("checked");
-        let inst = self.lse.instance_mut(id);
+        let (id, at) = self.current.take().expect("checked");
+        let inst = self.lse.at_mut(at);
         inst.pending_falloc = Some(rd);
         inst.state = ThreadState::WaitFalloc;
         self.parked_fallocs.push_back(id);
@@ -408,23 +414,23 @@ impl Pe {
     /// Handles a DMA completion that belongs to the *currently running*
     /// instance (still on the pipeline, e.g. in its PF block).
     pub fn current_dma_done(&mut self, owner: InstanceId, tag: u8) -> bool {
-        if self.current == Some(owner) {
-            let inst = self.lse.instance_mut(owner);
-            inst.dma_complete(tag);
-            true
-        } else {
-            false
+        match self.current {
+            Some((id, at)) if id == owner => {
+                self.lse.at_mut(at).dma_complete(tag);
+                true
+            }
+            _ => false,
         }
     }
 
     #[inline]
-    fn reg(&self, id: InstanceId, r: Reg) -> i64 {
-        step::reg(&self.lse.instance(id).regs, r)
+    fn reg(&self, at: Slot, r: Reg) -> i64 {
+        step::reg(&self.lse.at(at).regs, r)
     }
 
     #[inline]
-    fn set_reg(&mut self, id: InstanceId, r: Reg, v: i64, ready_at: u64, stall: StallCat) {
-        step::set(&mut self.lse.instance_mut(id).regs, r, v);
+    fn set_reg(&mut self, at: Slot, r: Reg, v: i64, ready_at: u64, stall: StallCat) {
+        step::set(&mut self.lse.at_mut(at).regs, r, v);
         self.mark_ready(r, ready_at, stall);
     }
 
@@ -439,8 +445,8 @@ impl Pe {
     }
 
     #[inline]
-    fn src_val(&self, id: InstanceId, s: Src) -> i64 {
-        step::src(&self.lse.instance(id).regs, s)
+    fn src_val(&self, at: Slot, s: Src) -> i64 {
+        step::src(&self.lse.at(at).regs, s)
     }
 
     /// If an operand in use-mask `uses` is not yet ready at `now`, returns
@@ -532,21 +538,21 @@ impl Pe {
         // ready threads whose next work is a straight-line PF block are
         // offloaded to the SP pipeline instead of occupying this one.
         if self.current.is_none() {
-            let id = loop {
-                let Some(id) = self.lse.pop_ready() else {
+            let (id, at) = loop {
+                let Some((id, at)) = self.lse.pop_ready() else {
                     self.idle_since.get_or_insert(now);
                     return Activity::Idle;
                 };
-                if self.params.sp_pf_overlap && self.sp_offloadable(id, ctx.program) {
-                    self.run_pf_on_sp(id, now, ctx);
+                if self.params.sp_pf_overlap && self.sp_offloadable(at, ctx.program) {
+                    self.run_pf_on_sp(id, at, now, ctx);
                     continue;
                 }
-                break id;
+                break (id, at);
             };
             if let Some(t0) = self.idle_since.take() {
                 self.charge(StallCat::Idle, self.idle_fine(), now - t0);
             }
-            self.dispatch(id, now, ctx.program);
+            self.dispatch(id, at, now, ctx.program);
             if self.params.dispatch_penalty > 0 {
                 self.charge(
                     StallCat::Working,
@@ -568,8 +574,8 @@ impl Pe {
         act
     }
 
-    fn dispatch(&mut self, id: InstanceId, now: u64, program: &Program) {
-        let inst = self.lse.instance_mut(id);
+    fn dispatch(&mut self, id: InstanceId, at: Slot, now: u64, program: &Program) {
+        let inst = self.lse.at_mut(at);
         let thread = &program.threads[inst.thread.index()];
         let starting = inst.pc == 0;
         inst.state = if thread.block_of(inst.pc) == CodeBlock::Pf {
@@ -588,7 +594,7 @@ impl Pe {
         // All register values live in the instance; everything is ready.
         self.reg_ready = [now; NUM_REGS];
         self.stats.threads_dispatched += 1;
-        self.current = Some(id);
+        self.current = Some((id, at));
         self.parked_hint = false;
         self.record(now, id, ThreadEvent::Dispatched);
     }
@@ -608,9 +614,9 @@ impl Pe {
     /// operand stall whose end is known is charged in one step, up to
     /// the window's end.
     fn issue(&mut self, now: u64, ctx: &mut SysCtx<'_>) -> Activity {
-        let id = self.current.expect("issue without a current thread");
+        let (id, at) = self.current.expect("issue without a current thread");
         let (thread, mut pc) = {
-            let inst = self.lse.instance(id);
+            let inst = self.lse.at(at);
             (inst.thread, inst.pc)
         };
         let table: &UopTable = ctx.uops;
@@ -631,7 +637,7 @@ impl Pe {
                 self.charge(cat, fine, until - t);
                 t = until;
             } else {
-                match self.issue_cycle(t, id, uops, pc, ctx) {
+                match self.issue_cycle(t, id, at, uops, pc, ctx) {
                     ControlFlow::Continue(next) => pc = next,
                     ControlFlow::Break(act) => return act,
                 }
@@ -642,7 +648,7 @@ impl Pe {
                 break;
             }
         }
-        self.lse.instance_mut(id).pc = pc;
+        self.lse.at_mut(at).pc = pc;
         self.resume_at = self.resume_at.max(t);
         if t == now + 1 {
             Activity::Active
@@ -662,6 +668,7 @@ impl Pe {
         &mut self,
         t: u64,
         id: InstanceId,
+        at: Slot,
         uops: &[Uop],
         pc: u32,
         ctx: &mut SysCtx<'_>,
@@ -674,14 +681,14 @@ impl Pe {
             StallCat::Working
         };
 
-        let r1 = self.exec(t, id, u1.instr, in_pf, ctx);
+        let r1 = self.exec(t, id, at, u1.instr, in_pf, ctx);
         if let Exec::Retry(cat, fine) = r1 {
             self.charge(cat, fine, 1);
             self.stats.dma_queue_retries += 1;
             self.spin += 1;
             if let Some(limit) = self.watchdog_spin_limit {
                 if self.spin >= limit {
-                    return ControlFlow::Break(self.watchdog_park(t, id));
+                    return ControlFlow::Break(self.watchdog_park(t, id, at));
                 }
             }
             return ControlFlow::Break(Activity::Active);
@@ -699,7 +706,7 @@ impl Pe {
                 // Try to pair a second instruction (dual issue).
                 let u2 = u1.pairs.then(|| &uops[next as usize]);
                 if let Some(u2) = u2.filter(|u2| self.operand_stall(u2.uses, t, in_pf).is_none()) {
-                    match self.exec(t, id, u2.instr, in_pf, ctx) {
+                    match self.exec(t, id, at, u2.instr, in_pf, ctx) {
                         Exec::Next => {
                             self.stats.record_issue(u2.class);
                             self.count_mem_op(&u2.instr);
@@ -735,12 +742,12 @@ impl Pe {
             }
             Exec::BlockFalloc => {
                 self.falloc_block_start = t;
-                self.lse.instance_mut(id).pc = pc + 1;
+                self.lse.at_mut(at).pc = pc + 1;
                 ControlFlow::Break(Activity::Blocked(u64::MAX))
             }
             Exec::Yield => {
                 self.charge(cycle_cat, self.act_fine(in_pf), 1);
-                let inst = self.lse.instance_mut(id);
+                let inst = self.lse.at_mut(at);
                 inst.pc = pc + 1;
                 inst.state = ThreadState::WaitDma;
                 self.current = None;
@@ -758,7 +765,7 @@ impl Pe {
     }
 
     /// Posts a `STORE`/`FFREE` effect to the owning LSE.
-    fn emit_effect(&mut self, now: u64, id: InstanceId, effect: Effect, ctx: &mut SysCtx<'_>) {
+    fn emit_effect(&mut self, now: u64, at: Slot, effect: Effect, ctx: &mut SysCtx<'_>) {
         let (dest_pe, msg) = match effect {
             Effect::Store { frame, slot, value } => {
                 (frame.pe, Message::Store { frame, slot, value })
@@ -767,7 +774,7 @@ impl Pe {
         };
         let delay = self.msg_delay(dest_pe);
         let stamp = self.stamp.bump();
-        self.lse.instance_mut(id).tainted = true;
+        self.lse.at_mut(at).tainted = true;
         ctx.out.push((now + delay, Dest::Lse(dest_pe), msg, stamp));
     }
 
@@ -778,11 +785,11 @@ impl Pe {
     /// re-checks its tag, a DMA enqueue re-attempts admission. If nothing
     /// re-readies it the machine quiesces and the run ends with a typed
     /// watchdog error instead of spinning to the cycle limit.
-    fn watchdog_park(&mut self, now: u64, id: InstanceId) -> Activity {
+    fn watchdog_park(&mut self, now: u64, id: InstanceId, at: Slot) -> Activity {
         self.spin = 0;
         self.watchdog_parks += 1;
         self.parked_hint = true;
-        let inst = self.lse.instance_mut(id);
+        let inst = self.lse.at_mut(at);
         inst.state = ThreadState::WaitDma;
         self.current = None;
         if self.obs.events_on() {
@@ -819,6 +826,7 @@ impl Pe {
         &mut self,
         now: u64,
         id: InstanceId,
+        at: Slot,
         i: Instr,
         in_pf: bool,
         ctx: &mut SysCtx<'_>,
@@ -826,7 +834,7 @@ impl Pe {
         match i {
             Instr::Falloc { rd, thread, sc } => {
                 let stamp = self.stamp.bump();
-                self.lse.instance_mut(id).tainted = true;
+                self.lse.at_mut(at).tainted = true;
                 let target = ctx.failover.map_or(self.node, |f| f.route(self.node, now));
                 ctx.out.push((
                     now + self.params.msg_latency,
@@ -845,7 +853,7 @@ impl Pe {
             }
             Instr::Stop => Exec::Stop,
             Instr::Read { rd, ra, off } => {
-                let addr = ea(self.reg(id, ra), off) as u64;
+                let addr = ea(self.reg(at, ra), off) as u64;
                 let (cat, fine) = if in_pf {
                     (StallCat::Prefetch, FineCat::PfGated)
                 } else {
@@ -861,13 +869,13 @@ impl Pe {
                     Some(c) => c.read(now, addr, ctx.sys),
                     None => ctx.sys.request(now, TransferKind::ScalarRead),
                 };
-                self.set_reg(id, rd, v, until, StallCat::MemStall);
+                self.set_reg(at, rd, v, until, StallCat::MemStall);
                 Exec::Block { until, cat, fine }
             }
             Instr::Write { rs, ra, off } => {
-                let addr = ea(self.reg(id, ra), off) as u64;
-                let value = self.reg(id, rs) as u32;
-                self.lse.instance_mut(id).tainted = true;
+                let addr = ea(self.reg(at, ra), off) as u64;
+                let value = self.reg(at, rs) as u32;
+                self.lse.at_mut(at).tainted = true;
                 ctx.mem.write_u32(addr, value);
                 if let Some(c) = &mut self.cache {
                     c.write(now, addr);
@@ -887,13 +895,13 @@ impl Pe {
                 let cmd = DmaCommand {
                     owner: id.token(),
                     tag,
-                    ls_addr: ea(self.reg(id, rls), ls_off) as u32,
-                    mem_addr: ea(self.reg(id, rmem), mem_off) as u64,
+                    ls_addr: ea(self.reg(at, rls), ls_off) as u32,
+                    mem_addr: ea(self.reg(at, rmem), mem_off) as u64,
                     kind: DmaKind::Get {
-                        bytes: self.src_val(id, bytes) as u32,
+                        bytes: self.src_val(at, bytes) as u32,
                     },
                 };
-                self.enqueue_dma(now, id, cmd, in_pf, ctx)
+                self.enqueue_dma(now, id, at, cmd, in_pf, ctx)
             }
             Instr::DmaGetStrided {
                 rls,
@@ -908,15 +916,15 @@ impl Pe {
                 let cmd = DmaCommand {
                     owner: id.token(),
                     tag,
-                    ls_addr: ea(self.reg(id, rls), ls_off) as u32,
-                    mem_addr: ea(self.reg(id, rmem), mem_off) as u64,
+                    ls_addr: ea(self.reg(at, rls), ls_off) as u32,
+                    mem_addr: ea(self.reg(at, rmem), mem_off) as u64,
                     kind: DmaKind::GetStrided {
                         elem_bytes: elem_bytes as u32,
-                        count: self.src_val(id, count) as u32,
-                        stride: self.src_val(id, stride),
+                        count: self.src_val(at, count) as u32,
+                        stride: self.src_val(at, stride),
                     },
                 };
-                self.enqueue_dma(now, id, cmd, in_pf, ctx)
+                self.enqueue_dma(now, id, at, cmd, in_pf, ctx)
             }
             Instr::DmaPut {
                 rls,
@@ -929,29 +937,29 @@ impl Pe {
                 let cmd = DmaCommand {
                     owner: id.token(),
                     tag,
-                    ls_addr: ea(self.reg(id, rls), ls_off) as u32,
-                    mem_addr: ea(self.reg(id, rmem), mem_off) as u64,
+                    ls_addr: ea(self.reg(at, rls), ls_off) as u32,
+                    mem_addr: ea(self.reg(at, rmem), mem_off) as u64,
                     kind: DmaKind::Put {
-                        bytes: self.src_val(id, bytes) as u32,
+                        bytes: self.src_val(at, bytes) as u32,
                     },
                 };
-                let r = self.enqueue_dma(now, id, cmd, in_pf, ctx);
+                let r = self.enqueue_dma(now, id, at, cmd, in_pf, ctx);
                 // A queue-full retry has not issued anything yet; only an
                 // accepted put makes the instance unreplayable.
                 if !matches!(r, Exec::Retry(..)) {
-                    self.lse.instance_mut(id).tainted = true;
+                    self.lse.at_mut(at).tainted = true;
                 }
                 r
             }
             Instr::DmaYield => {
-                if self.lse.instance(id).outstanding_dma > 0 {
+                if self.lse.at(at).outstanding_dma > 0 {
                     Exec::Yield
                 } else {
                     Exec::Next
                 }
             }
             Instr::DmaWait { tag } => {
-                if self.lse.instance(id).dma_by_tag[tag as usize] > 0 {
+                if self.lse.at(at).dma_by_tag[tag as usize] > 0 {
                     if in_pf {
                         Exec::Retry(StallCat::Prefetch, FineCat::PfGated)
                     } else {
@@ -961,7 +969,7 @@ impl Pe {
                     Exec::Next
                 }
             }
-            pure => match self.pure_step(id, pure) {
+            pure => match self.pure_step(at, pure) {
                 Step::Next => Exec::Next,
                 Step::Jump(target) => Exec::Redirect(target),
                 Step::Set(rd, _) => {
@@ -978,7 +986,7 @@ impl Pe {
                     Exec::Next
                 }
                 Step::Post(effect) => {
-                    self.emit_effect(now, id, effect, ctx);
+                    self.emit_effect(now, at, effect, ctx);
                     Exec::Next
                 }
                 Step::Fault(_) => unreachable!("pure_step panics on a fault"),
@@ -986,13 +994,13 @@ impl Pe {
         }
     }
 
-    /// Runs pure instruction `i` of instance `id` through the shared
+    /// Runs pure instruction `i` of the instance at `at` through the shared
     /// [`step::step`] and applies its register and local-store writes;
     /// the caller adds timing and posts effects. An invalid operand is a
     /// program bug.
     #[inline(always)]
-    fn pure_step(&mut self, id: InstanceId, i: Instr) -> Step {
-        let inst = self.lse.instance_mut(id);
+    fn pure_step(&mut self, at: Slot, i: Instr) -> Step {
+        let inst = self.lse.at_mut(at);
         let ls = &self.ls;
         let done = step::step(i, &inst.regs, &inst.slots, ls.size(), |a| {
             ls.read_i32_sext(a)
@@ -1010,6 +1018,7 @@ impl Pe {
         &mut self,
         now: u64,
         id: InstanceId,
+        at: Slot,
         cmd: DmaCommand,
         in_pf: bool,
         ctx: &mut SysCtx<'_>,
@@ -1031,7 +1040,7 @@ impl Pe {
             return retry(in_pf);
         };
         self.note_dma_faults(now, &done);
-        self.lse.instance_mut(id).dma_issued(cmd.tag);
+        self.lse.at_mut(at).dma_issued(cmd.tag);
         self.dma_open += 1;
         self.record(now, id, ThreadEvent::DmaIssued { tag: cmd.tag });
         let stamp = self.stamp.bump();
@@ -1052,8 +1061,8 @@ impl Pe {
     /// Can this instance's next work be run on the SP pipeline? True for
     /// a fresh instance whose PF block is straight-line (no control flow,
     /// no blocking main-memory access).
-    fn sp_offloadable(&self, id: InstanceId, program: &Program) -> bool {
-        let inst = self.lse.instance(id);
+    fn sp_offloadable(&self, at: Slot, program: &Program) -> bool {
+        let inst = self.lse.at(at);
         let thread = &program.threads[inst.thread.index()];
         let pf_end = thread.blocks.pf_end;
         if inst.pc != 0 || pf_end == 0 {
@@ -1081,15 +1090,15 @@ impl Pe {
     /// instruction per SP cycle; the main pipeline keeps running other
     /// threads). The instance moves to *Wait for DMA*, or straight back
     /// to ready when its transfers finished within the block.
-    fn run_pf_on_sp(&mut self, id: InstanceId, now: u64, ctx: &mut SysCtx<'_>) {
+    fn run_pf_on_sp(&mut self, id: InstanceId, at: Slot, now: u64, ctx: &mut SysCtx<'_>) {
         let (thread_id, frame, pf_buf_addr) = {
-            let inst = self.lse.instance(id);
+            let inst = self.lse.at(at);
             (inst.thread, inst.frame, inst.pf_buf_addr)
         };
         let thread = &ctx.program.threads[thread_id.index()];
         let pf_end = thread.blocks.pf_end;
         {
-            let inst = self.lse.instance_mut(id);
+            let inst = self.lse.at_mut(at);
             inst.regs[FRAME_PTR_REG.index()] = frame.encode() as i64;
             inst.regs[PREFETCH_BASE_REG.index()] = if pf_buf_addr == u32::MAX {
                 0
@@ -1116,7 +1125,7 @@ impl Pe {
                     // the instance.
                     let mut spins: u64 = 0;
                     loop {
-                        match self.exec(t, id, i, true, ctx) {
+                        match self.exec(t, id, at, i, true, ctx) {
                             Exec::Next => break,
                             Exec::Retry(..) => {
                                 t += 1;
@@ -1126,7 +1135,7 @@ impl Pe {
                                     self.parked_hint = true;
                                     self.sp_free_at = t;
                                     self.stats.sp_pf_cycles += t - start;
-                                    let inst = self.lse.instance_mut(id);
+                                    let inst = self.lse.at_mut(at);
                                     inst.pc = pc;
                                     inst.state = ThreadState::WaitDma;
                                     if self.obs.events_on() {
@@ -1147,7 +1156,7 @@ impl Pe {
                     }
                 }
                 Instr::DmaYield => {}
-                pure => match self.pure_step(id, pure) {
+                pure => match self.pure_step(at, pure) {
                     Step::Load(..) => t += self.params.ls_latency, // serial SP: no scoreboard
                     Step::Next | Step::Set(..) | Step::LsStore { .. } => {}
                     Step::Jump(_) | Step::Post(_) | Step::Fault(_) => {
@@ -1159,13 +1168,13 @@ impl Pe {
         }
         self.sp_free_at = t;
         self.stats.sp_pf_cycles += t - start;
-        let inst = self.lse.instance_mut(id);
+        let inst = self.lse.at_mut(at);
         inst.pc = pf_end;
         if inst.outstanding_dma > 0 {
             inst.state = ThreadState::WaitDma;
             self.record(now, id, ThreadEvent::WaitDma);
         } else {
-            self.lse.make_ready(now, id);
+            self.lse.make_ready(now, at);
         }
     }
 
@@ -1175,11 +1184,10 @@ impl Pe {
     /// record then carries a sentinel thread id.
     pub(crate) fn record(&mut self, cycle: u64, id: InstanceId, what: ThreadEvent) {
         if self.obs.events_on() {
-            let thread = if self.lse.has_instance(id) {
-                self.lse.instance(id).thread.0
-            } else {
-                u32::MAX
-            };
+            let thread = self
+                .lse
+                .slot_of(id)
+                .map_or(u32::MAX, |at| self.lse.at(at).thread.0);
             self.obs.emit(
                 cycle,
                 ObsEvent::Thread {

@@ -284,10 +284,10 @@ pub struct EngineReport {
     /// Wall-clock µs the run loop took. Host-time: varies run to run by
     /// design.
     pub run_wall_us: u64,
-    /// Occupancy of the wake set: scheduled wake entries (the active
-    /// list plus the `Blocked` heap, stale lazy-invalidation entries
-    /// included), sampled once per visited cycle. Quantifies
-    /// the pending-wakeup population the event-driven scheduler carries.
+    /// Occupancy of the wake set: the PEs with a scheduled wake,
+    /// sampled once per visited cycle. Quantifies the pending-wakeup
+    /// population the event-driven scheduler carries. (The name dates
+    /// from a heap-based wake set; the min-tree has no stale entries.)
     pub wake_heap_occupancy: dta_obs::Histogram,
     /// Host-side message deliveries to PE-owned units (LSE + pipeline).
     pub pe_deliveries: u64,

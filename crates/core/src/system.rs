@@ -665,6 +665,23 @@ fn deliver_lse_failover(env: &mut DeliverEnv<'_>, now: u64, pe: u16, msg: Messag
             }
             true
         }
+        Message::Ffree { frame } if env.pe(pe).lse.is_stale(frame) => {
+            // The FFREE of an instance the crash destroyed (it had freed
+            // its frame just before, or had stopped): the address the
+            // crash held back can be granted again.
+            let p = env.pe(pe);
+            if p.lse.release_stale(frame) {
+                let done = p.lse.reserve_op(now);
+                let stamp = p.stamp.bump();
+                env.posts.push((
+                    done + msg_latency,
+                    Dest::Dse(f.route(node, now)),
+                    Message::FrameFreed { pe },
+                    stamp,
+                ));
+            }
+            true
+        }
         _ if env.pe(pe).lse.is_dead() => {
             // Everything except a grant (Ffree / DmaDone / DseResync)
             // references state that died with the LSE: drop it.
@@ -1047,11 +1064,12 @@ fn deliver(env: &mut DeliverEnv<'_>, now: u64, to: Dest, msg: Message) {
                     }
                 }
                 Message::DmaDone { owner, tag } => {
-                    if env.pe(pe).obs.events_on() && env.pe(pe).lse.has_instance(owner) {
+                    let live = env.pe(pe).lse.has_instance(owner);
+                    if live && env.pe(pe).obs.events_on() {
                         env.record(now, pe, owner, ThreadEvent::DmaCompleted { tag });
                     }
                     let p = env.pe(pe);
-                    if p.lse.has_instance(owner) {
+                    if live {
                         // Mirror of the issue-side increment: the overlap
                         // census closes at the same simulated point the
                         // DmaCompleted event is stamped (deliveries precede
@@ -1650,8 +1668,8 @@ impl System {
                 return Err(self.cycle_limit_error());
             }
             report.visited_cycles += 1;
-            // Host-side wake-set pressure, sampled once per visited cycle
-            // (stale lazy-invalidation entries are real occupancy).
+            // Host-side wake-set pressure (PEs with a scheduled wake),
+            // sampled once per visited cycle.
             report.wake_heap_occupancy.add(wakes.occupancy());
 
             // Deliver everything due now; every delivery addressed to a

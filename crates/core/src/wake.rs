@@ -1,147 +1,125 @@
 //! Per-PE wake bookkeeping for the run loop.
 //!
-//! Each PE carries its earliest scheduled tick, `wake[p]` (`u64::MAX` =
-//! none: only a message delivery can make it runnable again). A tick's
-//! [`Activity`] schedules the next one:
+//! Each PE carries its earliest scheduled tick (`u64::MAX` = none: only
+//! a message delivery can make it runnable again). A tick's [`Activity`]
+//! schedules the next one: `Active` at `now + 1`, `Blocked(t)` at `t`,
+//! `Idle` never. A delivery pulls the PE's wake to the delivery cycle.
 //!
-//! * `Active` (and `Blocked(now + 1)`) → the PE joins the **active
-//!   list**, an ascending vector of PEs due at the next cycle. Busy PEs
-//!   return `Active` on almost every tick, so this path is a push onto
-//!   a vector instead of a heap push and pop;
-//! * `Blocked(t)`, `now + 1 < t < u64::MAX` → a `(t, pe)` entry in a
-//!   binary heap;
-//! * `Blocked(u64::MAX)` / `Idle` → nothing scheduled.
-//!
-//! A delivery to a PE pulls its wake to the delivery cycle (a heap
-//! entry). Heap entries use lazy invalidation: an entry is stale once
-//! its time no longer matches `wake[pe]`.
-//!
-//! [`WakeSet::tick_due`] merges the active list and the due heap entries
-//! in ascending PE order — the memory-port reservation order the golden
-//! digests pin — and ticks a PE only if `wake[pe]` is the current
-//! cycle at tick time. That check is what makes a PE tick exactly once
-//! when it is listed twice: a delivery can pull a PE ahead of a pending
-//! `Blocked(t)` wake, and if that tick then returns `Active` with
-//! `t == now + 1`, the PE sits in both the active list and the heap for
-//! the same cycle.
+//! The wakes sit in a tournament tree: leaf `size + p` holds PE `p`'s
+//! wake (`size` is the PE count rounded up to a power of two, the padding
+//! leaves never wake) and every inner node holds the minimum of its two
+//! children, so the root is the earliest wake. [`WakeSet::tick_due`]
+//! walks the tree left to right, descending only into subtrees whose
+//! minimum is due, so the due PEs tick in ascending PE order — the
+//! memory-port reservation order the golden digests pin — and each at
+//! most once: its new wake lies in the future before the walk moves on.
 
 use crate::pipeline::Activity;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 pub(crate) struct WakeSet {
-    /// Each PE's earliest scheduled tick (`u64::MAX` = none).
-    wake: Vec<u64>,
-    /// PEs due at `active_at`, ascending.
-    active: Vec<u16>,
-    active_at: u64,
-    /// The active list being built during a drain (kept for its buffer).
-    next_active: Vec<u16>,
-    /// `(time, pe)` wakes outside the active list, lazily invalidated.
-    heap: BinaryHeap<Reverse<(u64, u16)>>,
+    /// The tournament tree; index 0 is unused, the root is 1.
+    tree: Vec<u64>,
+    /// Leaf offset: PE `p` is node `size + p`.
+    size: usize,
+    /// PEs with a scheduled wake.
+    scheduled: u64,
 }
 
 impl WakeSet {
     /// `n` PEs, every one due at cycle 0.
     pub(crate) fn new(n: usize) -> Self {
+        let size = n.max(1).next_power_of_two();
+        let mut tree = vec![u64::MAX; 2 * size];
+        tree[size..size + n].fill(0);
+        for i in (1..size).rev() {
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+        }
         WakeSet {
-            wake: vec![0; n],
-            active: (0..n as u16).collect(),
-            active_at: 0,
-            next_active: Vec::with_capacity(n),
-            heap: BinaryHeap::new(),
+            tree,
+            size,
+            scheduled: n as u64,
         }
     }
 
     /// A message was delivered to `pe` at `now`: it ticks this cycle.
     #[inline]
     pub(crate) fn deliver(&mut self, pe: u16, now: u64) {
-        let slot = &mut self.wake[pe as usize];
-        if now < *slot {
-            *slot = now;
-            self.heap.push(Reverse((now, pe)));
+        let mut i = self.size + pe as usize;
+        let leaf = self.tree[i];
+        if now >= leaf {
+            return;
+        }
+        if leaf == u64::MAX {
+            self.scheduled += 1;
+        }
+        // A wake only moves earlier here, so each ancestor takes `now`
+        // until one already holds something at least as early.
+        self.tree[i] = now;
+        while i > 1 {
+            i >>= 1;
+            if self.tree[i] <= now {
+                break;
+            }
+            self.tree[i] = now;
         }
     }
 
-    /// Scheduled wake entries, stale heap entries included — the host-side
-    /// cost of the bookkeeping (`EngineReport::wake_heap_occupancy`).
+    /// PEs with a scheduled wake — the host-side cost of the bookkeeping
+    /// (`EngineReport::wake_heap_occupancy`).
     #[inline]
     pub(crate) fn occupancy(&self) -> u64 {
-        (self.heap.len() + self.active.len()) as u64
+        self.scheduled
     }
 
     /// Ticks every PE due at `now` in ascending PE order, scheduling
     /// each from the [`Activity`] `tick` returns. Returns the number of
     /// ticks.
+    ///
+    /// A depth-first walk: a node whose minimum is due is entered, one
+    /// that is not is skipped whole. Leaving a right child recomputes
+    /// its parent, whose subtrees are then both final, so the tree is
+    /// consistent again when the walk climbs out of the root.
     pub(crate) fn tick_due(&mut self, now: u64, mut tick: impl FnMut(u16) -> Activity) -> u64 {
         debug_assert!(
-            self.active.is_empty() || self.active_at == now,
-            "active list due at {} skipped (now {now})",
-            self.active_at
+            self.tree[1] >= now,
+            "a wake at {} was skipped",
+            self.tree[1]
         );
         let mut ticks = 0;
-        let mut i = 0;
+        let mut i = 1;
         loop {
-            let due = match self.heap.peek() {
-                Some(&Reverse((t, p))) if t <= now => Some((t, p)),
-                _ => None,
-            };
-            let (t, p) = match (self.active.get(i), due) {
-                (Some(&a), Some(e)) if e < (now, a) => {
-                    self.heap.pop();
-                    e
+            if self.tree[i] <= now {
+                if i < self.size {
+                    i *= 2;
+                    continue;
                 }
-                (Some(&a), _) => {
-                    i += 1;
-                    (now, a)
-                }
-                (None, Some(e)) => {
-                    self.heap.pop();
-                    e
-                }
-                (None, None) => break,
-            };
-            let pi = p as usize;
-            if t != now || self.wake[pi] != now {
-                continue; // stale, or already ticked this cycle
-            }
-            self.wake[pi] = u64::MAX;
-            ticks += 1;
-            let next = match tick(p) {
-                Activity::Active => now + 1,
-                Activity::Blocked(w) => w,
-                Activity::Idle => u64::MAX,
-            };
-            if next == now + 1 {
-                self.wake[pi] = next;
-                self.next_active.push(p);
-            } else if next < u64::MAX {
+                ticks += 1;
+                let next = match tick((i - self.size) as u16) {
+                    Activity::Active => now + 1,
+                    Activity::Blocked(w) => w,
+                    Activity::Idle => u64::MAX,
+                };
                 debug_assert!(next > now, "wake must be in the future");
-                self.wake[pi] = next;
-                self.heap.push(Reverse((next, p)));
+                if next == u64::MAX {
+                    self.scheduled -= 1;
+                }
+                self.tree[i] = next;
             }
+            while i & 1 == 1 {
+                i >>= 1;
+                if i == 0 {
+                    return ticks;
+                }
+                self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            }
+            i += 1;
         }
-        self.active.clear();
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        self.active_at = now + 1;
-        ticks
     }
 
-    /// The earliest scheduled tick (`u64::MAX` = none), dropping stale
-    /// heap entries on the way.
-    pub(crate) fn next(&mut self) -> u64 {
-        if !self.active.is_empty() {
-            // Every heap entry is later than the cycle just drained, so
-            // nothing can be due before the active list.
-            return self.active_at;
-        }
-        while let Some(&Reverse((t, p))) = self.heap.peek() {
-            if self.wake[p as usize] == t {
-                return t;
-            }
-            self.heap.pop();
-        }
-        u64::MAX
+    /// The earliest scheduled tick (`u64::MAX` = none).
+    #[inline]
+    pub(crate) fn next(&self) -> u64 {
+        self.tree[1]
     }
 }
 
@@ -176,8 +154,8 @@ mod tests {
     #[test]
     fn mixed_sources_tick_in_ascending_pe_order() {
         let mut w = WakeSet::new(6);
-        // At cycle 1, PEs 0 (Blocked(1)), 1 and 4 (Active) are in the
-        // active list; deliveries add 2, 3 and 5 through the heap.
+        // At cycle 1, PEs 0 (Blocked(1)), 1 and 4 (Active) are due from
+        // their ticks; deliveries add 2, 3 and 5.
         let plan = [
             (1, Activity::Active),
             (4, Activity::Active),
@@ -205,20 +183,17 @@ mod tests {
     }
 
     #[test]
-    fn pe_in_active_list_and_heap_ticks_once() {
+    fn pe_pulled_ahead_of_its_wake_ticks_once() {
         let mut w = WakeSet::new(2);
         assert_eq!(drain(&mut w, 0, &[(0, Activity::Blocked(6))]), vec![0, 1]);
         // A delivery pulls PE 0 ahead of its Blocked(6) wake; that tick
-        // returns Active, so at cycle 6 PE 0 is in the active list and
-        // holds a live heap entry for the same cycle.
+        // returns Active, so PE 0 is due at 6 once, not twice.
         w.deliver(0, 5);
         assert_eq!(w.next(), 5);
         assert_eq!(drain(&mut w, 5, &[(0, Activity::Active)]), vec![0]);
-        assert_eq!(w.occupancy(), 2);
+        assert_eq!(w.occupancy(), 1);
         assert_eq!(w.next(), 6);
         w.deliver(1, 6);
-        // Still active after its tick at 6, PE 0 is due at 7 by then; the
-        // (6, 0) heap entry must not tick it again.
         assert_eq!(drain(&mut w, 6, &[(0, Activity::Active)]), vec![0, 1]);
         assert_eq!(w.next(), 7);
         assert_eq!(drain(&mut w, 7, &[]), vec![0]);
@@ -230,7 +205,7 @@ mod tests {
         let mut w = WakeSet::new(3);
         let plan = [(1, Activity::Active), (2, Activity::Blocked(4))];
         drain(&mut w, 0, &plan);
-        // PE 1 is already due at 1 (active list); PE 2 at 4 (heap).
+        // PE 1 is already due at 1; PE 2 at 4.
         w.deliver(1, 1);
         w.deliver(1, 1);
         assert_eq!(w.occupancy(), 2, "no entry added for a due PE");
@@ -255,20 +230,88 @@ mod tests {
     }
 
     #[test]
-    fn next_skips_stale_heap_entries() {
+    fn rescheduled_pe_keeps_only_its_latest_wake() {
         let mut w = WakeSet::new(2);
         let plan = [(0, Activity::Blocked(10)), (1, Activity::Blocked(20))];
         drain(&mut w, 0, &plan);
-        // Pull PE 0 earlier; its (10, 0) entry goes stale once the tick
-        // reschedules it to 30.
+        // Pull PE 0 earlier; its tick then reschedules it to 30, and the
+        // wake at 10 it replaced must not resurface.
         w.deliver(0, 3);
         assert_eq!(drain(&mut w, 3, &[(0, Activity::Blocked(30))]), vec![0]);
-        assert_eq!(w.occupancy(), 3, "stale entry still counted");
+        assert_eq!(w.occupancy(), 2);
         assert_eq!(w.next(), 20);
-        assert_eq!(w.occupancy(), 2, "stale entry dropped");
         assert_eq!(drain(&mut w, 20, &[]), vec![1]);
         assert_eq!(w.next(), 30);
         assert_eq!(drain(&mut w, 30, &[]), vec![0]);
         assert_eq!(w.next(), u64::MAX);
+    }
+
+    /// The SplitMix64 finaliser: a stateless source of seeded choices.
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Differential test against the specification the tree implements:
+    /// every PE whose wake equals `now` ticks once, in ascending order.
+    #[test]
+    fn matches_the_naive_model_under_random_activity() {
+        for n in [1usize, 2, 3, 8, 9, 128, 130] {
+            for seed in 0..8u64 {
+                let mut w = WakeSet::new(n);
+                let mut model = vec![0u64; n];
+                let mut now = 0;
+                for step in 0..400u64 {
+                    // A tick's answer depends on (seed, cycle, PE) only,
+                    // so both sides see the same activity.
+                    let answer = |p: u16| {
+                        let r = mix(seed ^ mix(now) ^ ((p as u64) << 40));
+                        match r % 8 {
+                            0..=3 => Activity::Active,
+                            4 | 5 => Activity::Blocked(now + 2 + (r >> 8) % 12),
+                            6 => Activity::Blocked(u64::MAX),
+                            _ => Activity::Idle,
+                        }
+                    };
+                    let mut got = Vec::new();
+                    let ticks = w.tick_due(now, |p| {
+                        got.push(p);
+                        answer(p)
+                    });
+                    let mut want = Vec::new();
+                    for (p, t) in model.iter_mut().enumerate().filter(|(_, t)| **t == now) {
+                        want.push(p as u16);
+                        *t = match answer(p as u16) {
+                            Activity::Active => now + 1,
+                            Activity::Blocked(b) => b,
+                            Activity::Idle => u64::MAX,
+                        };
+                    }
+                    assert_eq!(got, want, "n {n} seed {seed} cycle {now}");
+                    assert_eq!(ticks, want.len() as u64);
+                    let next = model.iter().copied().min().unwrap_or(u64::MAX);
+                    assert_eq!(w.next(), next, "n {n} seed {seed} after {now}");
+                    let scheduled = model.iter().filter(|&&t| t < u64::MAX).count();
+                    assert_eq!(w.occupancy(), scheduled as u64);
+                    // Advance to the next wake, or to an earlier cycle
+                    // with deliveries to a few random PEs.
+                    let r = mix(seed ^ ((n as u64) << 32) ^ step);
+                    let deliver = r.is_multiple_of(3) || next == u64::MAX;
+                    now = if deliver {
+                        (now + 1 + (r >> 8) % 5).min(next)
+                    } else {
+                        next
+                    };
+                    if deliver {
+                        for k in 0..=(r >> 16) % 3 {
+                            let p = (mix(r ^ k) % n as u64) as usize;
+                            w.deliver(p as u16, now);
+                            model[p] = model[p].min(now);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -680,6 +680,45 @@ fn lse_crash_sweep_is_bounded() {
     }
 }
 
+/// An LSE that restarts (30 cycles) before its crash is detected (50),
+/// under heavy message delays and drops, on one 8-PE node. The FFREE of
+/// an instance that stopped just before the crash reaches the restarted
+/// LSE late. It once freed the frame a later grant held there, so that
+/// frame's owner lost its producer stores and the next owner took one
+/// store too many (a panic); the run must end verified or with a typed
+/// error.
+#[test]
+fn lse_restart_before_detection_with_late_stores_is_typed() {
+    let mut plan = FaultPlan::seeded(144);
+    plan.lse_crash_ppm = 500_000;
+    plan.lse_crash_window = 2_000;
+    plan.lse_detect = 50;
+    plan.lse_restart_after = 30;
+    plan.msg_delay_ppm = 300_000;
+    plan.msg_delay_jitter = 40;
+    plan.msg_drop_ppm = 50_000;
+    plan.watchdog_spin_limit = 2_000;
+    let mut cfg = SystemConfig::with_pes(8);
+    cfg.max_cycles = MAX_CYCLES;
+    cfg.faults = Some(plan);
+    let outcome = checked_cfg(
+        "bitcnt(200)+lse-restart-early",
+        cfg,
+        &|| bitcnt::build(200, Variant::HandPrefetch),
+        &|s| bitcnt::verify(s, 200),
+    );
+    match outcome {
+        Ok(stats) => assert!(stats.lse_crashes > 0, "the planned crashes must fire"),
+        Err(e) => assert!(
+            matches!(
+                e,
+                RunError::Watchdog { .. } | RunError::Deadlock { .. } | RunError::CycleLimit { .. }
+            ),
+            "untyped failure {e}"
+        ),
+    }
+}
+
 /// Acceptance check at the paper's full benchmark sizes — bitcnt(10000),
 /// mmul(32), zoom(32) — under a seeded single-node crash: each run
 /// completes verified with the crash and failover counters lit. Slow

@@ -1,8 +1,8 @@
 //! A fast hasher for simulator-internal integer keys.
 //!
-//! The simulator's hot tables (LSE instance tables, main-memory pages)
-//! are keyed by values the simulator itself mints: instance ids and
-//! page numbers. No adversary chooses them, so the std default hasher's
+//! The simulator's id-keyed tables (the LSE's instance-id index,
+//! main-memory pages) are keyed by values the simulator itself mints:
+//! instance ids and page numbers. No adversary chooses them, so the std default hasher's
 //! HashDoS resistance buys nothing and its SipHash rounds sit on every
 //! lookup.
 //! [`IdHasher`] is a single Fibonacci multiply per word instead.

@@ -53,12 +53,16 @@ impl ResourcePool {
     /// (every transaction occupies its channel for at least a cycle).
     pub fn reserve(&mut self, now: u64, duration: u64) -> Reservation {
         let duration = duration.max(1);
-        let (channel, &free) = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("non-empty pool");
+        // First strict minimum: a later channel wins only when it is
+        // free strictly earlier, so ties go to the lowest index.
+        let mut channel = 0;
+        let mut free = self.free_at[0];
+        for (i, &t) in self.free_at.iter().enumerate().skip(1) {
+            if t < free {
+                channel = i;
+                free = t;
+            }
+        }
         let start = free.max(now);
         let end = start + duration;
         self.free_at[channel] = end;

@@ -27,5 +27,5 @@ pub mod message;
 
 pub use dse::{Dse, DseParams, PendingFalloc};
 pub use instance::{Instance, InstanceId, ThreadState};
-pub use lse::{Adopted, CrashReport, Evacuee, Lse, LseParams, LseStats, StoreDelivery};
+pub use lse::{Adopted, CrashReport, Evacuee, Lse, LseParams, LseStats, Slot, StoreDelivery};
 pub use message::{Dest, Envelope, Message, MsgSeq, Stamped};

@@ -11,7 +11,13 @@
 //!   prefetching instance;
 //! * the PE's **ready queue** of instances whose SC reached zero (or whose
 //!   DMA completed);
-//! * all live [`Instance`]s assigned to this PE.
+//! * all live [`Instance`]s assigned to this PE, in a slab: each lives
+//!   at a [`Slot`] from its grant until it stops and its DMA drains.
+//!   The frame table and the ready queue hold slots, and the pipeline
+//!   keeps the slot of the instance it runs, so stores, dispatch and
+//!   issue index a vector instead of hashing. Only the paths addressed
+//!   by [`InstanceId`] (DMA completions, FALLOC grants, crash recovery,
+//!   adoption) go through the id index.
 //!
 //! The LSE is a serially-occupied piece of hardware: the core simulator
 //! charges [`LseParams::op_latency`] per operation through
@@ -21,7 +27,7 @@
 use crate::instance::{Instance, InstanceId, ThreadState};
 use dta_isa::{FramePtr, IdBuild, ThreadId};
 use dta_mem::ResourcePool;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// LSE configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -187,20 +193,39 @@ pub struct Granted {
     pub instance: InstanceId,
 }
 
+/// Where a live instance sits in its LSE's slab. Valid from the grant
+/// until the instance stops with its DMA drained (or a crash destroys
+/// it); the slot is then reused, so holders check the id it carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot(u32);
+
+/// A frame-table entry: the owning instance, its slot, and the prefetch
+/// buffer the grant assigned (`u32::MAX` = none; released on FFREE).
+#[derive(Clone, Copy, Debug)]
+struct FrameEntry {
+    id: InstanceId,
+    at: Slot,
+    pf_buf: u32,
+}
+
 /// The per-PE Local Scheduler Element.
 #[derive(Debug)]
 pub struct Lse {
     pe: u16,
     params: LseParams,
-    /// Frame table: index → owning instance.
-    frames: Vec<Option<InstanceId>>,
+    /// Frame table: index → owner. An entry outlives its instance when
+    /// the instance stops (and drains) before the frame's FFREE.
+    frames: Vec<Option<FrameEntry>>,
     free_frames: Vec<u32>,
     /// Free prefetch-buffer indices (each maps to a fixed LS region).
     pf_free: Vec<u32>,
-    /// Per-instance assigned prefetch buffer index (releases on FFREE).
-    pf_assigned: HashMap<InstanceId, u32, IdBuild>,
-    instances: HashMap<InstanceId, Instance, IdBuild>,
-    ready: VecDeque<InstanceId>,
+    /// The live instances; `None` marks a free slot.
+    slab: Vec<Option<Instance>>,
+    /// Free slots, reused last-freed first.
+    free_slots: Vec<u32>,
+    /// Id → slot, for the paths addressed by id.
+    by_id: HashMap<InstanceId, Slot, IdBuild>,
+    ready: VecDeque<Slot>,
     /// Allocations granted a frame but waiting for a prefetch buffer
     /// (only possible with virtual frames).
     pending: VecDeque<(u16, InstanceId, ThreadId, u16, u16, bool)>,
@@ -214,6 +239,14 @@ pub struct Lse {
     /// remaining producer stores). Entries drain as forwards arrive and
     /// survive a restart so late producers still reach the adopter.
     evac: HashMap<u32, (u16, u16)>,
+    /// Frame addresses a crash left reachable by traffic for the
+    /// instance it destroyed: an FFREE still to come (the owner had
+    /// stopped or posted effects, so it may have freed its frame) or
+    /// producer stores with no adopter to forward them to. They stay
+    /// out of the pool, and stores to them drop, until that FFREE
+    /// arrives, so stale traffic can never reach the frame of a later
+    /// grant.
+    stale: HashSet<u32>,
     /// Adopted instances: (home PE, home frame index) → (local instance,
     /// local frame index). Kept across a later own-crash so forwarded
     /// stores can chain to the next adopter.
@@ -237,8 +270,9 @@ impl Lse {
             frames: vec![None; params.frame_capacity as usize],
             free_frames: (0..params.frame_capacity).rev().collect(),
             pf_free: (0..params.pf_pool_size).rev().collect(),
-            pf_assigned: HashMap::default(),
-            instances: HashMap::default(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
+            by_id: HashMap::default(),
             ready: VecDeque::new(),
             pending: VecDeque::new(),
             busy: ResourcePool::new(1),
@@ -246,6 +280,7 @@ impl Lse {
             stats: LseStats::default(),
             dead: false,
             evac: HashMap::new(),
+            stale: HashSet::new(),
             adopted: HashMap::new(),
             adopt_pending: VecDeque::new(),
             adopt_stash: HashMap::new(),
@@ -277,7 +312,7 @@ impl Lse {
 
     /// Number of live instances.
     pub fn live_instances(&self) -> usize {
-        self.instances.len()
+        self.by_id.len()
     }
 
     /// Number of frames currently occupied (observability gauge).
@@ -288,22 +323,17 @@ impl Lse {
     /// Number of live instances blocked in `WaitDma` (observability
     /// gauge).
     pub fn waiting_dma(&self) -> usize {
-        // A count: map iteration order cannot reach the result.
-        self.instances
-            .values()
+        self.live()
             .filter(|i| i.state == ThreadState::WaitDma)
             .count()
     }
 
-    /// Lifecycle snapshot of every live instance, sorted by id (the
-    /// underlying map iterates in arbitrary order; deadlock reports must
+    /// Lifecycle snapshot of every live instance, sorted by id (slots
+    /// are reused, so slab order is not id order; deadlock reports must
     /// be deterministic).
     pub fn live_instance_states(&self) -> Vec<(InstanceId, ThreadState)> {
-        let mut v: Vec<(InstanceId, ThreadState)> = self
-            .instances
-            .iter()
-            .map(|(&id, inst)| (id, inst.state))
-            .collect();
+        let mut v: Vec<(InstanceId, ThreadState)> =
+            self.live().map(|inst| (inst.id, inst.state)).collect();
         v.sort_unstable_by_key(|&(id, _)| id);
         v
     }
@@ -369,30 +399,70 @@ impl Lse {
                 self.pe
             ),
         };
+        self.stats.allocs += 1;
+        let (id, _) = self.install(index, thread, sc, slots, needs_pf, 0);
+        Some(Granted {
+            requester,
+            for_inst,
+            frame: FramePtr::new(self.pe, index),
+            instance: id,
+        })
+    }
+
+    /// Creates an instance on frame `index` (already taken from the
+    /// pool), with a prefetch buffer if `needs_pf` (the caller checked
+    /// one is free), and queues it ready at `now` if its SC is zero.
+    fn install(
+        &mut self,
+        index: u32,
+        thread: ThreadId,
+        sc: u16,
+        slots: u16,
+        needs_pf: bool,
+        now: u64,
+    ) -> (InstanceId, Slot) {
         let id = self.fresh_instance_id();
-        let pf_buf_addr = if needs_pf {
-            let buf = self.pf_free.pop().expect("checked above");
-            self.pf_assigned.insert(id, buf);
-            self.params.pf_region_base + buf * self.params.pf_buf_bytes
+        let (pf_buf, pf_buf_addr) = if needs_pf {
+            let buf = self.pf_free.pop().expect("checked by the caller");
+            (
+                buf,
+                self.params.pf_region_base + buf * self.params.pf_buf_bytes,
+            )
         } else {
-            u32::MAX
+            (u32::MAX, u32::MAX)
         };
         let frame = FramePtr::new(self.pe, index);
         let inst = Instance::new(id, thread, frame, sc, slots, pf_buf_addr);
         let became_ready = inst.state == ThreadState::Ready;
-        self.frames[index as usize] = Some(id);
-        self.instances.insert(id, inst);
-        self.stats.allocs += 1;
-        self.stats.max_live_instances = self.stats.max_live_instances.max(self.instances.len());
+        let at = match self.free_slots.pop() {
+            Some(i) => {
+                self.slab[i as usize] = Some(inst);
+                Slot(i)
+            }
+            None => {
+                self.slab.push(Some(inst));
+                Slot(self.slab.len() as u32 - 1)
+            }
+        };
+        self.by_id.insert(id, at);
+        self.frames[index as usize] = Some(FrameEntry { id, at, pf_buf });
+        self.stats.max_live_instances = self.stats.max_live_instances.max(self.by_id.len());
         if became_ready {
-            self.push_ready(id, 0);
+            self.push_ready(at, now);
         }
-        Some(Granted {
-            requester,
-            for_inst,
-            frame,
-            instance: id,
-        })
+        (id, at)
+    }
+
+    /// Frees the slot of a stopped instance whose DMA drained.
+    fn remove(&mut self, at: Slot) {
+        let inst = self.slab[at.0 as usize].take().expect("live slot");
+        self.by_id.remove(&inst.id);
+        self.free_slots.push(at.0);
+    }
+
+    /// Every live instance, in slab order.
+    fn live(&self) -> impl Iterator<Item = &Instance> {
+        self.slab.iter().flatten()
     }
 
     /// Applies a store to a local frame; returns the instance id if the
@@ -406,13 +476,14 @@ impl Lse {
         value: i64,
     ) -> Option<InstanceId> {
         assert_eq!(frame.pe, self.pe, "store routed to the wrong LSE");
-        let id = self.frames[frame.index as usize]
+        let e = self.frames[frame.index as usize]
             .unwrap_or_else(|| panic!("store to unallocated frame {frame}"));
         self.stats.stores += 1;
-        let inst = self.instances.get_mut(&id).expect("frame table consistent");
+        let inst = self.at_mut(e.at);
+        assert_eq!(inst.id, e.id, "frame table consistent");
         if inst.store(slot, value) {
-            self.push_ready(id, now);
-            Some(id)
+            self.push_ready(e.at, now);
+            Some(e.id)
         } else {
             None
         }
@@ -424,12 +495,12 @@ impl Lse {
     #[track_caller]
     pub fn ffree(&mut self, frame: FramePtr) -> Vec<Granted> {
         assert_eq!(frame.pe, self.pe, "ffree routed to the wrong LSE");
-        let id = self.frames[frame.index as usize]
+        let e = self.frames[frame.index as usize]
+            .take()
             .unwrap_or_else(|| panic!("ffree of unallocated frame {frame}"));
-        self.frames[frame.index as usize] = None;
         self.free_frames.push(frame.index);
-        if let Some(buf) = self.pf_assigned.remove(&id) {
-            self.pf_free.push(buf);
+        if e.pf_buf != u32::MAX {
+            self.pf_free.push(e.pf_buf);
         }
         self.stats.frees += 1;
 
@@ -454,53 +525,54 @@ impl Lse {
 
     /// Marks an instance stopped; removes it once its DMA has drained.
     pub fn stop(&mut self, id: InstanceId) {
-        let inst = self
-            .instances
-            .get_mut(&id)
+        let at = self
+            .slot_of(id)
             .unwrap_or_else(|| panic!("stop of unknown instance {id}"));
+        let inst = self.at_mut(at);
         inst.state = ThreadState::Done;
+        let drained = inst.outstanding_dma == 0;
         self.stats.stops += 1;
-        if inst.outstanding_dma == 0 {
-            self.instances.remove(&id);
+        if drained {
+            self.remove(at);
         }
     }
 
     /// Records a DMA completion for `owner`; returns `true` if it made the
     /// instance ready.
     pub fn dma_done(&mut self, now: u64, owner: InstanceId, tag: u8) -> bool {
-        let Some(inst) = self.instances.get_mut(&owner) else {
+        let Some(at) = self.slot_of(owner) else {
             panic!("DMA completion for unknown instance {owner}");
         };
+        let inst = self.at_mut(at);
         let ready = inst.dma_complete(tag);
         if inst.state == ThreadState::Done && inst.outstanding_dma == 0 {
-            self.instances.remove(&owner);
+            self.remove(at);
             return false;
         }
         if ready {
-            self.push_ready(owner, now);
+            self.push_ready(at, now);
         }
         ready
     }
 
-    fn push_ready(&mut self, id: InstanceId, now: u64) {
-        if let Some(inst) = self.instances.get_mut(&id) {
-            inst.ready_at = now;
-        }
-        self.ready.push_back(id);
+    fn push_ready(&mut self, at: Slot, now: u64) {
+        self.at_mut(at).ready_at = now;
+        self.ready.push_back(at);
         self.stats.max_ready_queue = self.stats.max_ready_queue.max(self.ready.len());
     }
 
     /// Transitions an instance to Ready and enqueues it (used when a
     /// deferred FALLOC grant finally arrives for a parked instance).
-    pub fn make_ready(&mut self, now: u64, id: InstanceId) {
-        let inst = self.instance_mut(id);
-        inst.state = ThreadState::Ready;
-        self.push_ready(id, now);
+    pub fn make_ready(&mut self, now: u64, at: Slot) {
+        self.at_mut(at).state = ThreadState::Ready;
+        self.push_ready(at, now);
     }
 
-    /// Pops the next ready instance for the pipeline (FIFO).
-    pub fn pop_ready(&mut self) -> Option<InstanceId> {
-        self.ready.pop_front()
+    /// Pops the next ready instance for the pipeline (FIFO), with the
+    /// slot it stays at while it lives.
+    pub fn pop_ready(&mut self) -> Option<(InstanceId, Slot)> {
+        let at = self.ready.pop_front()?;
+        Some((self.at(at).id, at))
     }
 
     /// Number of instances currently queued ready.
@@ -508,32 +580,58 @@ impl Lse {
         self.ready.len()
     }
 
+    /// The instance at a live slot.
+    #[inline]
+    #[track_caller]
+    pub fn at(&self, at: Slot) -> &Instance {
+        self.slab[at.0 as usize].as_ref().expect("live slot")
+    }
+
+    /// Mutable access to the instance at a live slot.
+    #[inline]
+    #[track_caller]
+    pub fn at_mut(&mut self, at: Slot) -> &mut Instance {
+        self.slab[at.0 as usize].as_mut().expect("live slot")
+    }
+
+    /// The slot of a live instance.
+    #[inline]
+    pub fn slot_of(&self, id: InstanceId) -> Option<Slot> {
+        self.by_id.get(&id).copied()
+    }
+
     /// Immutable access to an instance.
     #[track_caller]
     pub fn instance(&self, id: InstanceId) -> &Instance {
-        self.instances
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown instance {id}"))
+        let at = self
+            .slot_of(id)
+            .unwrap_or_else(|| panic!("unknown instance {id}"));
+        self.at(at)
     }
 
     /// Mutable access to an instance.
     #[track_caller]
     pub fn instance_mut(&mut self, id: InstanceId) -> &mut Instance {
-        self.instances
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown instance {id}"))
+        let at = self
+            .slot_of(id)
+            .unwrap_or_else(|| panic!("unknown instance {id}"));
+        self.at_mut(at)
     }
 
     /// Does the instance still exist? (Stopped instances with drained DMA
     /// are removed.)
     pub fn has_instance(&self, id: InstanceId) -> bool {
-        self.instances.contains_key(&id)
+        self.by_id.contains_key(&id)
     }
 
     /// The instance currently owning a frame index, if any.
     pub fn frame_owner(&self, frame: FramePtr) -> Option<InstanceId> {
         assert_eq!(frame.pe, self.pe, "lookup routed to the wrong LSE");
-        self.frames.get(frame.index as usize).copied().flatten()
+        self.frames
+            .get(frame.index as usize)
+            .copied()
+            .flatten()
+            .map(|e| e.id)
     }
 
     /// Is the LSE currently dead (crashed, not yet restarted)?
@@ -586,12 +684,14 @@ impl Lse {
         self.stats.crashes += 1;
         let mut report = CrashReport::default();
         for index in 0..self.frames.len() as u32 {
-            let Some(id) = self.frames[index as usize] else {
+            let Some(e) = self.frames[index as usize] else {
                 continue;
             };
             // A stopped instance whose DMA drained is already gone from
-            // the table while its frame awaits FFREE: nothing to recover.
-            let Some(inst) = self.instances.get(&id) else {
+            // the slab (its slot maybe reused) while its frame awaits
+            // FFREE: nothing to recover.
+            let Some(inst) = self.slab[e.at.0 as usize].as_ref().filter(|i| i.id == e.id) else {
+                self.stale.insert(index);
                 continue;
             };
             let pre_start = inst.pc == 0
@@ -620,12 +720,16 @@ impl Lse {
                     }
                     report.evacuees.push(evacuee(inst));
                 } else {
+                    if inst.sc > 0 {
+                        self.stale.insert(index);
+                    }
                     self.stats.lost += 1;
                     report.lost += 1;
                 }
             } else if inst.state == ThreadState::Done {
                 // STOP already executed; only its DMA-drain bookkeeping
                 // dies with the LSE.
+                self.stale.insert(index);
             } else if !inst.tainted {
                 // Started but effect-free: kill and replay from inputs.
                 self.stats.killed += 1;
@@ -637,6 +741,7 @@ impl Lse {
                     report.lost += 1;
                 }
             } else {
+                self.stale.insert(index);
                 self.stats.killed += 1;
                 report.killed += 1;
                 self.stats.lost += 1;
@@ -652,9 +757,10 @@ impl Lse {
             self.stats.lost += 1;
             report.lost += 1;
         }
-        self.instances.clear();
+        self.slab.clear();
+        self.free_slots.clear();
+        self.by_id.clear();
         self.ready.clear();
-        self.pf_assigned.clear();
         self.free_frames.clear();
         for f in &mut self.frames {
             *f = None;
@@ -664,19 +770,19 @@ impl Lse {
 
     /// The scheduled restart fires: rejoin cold. Frames still draining
     /// evacuation forwards stay out of the pool until their last
-    /// producer store has been forwarded (the `(pe, index)` address must
-    /// stay unambiguous); everything else is fresh. Instance ids stay
-    /// monotonic so stale DMA owner tokens can never collide.
+    /// producer store has been forwarded, and stale frames until their
+    /// FFREE arrives (the `(pe, index)` address must stay unambiguous);
+    /// everything else is fresh. Instance ids stay monotonic so stale
+    /// DMA owner tokens can never collide.
     pub fn restart(&mut self) {
         self.dead = false;
         self.stats.restarts += 1;
         self.frames = vec![None; self.params.frame_capacity as usize];
         self.free_frames = (0..self.params.frame_capacity)
             .rev()
-            .filter(|i| !self.evac.contains_key(i))
+            .filter(|i| !self.evac.contains_key(i) && !self.stale.contains(i))
             .collect();
         self.pf_free = (0..self.params.pf_pool_size).rev().collect();
-        self.pf_assigned.clear();
     }
 
     /// Re-admits one evacuated instance from a crashed peer. Parks when
@@ -749,28 +855,12 @@ impl Lse {
             }
             None => return None,
         };
-        let id = self.fresh_instance_id();
-        let pf_buf_addr = if needs_pf {
-            let buf = self.pf_free.pop().expect("checked above");
-            self.pf_assigned.insert(id, buf);
-            self.params.pf_region_base + buf * self.params.pf_buf_bytes
-        } else {
-            u32::MAX
-        };
-        let frame = FramePtr::new(self.pe, frame_index);
-        let inst = Instance::new(id, thread, frame, sc, slots, pf_buf_addr);
-        let became_ready = inst.state == ThreadState::Ready;
-        self.frames[frame_index as usize] = Some(id);
-        self.instances.insert(id, inst);
         self.stats.readmitted += 1;
-        self.stats.max_live_instances = self.stats.max_live_instances.max(self.instances.len());
+        let (id, at) = self.install(frame_index, thread, sc, slots, needs_pf, now);
         self.adopted.insert((home, index), (id, frame_index));
-        if became_ready {
-            self.push_ready(id, now);
-        }
         if let Some(entries) = self.adopt_stash.remove(&(home, index)) {
             for (slot, value, sync) in entries {
-                self.apply_adopt_value(now, id, slot, value, sync);
+                self.apply_adopt_value(now, at, slot, value, sync);
             }
         }
         Some(id)
@@ -779,22 +869,23 @@ impl Lse {
     fn apply_adopt_value(
         &mut self,
         now: u64,
-        id: InstanceId,
+        at: Slot,
         slot: u16,
         value: i64,
         sync: bool,
     ) -> Option<InstanceId> {
-        let inst = self.instances.get_mut(&id).expect("just installed");
         if sync {
             self.stats.stores += 1;
+            let inst = self.at_mut(at);
             if inst.store(slot, value) {
-                self.push_ready(id, now);
+                let id = inst.id;
+                self.push_ready(at, now);
                 return Some(id);
             }
         } else {
             // Snapshot replay: the original store was already counted
             // (and already decremented the SC) at the crashed home.
-            inst.slots[slot as usize] = value;
+            self.at_mut(at).slots[slot as usize] = value;
         }
         None
     }
@@ -811,8 +902,8 @@ impl Lse {
         sync: bool,
     ) -> StoreDelivery {
         if let Some(&(id, local_index)) = self.adopted.get(&(home, index)) {
-            if self.instances.contains_key(&id) {
-                let ready = self.apply_adopt_value(now, id, slot, value, sync);
+            if let Some(at) = self.slot_of(id) {
+                let ready = self.apply_adopt_value(now, at, slot, value, sync);
                 return StoreDelivery::Applied(ready);
             }
             // We adopted it, then crashed and re-evacuated it: chain the
@@ -859,13 +950,35 @@ impl Lse {
                 freed,
             };
         }
-        if self.dead {
+        if self.dead || self.stale.contains(&frame.index) {
             return StoreDelivery::Dropped;
         }
         match self.frames.get(frame.index as usize).copied().flatten() {
             Some(_) => StoreDelivery::Applied(self.store(now, frame, slot, value)),
             None => StoreDelivery::Dropped,
         }
+    }
+
+    /// Is `frame` held back from the pool for stale traffic (see
+    /// `Lse::stale`)?
+    pub fn is_stale(&self, frame: FramePtr) -> bool {
+        assert_eq!(frame.pe, self.pe, "lookup routed to the wrong LSE");
+        self.stale.contains(&frame.index)
+    }
+
+    /// The FFREE a stale frame was held back for arrived: the address is
+    /// unambiguous again. Returns `true` when the frame rejoined the pool
+    /// now (the caller posts `FrameFreed`); a dead LSE's restart picks
+    /// it up instead.
+    pub fn release_stale(&mut self, frame: FramePtr) -> bool {
+        assert!(self.is_stale(frame), "release of a frame that is not stale");
+        self.stale.remove(&frame.index);
+        let i = frame.index as usize;
+        if self.dead || i >= self.frames.len() || self.frames[i].is_some() {
+            return false;
+        }
+        self.free_frames.push(frame.index);
+        true
     }
 
     /// Accounts one forwarded producer store against an evacuation
@@ -923,7 +1036,7 @@ mod tests {
         assert!(l.store(10, g.frame, 0, 5).is_none());
         let ready = l.store(11, g.frame, 1, 6);
         assert_eq!(ready, Some(g.instance));
-        assert_eq!(l.pop_ready(), Some(g.instance));
+        assert_eq!(l.pop_ready().map(|(id, _)| id), Some(g.instance));
         let inst = l.instance(g.instance);
         assert_eq!(inst.slot(0), 5);
         assert_eq!(inst.slot(1), 6);
@@ -936,7 +1049,7 @@ mod tests {
         let g = l
             .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
             .unwrap();
-        assert_eq!(l.pop_ready(), Some(g.instance));
+        assert_eq!(l.pop_ready().map(|(id, _)| id), Some(g.instance));
     }
 
     #[test]
@@ -1063,12 +1176,12 @@ mod tests {
         let g = l
             .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
             .unwrap();
-        assert_eq!(l.pop_ready(), Some(g.instance)); // drain initial ready
+        assert_eq!(l.pop_ready().map(|(id, _)| id), Some(g.instance)); // drain initial ready
         let inst = l.instance_mut(g.instance);
         inst.dma_issued(0);
         inst.state = ThreadState::WaitDma;
         assert!(l.dma_done(42, g.instance, 0));
-        assert_eq!(l.pop_ready(), Some(g.instance));
+        assert_eq!(l.pop_ready().map(|(id, _)| id), Some(g.instance));
         assert_eq!(l.instance(g.instance).ready_at, 42);
     }
 
@@ -1214,6 +1327,62 @@ mod tests {
     }
 
     #[test]
+    fn stale_frames_wait_for_their_ffree_across_a_restart() {
+        let mut l = big_lse(0, 3);
+        // A stopped before the crash; its FFREE is still in flight.
+        let a = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        l.pop_ready();
+        l.stop(a.instance);
+        // B posted effects (it may have freed its frame too): lost.
+        let b = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        let ib = l.instance_mut(b.instance);
+        ib.pc = 2;
+        ib.state = ThreadState::Running;
+        ib.tainted = true;
+        l.crash(Some(1));
+        assert!(l.is_stale(a.frame) && l.is_stale(b.frame));
+        l.restart();
+        assert_eq!(l.free_frames(), 1, "only the untouched frame is free");
+        let c = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 1, 1, false)
+            .unwrap();
+        assert_ne!(c.frame, a.frame);
+        assert_ne!(c.frame, b.frame);
+        // A stray store to a held frame drops instead of reaching a
+        // later owner.
+        assert_eq!(
+            l.store_after_crash(7, a.frame, 0, 1),
+            StoreDelivery::Dropped
+        );
+        // A's FFREE arrives: the address rejoins the pool.
+        assert!(l.release_stale(a.frame));
+        assert!(!l.is_stale(a.frame));
+        assert_eq!(l.free_frames(), 1);
+        let d = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        assert_eq!(d.frame, a.frame);
+    }
+
+    #[test]
+    fn stale_ffree_while_dead_frees_the_frame_at_restart() {
+        let mut l = big_lse(0, 2);
+        let a = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        l.pop_ready();
+        l.stop(a.instance);
+        l.crash(Some(1));
+        assert!(!l.release_stale(a.frame), "a dead LSE grants nothing");
+        l.restart();
+        assert_eq!(l.free_frames(), 2);
+    }
+
+    #[test]
     fn adoption_applies_stashed_stores_in_arrival_order() {
         let mut peer = big_lse(1, 2);
         // Forwards outrun the lease-delayed Adopt: buffer them.
@@ -1238,7 +1407,7 @@ mod tests {
             peer.adopt_store(6, 0, 7, 1, 10, true),
             StoreDelivery::Applied(Some(id))
         );
-        assert_eq!(peer.pop_ready(), Some(id));
+        assert_eq!(peer.pop_ready().map(|(id, _)| id), Some(id));
         assert_eq!(peer.unrecovered_work(), 0);
     }
 
@@ -1248,7 +1417,7 @@ mod tests {
         let g = peer
             .alloc_frame(1, InstanceId(900), ThreadId(0), 0, 0, false)
             .unwrap();
-        assert_eq!(peer.pop_ready(), Some(g.instance));
+        assert_eq!(peer.pop_ready().map(|(id, _)| id), Some(g.instance));
         assert_eq!(
             peer.adopt(2, 0, 3, ThreadId(4), 0, 0, false),
             Adopted::Parked
@@ -1266,7 +1435,7 @@ mod tests {
         assert_eq!((installed[0].0, installed[0].1), (0, 3));
         assert_eq!(peer.unrecovered_work(), 0);
         assert_eq!(
-            peer.pop_ready(),
+            peer.pop_ready().map(|(id, _)| id),
             Some(installed[0].2),
             "sc 0 readies at once"
         );
@@ -1320,9 +1489,115 @@ mod tests {
         assert_eq!(l.stats().stops, 1);
     }
 
-    /// The id-hashed instance and prefetch-buffer tables under churn:
-    /// 100 000 alloc/stop/ffree cycles with a fixed-seed mix, checked
-    /// against a shadow list. Lookups must always find the right
+    #[test]
+    fn slot_is_reused_after_stop_and_after_dma_drain() {
+        let mut l = big_lse(0, 4);
+        let a = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        let (_, sa) = l.pop_ready().unwrap();
+        l.stop(a.instance);
+        // Stopped with no DMA open: the slot frees at once, even though
+        // the frame still awaits its FFREE.
+        let b = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        let (id, sb) = l.pop_ready().unwrap();
+        assert_eq!((id, sb), (b.instance, sa));
+        assert_eq!(l.frame_owner(a.frame), Some(a.instance));
+        l.at_mut(sb).dma_issued(1);
+        l.stop(b.instance);
+        assert!(l.has_instance(b.instance), "DMA still open");
+        let c = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        let (_, sc) = l.pop_ready().unwrap();
+        assert_ne!(sc, sb, "a draining instance keeps its slot");
+        assert!(!l.dma_done(5, b.instance, 1));
+        assert!(!l.has_instance(b.instance));
+        let d = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 1, 1, false)
+            .unwrap();
+        assert_eq!(l.slot_of(d.instance), Some(sb), "freed by the drain");
+        assert_eq!(l.store(6, d.frame, 0, 7), Some(d.instance));
+        assert_eq!(l.pop_ready(), Some((d.instance, sb)));
+        assert_eq!(l.at(sb).slot(0), 7);
+        assert_eq!(l.instance(c.instance).id, c.instance);
+        assert_eq!(l.live_instances(), 2);
+    }
+
+    #[test]
+    fn crash_clears_the_slab_and_its_index() {
+        let mut l = big_lse(0, 4);
+        let ids: Vec<InstanceId> = (0..3)
+            .map(|_| {
+                l.alloc_frame(0, InstanceId(900), ThreadId(0), 1, 1, false)
+                    .unwrap()
+                    .instance
+            })
+            .collect();
+        l.crash(Some(1));
+        assert_eq!(l.live_instances(), 0);
+        assert!(l.live_instance_states().is_empty());
+        assert!(ids
+            .iter()
+            .all(|&id| !l.has_instance(id) && l.slot_of(id).is_none()));
+        assert_eq!(l.waiting_dma(), 0);
+        l.restart();
+        // Slots restart from the front; ids do not.
+        let g = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        assert_eq!(g.instance, InstanceId(3));
+        assert_eq!(l.pop_ready().map(|(id, _)| id), Some(g.instance));
+        assert_eq!(l.live_instances(), 1);
+    }
+
+    #[test]
+    fn live_states_stay_sorted_by_id_across_slot_reuse() {
+        let mut l = big_lse(0, 8);
+        let g: Vec<Granted> = (0..4)
+            .map(|_| {
+                l.alloc_frame(0, InstanceId(900), ThreadId(0), 1, 1, false)
+                    .unwrap()
+            })
+            .collect();
+        // Free the first two slots; the next grants reuse them, so slab
+        // order puts the newest ids first.
+        for x in &g[..2] {
+            l.stop(x.instance);
+        }
+        let late: Vec<InstanceId> = (0..2)
+            .map(|_| {
+                l.alloc_frame(0, InstanceId(900), ThreadId(0), 1, 1, false)
+                    .unwrap()
+                    .instance
+            })
+            .collect();
+        let ids: Vec<InstanceId> = l.live_instance_states().iter().map(|e| e.0).collect();
+        assert_eq!(ids, vec![g[2].instance, g[3].instance, late[0], late[1]]);
+    }
+
+    #[test]
+    fn ids_keep_the_pe_and_counter_sequence() {
+        let mut l = big_lse(5, 4);
+        let mut got = Vec::new();
+        for _ in 0..6 {
+            let g = l
+                .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+                .unwrap();
+            got.push(g.instance);
+            l.pop_ready();
+            l.stop(g.instance);
+            l.ffree(g.frame);
+        }
+        let want: Vec<InstanceId> = (0..6).map(|c| InstanceId((5 << 48) | c)).collect();
+        assert_eq!(got, want, "slot reuse does not reuse ids");
+    }
+
+    /// The instance slab, its id index and the prefetch-buffer table
+    /// under churn: 100 000 alloc/stop/ffree cycles with a fixed-seed
+    /// mix, checked against a shadow list. Lookups must always find the right
     /// instance, prefetch buffers must never be shared, and the lifecycle
     /// snapshot must stay sorted by id.
     #[test]
@@ -1350,7 +1625,7 @@ mod tests {
                 let g = l
                     .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 1, needs_pf)
                     .expect("a frame and buffer are free");
-                assert_eq!(l.pop_ready(), Some(g.instance));
+                assert_eq!(l.pop_ready().map(|(id, _)| id), Some(g.instance));
                 let tag = (r >> 16) as i64;
                 l.instance_mut(g.instance).regs[3] = tag;
                 live.push((g.instance, g.frame, tag));

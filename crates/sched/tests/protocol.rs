@@ -133,7 +133,7 @@ fn dma_lifecycle_through_the_lse() {
         .alloc_frame(0, InstanceId(0), ThreadId(0), 0, 0, true)
         .unwrap();
     // Ready instance dispatched; programs two transfers and yields.
-    assert_eq!(lses[0].pop_ready(), Some(g.instance));
+    assert_eq!(lses[0].pop_ready().map(|(id, _)| id), Some(g.instance));
     {
         let inst = lses[0].instance_mut(g.instance);
         inst.dma_issued(0);
@@ -142,7 +142,7 @@ fn dma_lifecycle_through_the_lse() {
     }
     assert!(!lses[0].dma_done(100, g.instance, 0));
     assert!(lses[0].dma_done(120, g.instance, 1));
-    assert_eq!(lses[0].pop_ready(), Some(g.instance));
+    assert_eq!(lses[0].pop_ready().map(|(id, _)| id), Some(g.instance));
     assert_eq!(lses[0].instance(g.instance).ready_at, 120);
 }
 
