@@ -4,7 +4,7 @@
 //! repro [EXPERIMENT ...] [--quick] [--pes N] [--out DIR]
 //!       [--sweep-threads N] [--cache-dir DIR] [--deadline-ms N]
 //!       [--fault-seed N] [--fault-rate PPM] [--lse-crash-ppm PPM] [--obs MODE]
-//!       [--metrics-interval N] [--obs-stream N] [--trace-out PATH]
+//!       [--metrics-interval N] [--trace-out PATH]
 //!
 //! EXPERIMENT: config table5 fig5 fig6 fig7 fig8 fig9 lat1
 //!             ablate-split ablate-vfp ablate-hw
@@ -40,10 +40,6 @@
 //!             --sweep-threads
 //! --metrics-interval N  gauge sampling interval in cycles
 //!             (default 1000; implies nothing unless --obs samples)
-//! --obs-stream N  drain observability records out of the per-unit
-//!             rings every ~N simulated cycles instead of only at run
-//!             end (0 = post-run merge; needs --obs). The merged stream
-//!             is identical; long runs stop overflowing the rings
 //! --trace-out PATH  additionally run the prefetched mmul under full
 //!             observability and write a Perfetto/Chrome trace.json
 //!             to PATH — load it at https://ui.perfetto.dev
@@ -80,7 +76,6 @@ struct Options {
     lse_crash_ppm: Option<u32>,
     obs: Option<dta_core::ObsMode>,
     metrics_interval: Option<u64>,
-    obs_stream: Option<u64>,
     trace_out: Option<PathBuf>,
     out: Option<PathBuf>,
 }
@@ -98,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
         lse_crash_ppm: None,
         obs: None,
         metrics_interval: None,
-        obs_stream: None,
         trace_out: None,
         out: Some(PathBuf::from("results")),
     };
@@ -174,14 +168,6 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|_| "--metrics-interval needs a cycle count")?,
                 );
             }
-            "--obs-stream" => {
-                opts.obs_stream = Some(
-                    args.next()
-                        .ok_or("--obs-stream needs a value")?
-                        .parse()
-                        .map_err(|_| "--obs-stream needs a cycle count")?,
-                );
-            }
             "--trace-out" => {
                 opts.trace_out = Some(PathBuf::from(
                     args.next().ok_or("--trace-out needs a path")?,
@@ -245,16 +231,13 @@ fn main() -> ExitCode {
         opts.cache_dir.as_deref(),
         opts.deadline_ms,
     );
-    if opts.obs.is_some() || opts.metrics_interval.is_some() || opts.obs_stream.is_some() {
+    if opts.obs.is_some() || opts.metrics_interval.is_some() {
         let mut obs = dta_core::ObsConfig::default();
         if let Some(mode) = opts.obs {
             obs.mode = mode;
         }
         if let Some(n) = opts.metrics_interval {
             obs.metrics_interval = n;
-        }
-        if let Some(n) = opts.obs_stream {
-            obs.stream_interval = n;
         }
         dta_bench::experiments::set_default_obs(obs);
     }

@@ -1331,9 +1331,10 @@ pub fn profile_bench(suite: &[Bench], pes: u16, seed: u64) -> ExperimentResult {
 /// to a dedicated `dta-serve` instance twice and measure the
 /// content-addressed cache. The second pass must be served almost
 /// entirely from cache (≥90% — in practice 100%) with **byte-identical**
-/// canonical results, and its wall clock must sit well below the cold
-/// pass. Written as `BENCH_serve.json` so successive PRs can track the
-/// service layer; every row carries its `JobKey` and cache-hit flag.
+/// canonical results. The warm/cold wall-clock ratio is printed, not
+/// asserted: ms-scale host timings are no correctness check. Written as
+/// `BENCH_serve.json`; every row carries its `JobKey` and cache-hit
+/// flag.
 pub fn serve_bench(suite: &[Bench], max_pes: u16, threads: usize) -> ExperimentResult {
     use dta_core::{ObsMode, SimJob};
     use dta_serve::Service;
@@ -1393,10 +1394,6 @@ pub fn serve_bench(suite: &[Bench], max_pes: u16, threads: usize) -> ExperimentR
             "cached result must be byte-identical to the cold run"
         );
     }
-    assert!(
-        warm_ms < cold_ms,
-        "warm pass ({warm_ms:.1} ms) must beat cold ({cold_ms:.1} ms)"
-    );
 
     let mut rows = Vec::new();
     for (pass, completions) in [("cold", &cold), ("warm", &warm)] {

@@ -238,17 +238,10 @@ pub struct ObsConfig {
     /// metrics; must be ≥ 1).
     pub metrics_interval: u64,
     /// Per-unit ring capacity for events and for gauge samples (the
-    /// newest records are kept; drops are counted).
+    /// newest records are kept; drops are counted). Rings grow only as
+    /// records arrive, so a run that must drop nothing can set this
+    /// high and pays only for the records it keeps.
     pub event_capacity: usize,
-    /// Incremental streaming stride, simulated cycles (0 = off). When
-    /// set, the engine drains fully-simulated records out of the
-    /// per-unit rings roughly every this many cycles, at the bottom of
-    /// the run loop, feeding any sink attached with
-    /// `System::attach_stream_sink` in
-    /// wall order as the run progresses. The final merged stream is
-    /// identical to the post-run merge (the `obs_stream` suite pins
-    /// this), except that long runs no longer overflow the rings.
-    pub stream_interval: u64,
 }
 
 impl Default for ObsConfig {
@@ -257,7 +250,6 @@ impl Default for ObsConfig {
             mode: ObsMode::Off,
             metrics_interval: 1_000,
             event_capacity: 1 << 18,
-            stream_interval: 0,
         }
     }
 }
@@ -291,7 +283,6 @@ impl ObsConfig {
             ("mode", Json::Str(self.mode.canonical_str().into())),
             ("metrics_interval", u64_json(self.metrics_interval)),
             ("event_capacity", Json::Num(self.event_capacity as f64)),
-            ("stream_interval", u64_json(self.stream_interval)),
         ])
     }
 }
@@ -482,16 +473,6 @@ impl SystemConfig {
     #[inline]
     pub fn obs_active(&self) -> bool {
         self.obs.events_on() || self.obs_interval() > 0
-    }
-
-    /// Effective incremental-streaming stride (0 = post-run merge only).
-    #[inline]
-    pub fn obs_stream_interval(&self) -> u64 {
-        if self.obs_active() {
-            self.obs.stream_interval
-        } else {
-            0
-        }
     }
 
     /// Builds the shared memory system from this configuration.

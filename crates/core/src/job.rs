@@ -28,7 +28,7 @@ use crate::system::{RunError, System};
 use dta_isa::{encode_program, Program};
 use dta_json::{fnv1a128, u64_from_json, u64_json, Json, ParseError, Reader, ToJson, Writer};
 use dta_obs::codec as obs_codec;
-use dta_obs::{ObsEvent, ObsSink, ObsStream, PerfettoWriter, ThreadEvent, TrackLayout};
+use dta_obs::{ObsEvent, ObsStream, PerfettoWriter, ThreadEvent, TrackLayout};
 use dta_sched::InstanceId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// stored format disagrees are discarded on load). Bump it whenever the
 /// canonical config form, the program byte encoding, or the result
 /// encoding changes meaning.
-pub const JOB_FORMAT_VERSION: u32 = 8;
+pub const JOB_FORMAT_VERSION: u32 = 9;
 
 /// Content hash identifying a job (see the module docs for the exact
 /// preimage). Rendered as 32 lowercase hex digits in reports and file
@@ -648,23 +648,6 @@ impl JobResult {
 /// `System::new` + `launch` + `run` + report collection; `dta-serve`
 /// adds caching and dedup on top of this.
 pub fn run_job(job: &SimJob) -> JobResult {
-    run_job_with_sink(job, None).0
-}
-
-/// [`run_job`] with an optional live observability subscriber.
-///
-/// The sink is attached via [`System::attach_stream_sink`], so with
-/// [`crate::config::ObsConfig::stream_interval`] set it receives records
-/// incrementally *during* the run; otherwise the whole stream arrives at
-/// finalisation. Either way the final [`JobOutput::obs`] stream is
-/// complete and identical to what the sink saw (the obs layer retains
-/// streamed records), which is what lets cache hits replay the exact
-/// same stream to later subscribers. The sink is returned to the caller
-/// afterwards.
-pub fn run_job_with_sink(
-    job: &SimJob,
-    sink: Option<Box<dyn ObsSink + Send>>,
-) -> (JobResult, Option<Box<dyn ObsSink + Send>>) {
     let key = job.key();
     let finish = |outcome| JobResult {
         format: JOB_FORMAT_VERSION,
@@ -673,19 +656,9 @@ pub fn run_job_with_sink(
     };
     let mut sys = match System::new(job.config.clone(), Arc::clone(&job.program)) {
         Ok(sys) => sys,
-        Err(e) => return (finish(Err(JobError::from(&e))), sink),
+        Err(e) => return finish(Err(JobError::from(&e))),
     };
-    let had_sink = sink.is_some();
-    if let Some(s) = sink {
-        sys.attach_stream_sink(s);
-    }
-    let run = sys.launch(&job.args).and_then(|()| sys.run());
-    let sink = if had_sink {
-        sys.take_stream_sink()
-    } else {
-        None
-    };
-    let outcome = match run {
+    let outcome = match sys.launch(&job.args).and_then(|()| sys.run()) {
         Ok(stats) => Ok(JobOutput {
             stats,
             engine: sys.engine_report().clone(),
@@ -694,7 +667,7 @@ pub fn run_job_with_sink(
         }),
         Err(e) => Err(JobError::from(&e)),
     };
-    (finish(outcome), sink)
+    finish(outcome)
 }
 
 /// Renders a finished job's observability stream as a Chrome/Perfetto

@@ -59,8 +59,8 @@ pub(crate) mod wake;
 pub use config::{FaultPlan, MemoConfig, ObsConfig, ObsMode, Parallelism, SystemConfig};
 pub use fault::FaultCounters;
 pub use job::{
-    lifecycle_table, perfetto_trace, run_job, run_job_with_sink, GlobalRead, GlobalSnapshot,
-    JobError, JobKey, JobOutput, JobResult, SimJob, JOB_FORMAT_VERSION,
+    lifecycle_table, perfetto_trace, run_job, GlobalRead, GlobalSnapshot, JobError, JobKey,
+    JobOutput, JobResult, SimJob, JOB_FORMAT_VERSION,
 };
 pub use pipeline::{Activity, Pe, PipelineParams};
 pub use stats::{Breakdown, EngineReport, PeStats, RunStats, StallCat};

@@ -24,7 +24,7 @@ use dta_isa::{validate_program, Program, ValidationError};
 use dta_mem::fault::{roll, SITE_FALLOC_DENY};
 use dta_mem::{MainMemory, MemorySystem};
 use dta_obs::{
-    MetricsReport, MetricsSink, ObsEvent, ObsLog, ObsRecord, ObsSink, ObsStream, ThreadEvent,
+    MetricsReport, MetricsSink, ObsEvent, ObsLog, ObsRecord, ObsStream, ThreadEvent,
     MSG_DELAY_SEQ_BIT, MSG_DUP_SEQ_BIT, MSG_SEQ_BIT,
 };
 use dta_sched::dse::FallocDecision;
@@ -1155,16 +1155,6 @@ pub struct System {
     /// The merged wall-order stream, built once at run end.
     obs: Option<ObsStream>,
     obs_finalized: bool,
-    /// Records already drained out of the per-unit rings by incremental
-    /// streaming ([`ObsConfig::stream_interval`]); prepended to the
-    /// final merge.
-    streamed: Vec<ObsRecord>,
-    /// Scratch batch buffer for `stream_obs_through` (reused across
-    /// flushes).
-    stream_scratch: Vec<ObsRecord>,
-    /// Optional live consumer: fed each streamed batch in wall order as
-    /// the run progresses, then the post-run remainder at finalisation.
-    stream_sink: Option<Box<dyn ObsSink + Send>>,
     /// Message-fault bookkeeping.
     fault_counts: FaultCounters,
     /// Host-engine execution report (how time was advanced; outside
@@ -1339,9 +1329,6 @@ impl System {
             obs_misc: Vec::new(),
             obs: None,
             obs_finalized: false,
-            streamed: Vec::new(),
-            stream_scratch: Vec::new(),
-            stream_sink: None,
             fault_counts: FaultCounters::default(),
             engine_report: EngineReport::default(),
             failover,
@@ -1650,8 +1637,6 @@ impl System {
         let mut posts: Vec<OutMsg> = Vec::new();
         let mut report = EngineReport::default();
         let mut wakes = WakeSet::new(npes);
-        let stream_every = self.config.obs_stream_interval();
-        let mut stream_next = stream_every;
 
         let finish = |mut r: EngineReport| {
             r.skipped_ticks = r
@@ -1703,11 +1688,6 @@ impl System {
             for (time, to, msg, stamp) in outbox.drain(..) {
                 self.post(time, to, msg, stamp);
             }
-            // Cycle `now` is fully simulated — a safe streaming horizon.
-            if stream_every > 0 && self.now >= stream_next {
-                self.stream_obs_through(self.now);
-                stream_next = self.now + stream_every;
-            }
 
             // Jump to the next due wake or event.
             let next_wake = wakes.next();
@@ -1748,87 +1728,17 @@ impl System {
         if !self.config.obs_active() {
             return;
         }
-        // Records not yet taken by incremental streaming. The per-log
-        // drop counters are cumulative, so the totals are right no
-        // matter how much was streamed out mid-run.
-        let mut tail: Vec<ObsRecord> = Vec::new();
+        let mut records: Vec<ObsRecord> = Vec::new();
         let mut dropped = 0u64;
         for pe in &mut self.pes {
             pe.finish_obs(final_cycle);
-            dropped += pe.obs.drain_into(&mut tail);
+            dropped += pe.obs.drain_into(&mut records);
         }
         for log in &mut self.dse_obs {
-            dropped += log.drain_into(&mut tail);
+            dropped += log.drain_into(&mut records);
         }
-        tail.append(&mut self.obs_misc);
-        if let Some(sink) = self.stream_sink.as_deref_mut() {
-            // Everything streamed mid-run was already fed; deliver the
-            // remainder in wall order, then the final drop count.
-            tail.sort_unstable_by_key(ObsRecord::key);
-            for r in &tail {
-                sink.record(r);
-            }
-            sink.dropped(dropped);
-        }
-        let mut records = std::mem::take(&mut self.streamed);
-        records.append(&mut tail);
+        records.append(&mut self.obs_misc);
         self.obs = Some(ObsStream::from_records(records, dropped));
-    }
-
-    /// Drains every record stamped `<= h` out of the per-unit rings into
-    /// the streamed accumulator, feeding the attached sink in wall
-    /// order. `h` must be a **safe horizon**: every cycle `<= h` is
-    /// fully simulated, so no unit can emit a record stamped `<= h`
-    /// afterwards. Gauge boundaries `<= h` are force-flushed first —
-    /// sound for the same reason lazy flushing is: unit state is
-    /// untouched between visits, so the samples are identical whenever
-    /// they materialise (DESIGN.md §12).
-    fn stream_obs_through(&mut self, h: u64) {
-        let mut batch = std::mem::take(&mut self.stream_scratch);
-        debug_assert!(batch.is_empty());
-        for pe in &mut self.pes {
-            pe.finish_obs(h);
-            pe.obs.drain_through(h, &mut batch);
-        }
-        for log in &mut self.dse_obs {
-            log.drain_through(h, &mut batch);
-        }
-        // Fault records are stamped with the faulted message's *delivery*
-        // time — which can lie past the post time — so `obs_misc` is not
-        // cycle-sorted: extract by predicate. Its residual order is
-        // irrelevant (keys are unique; the final merge re-sorts), so
-        // `swap_remove` is fine.
-        let mut i = 0;
-        while i < self.obs_misc.len() {
-            if self.obs_misc[i].cycle <= h {
-                batch.push(self.obs_misc.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        batch.sort_unstable_by_key(ObsRecord::key);
-        if let Some(sink) = self.stream_sink.as_deref_mut() {
-            for r in &batch {
-                sink.record(r);
-            }
-        }
-        self.streamed.append(&mut batch);
-        self.stream_scratch = batch;
-    }
-
-    /// Attaches a live observability consumer. With
-    /// [`ObsConfig::stream_interval`] set, the engine feeds it batches
-    /// of records in wall order *during* the run; the remainder (and the
-    /// final ring-overflow drop count) arrives at finalisation. Without
-    /// a stream interval the whole stream is delivered at run end.
-    pub fn attach_stream_sink(&mut self, sink: Box<dyn ObsSink + Send>) {
-        self.stream_sink = Some(sink);
-    }
-
-    /// Detaches the streaming sink (typically after the run, to inspect
-    /// what it consumed).
-    pub fn take_stream_sink(&mut self) -> Option<Box<dyn ObsSink + Send>> {
-        self.stream_sink.take()
     }
 
     /// The merged observability stream of the finished run (None before

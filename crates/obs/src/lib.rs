@@ -408,23 +408,6 @@ impl ObsLog {
         self.dropped + self.dropped_samples
     }
 
-    /// Moves every record stamped `cycle <= horizon` into `out`, leaving
-    /// the rest (and the drop counters) in place. Both rings hold records
-    /// in nondecreasing cycle order — events are emitted at unit-visit
-    /// time and gauge samples in sampling-grid order — so a front drain
-    /// is exact. This is the incremental-streaming primitive: the engine
-    /// calls it at safe horizons (cycles whose activity is fully
-    /// simulated), relieving ring pressure long before the post-run
-    /// merge.
-    pub fn drain_through(&mut self, horizon: u64, out: &mut Vec<ObsRecord>) {
-        while self.events.front().is_some_and(|r| r.cycle <= horizon) {
-            out.push(self.events.pop_front().expect("peeked"));
-        }
-        while self.samples.front().is_some_and(|r| r.cycle <= horizon) {
-            out.push(self.samples.pop_front().expect("peeked"));
-        }
-    }
-
     /// Records currently held (events + samples).
     pub fn len(&self) -> usize {
         self.events.len() + self.samples.len()
@@ -496,23 +479,6 @@ mod tests {
         let cycles: Vec<u64> = out.iter().map(|r| r.cycle).collect();
         assert_eq!(cycles, vec![3, 4]); // newest survive
         assert_eq!(out[0].seq, 3); // seq keeps counting across drops
-    }
-
-    #[test]
-    fn drain_through_is_a_prefix_and_preserves_drops() {
-        let mut log = ObsLog::new(3, 2, true, 0);
-        for c in 0..5u64 {
-            log.emit(c, ev(3)); // drops cycles 0..=2, keeps 3 and 4
-        }
-        let mut early = Vec::new();
-        log.drain_through(3, &mut early);
-        assert_eq!(early.iter().map(|r| r.cycle).collect::<Vec<_>>(), [3]);
-        // The remainder (and the cumulative drop count) survive for the
-        // final merge.
-        let mut rest = Vec::new();
-        let dropped = log.drain_into(&mut rest);
-        assert_eq!(rest.iter().map(|r| r.cycle).collect::<Vec<_>>(), [4]);
-        assert_eq!(dropped, 3);
     }
 
     #[test]

@@ -377,11 +377,7 @@ impl Lse {
         }
         let index = match self.free_frames.pop() {
             Some(i) => i,
-            None if self.params.virtual_frames => {
-                let i = self.frames.len() as u32;
-                self.frames.push(None);
-                i
-            }
+            None if self.params.virtual_frames => self.grow_frame(),
             None if self.params.park_on_full => {
                 // Failover mode: the arbiter's fostered mirror may lag
                 // reality; queue until FFREE returns a frame. The park
@@ -407,6 +403,19 @@ impl Lse {
             frame: FramePtr::new(self.pe, index),
             instance: id,
         })
+    }
+
+    /// Appends a virtual frame to the table. A restart shrinks the table
+    /// to capacity, so addresses a crash still holds (`stale`, `evac`)
+    /// may lie past its end; growth skips them, as the pool does.
+    fn grow_frame(&mut self) -> u32 {
+        loop {
+            let i = self.frames.len() as u32;
+            self.frames.push(None);
+            if !self.stale.contains(&i) && !self.evac.contains_key(&i) {
+                return i;
+            }
+        }
     }
 
     /// Creates an instance on frame `index` (already taken from the
@@ -848,11 +857,7 @@ impl Lse {
         }
         let frame_index = match self.free_frames.pop() {
             Some(i) => i,
-            None if self.params.virtual_frames => {
-                let i = self.frames.len() as u32;
-                self.frames.push(None);
-                i
-            }
+            None if self.params.virtual_frames => self.grow_frame(),
             None => return None,
         };
         self.stats.readmitted += 1;
@@ -1380,6 +1385,74 @@ mod tests {
         assert!(!l.release_stale(a.frame), "a dead LSE grants nothing");
         l.restart();
         assert_eq!(l.free_frames(), 2);
+    }
+
+    fn virtual_lse(capacity: u32) -> Lse {
+        Lse::new(
+            0,
+            LseParams {
+                frame_capacity: capacity,
+                virtual_frames: true,
+                ..LseParams::default()
+            },
+        )
+    }
+
+    /// Grants A (physical frame 0) and B (virtual frame 1), crashes and
+    /// restarts, then grants twice more: the second grant grows the
+    /// table again and must not reuse frame 1 while the crash holds it.
+    fn grant_past_a_held_virtual_frame(l: &mut Lse, evac_to: Option<u16>, stop_b: bool) {
+        let a = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        let b = l
+            .alloc_frame(0, InstanceId(900), ThreadId(1), 1, 1, false)
+            .unwrap();
+        assert_eq!((a.frame.index, b.frame.index), (0, 1));
+        if stop_b {
+            l.stop(b.instance);
+        }
+        l.crash(evac_to);
+        l.restart();
+        let c = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        assert_eq!(c.frame, a.frame);
+        let d = l
+            .alloc_frame(0, InstanceId(900), ThreadId(1), 1, 1, false)
+            .unwrap();
+        assert_ne!(d.frame, b.frame, "frame 1 is still held by the crash");
+        assert!(!l.is_stale(d.frame));
+        assert_eq!(
+            l.store_after_crash(9, d.frame, 0, 4),
+            StoreDelivery::Applied(Some(d.instance)),
+            "the new owner's producer store must reach it"
+        );
+    }
+
+    #[test]
+    fn restart_never_regrants_a_stale_virtual_frame() {
+        let mut l = virtual_lse(1);
+        // B stopped before the crash; its FFREE is still in flight.
+        grant_past_a_held_virtual_frame(&mut l, None, true);
+        // B's FFREE arrives: the address is unambiguous again.
+        assert!(l.release_stale(FramePtr::new(0, 1)));
+    }
+
+    #[test]
+    fn restart_never_regrants_an_evacuated_virtual_frame() {
+        let mut l = virtual_lse(1);
+        // B is pre-start with a producer store due: it evacuates.
+        grant_past_a_held_virtual_frame(&mut l, Some(1), false);
+        // B's producer store forwards to the adopter and frees frame 1.
+        assert_eq!(
+            l.store_after_crash(10, FramePtr::new(0, 1), 0, 5),
+            StoreDelivery::Forward {
+                peer: 1,
+                index: 1,
+                freed: true
+            }
+        );
     }
 
     #[test]

@@ -11,12 +11,9 @@
 //!   canonical-JSON results keyed by [`JobKey`] ([`cache`]);
 //! * **In-flight dedup** — identical jobs submitted concurrently
 //!   simulate once; followers block on the leader's flight and receive
-//!   the same `Arc`'d result;
-//! * **Incremental delivery** — [`Service::submit_with_sink`] attaches
-//!   an observability subscriber: a leader streams live through the
-//!   `ObsConfig::stream_interval` seam, while followers and cache hits
-//!   replay the complete cached stream. Every subscriber sees the same
-//!   records (the dedup suite pins this).
+//!   the same `Arc`'d result, observability stream included
+//!   ([`JobOutput::obs`]), so every subscriber of one key reads the
+//!   same records (the dedup suite pins this).
 //!
 //! ## Supervision (host-fault model)
 //!
@@ -57,7 +54,7 @@
 //! and never stored inside a result, so cached and fresh results stay
 //! byte-identical while warm-vs-cold timing remains visible to callers.
 
-use dta_core::{run_job_with_sink, JobResult, ObsSink, SimJob, JOB_FORMAT_VERSION};
+use dta_core::{run_job, JobResult, SimJob, JOB_FORMAT_VERSION};
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -114,13 +111,9 @@ pub struct Completion {
     /// How it was satisfied.
     pub status: CacheStatus,
     /// Wall-clock milliseconds from submission to delivery — simulation
-    /// time for a leader, lookup/replay time for a hit, wait time for a
+    /// time for a leader, lookup time for a hit, wait time for a
     /// coalesced follower.
     pub wall_ms: f64,
-    /// The subscriber passed to [`Service::submit_with_sink`], returned
-    /// after it has received the full stream. `None` when the sink was
-    /// consumed by an abandoned execution (deadline expiry, panic).
-    pub sink: Option<Box<dyn ObsSink + Send>>,
 }
 
 /// Monotonic service counters (snapshot).
@@ -201,12 +194,10 @@ impl ServiceHealth {
 }
 
 /// The execution function a service runs jobs through. Defaults to
-/// [`dta_core::run_job_with_sink`]; injectable via
-/// [`ServiceConfig::runner`] so the chaos suite (and, later, remote
-/// executors) can wrap or replace the simulator.
-pub type Runner = dyn Fn(&SimJob, Option<Box<dyn ObsSink + Send>>) -> (JobResult, Option<Box<dyn ObsSink + Send>>)
-    + Send
-    + Sync;
+/// [`dta_core::run_job`]; injectable via [`ServiceConfig::runner`] so
+/// the chaos suite (and, later, remote executors) can wrap or replace
+/// the simulator.
+pub type Runner = dyn Fn(&SimJob) -> JobResult + Send + Sync;
 
 /// Service construction knobs.
 pub struct ServiceConfig {
@@ -345,7 +336,7 @@ enum Admit {
 
 /// How one execution attempt ended.
 enum Exec {
-    Done(Arc<JobResult>, Option<Box<dyn ObsSink + Send>>),
+    Done(Arc<JobResult>),
     TimedOut(Duration),
     Panicked(String),
 }
@@ -425,9 +416,7 @@ impl Service {
                 }),
                 disk,
                 disk_degraded: AtomicBool::new(false),
-                runner: config
-                    .runner
-                    .unwrap_or_else(|| Arc::new(|job: &SimJob, sink| run_job_with_sink(job, sink))),
+                runner: config.runner.unwrap_or_else(|| Arc::new(run_job)),
                 deadline: config.deadline,
                 wait_watchdog: config.wait_watchdog,
                 max_attempts: config.max_attempts.max(1),
@@ -507,26 +496,14 @@ impl Service {
 
     /// Submits one job under the service-default deadline.
     pub fn submit(&self, job: &SimJob) -> Completion {
-        self.inner.submit_full(job, None, self.inner.deadline)
+        self.inner.submit_full(job, self.inner.deadline)
     }
 
     /// Submits one job with an explicit wall-clock budget (`None`
     /// disables the deadline for this submission regardless of the
     /// service default).
     pub fn submit_with_deadline(&self, job: &SimJob, deadline: Option<Duration>) -> Completion {
-        self.inner.submit_full(job, None, deadline)
-    }
-
-    /// Submits one job with an observability subscriber. Leaders stream
-    /// live through the run; hits and coalesced followers replay the
-    /// complete cached stream — every subscriber of one key receives
-    /// identical records.
-    pub fn submit_with_sink(
-        &self,
-        job: &SimJob,
-        sink: Option<Box<dyn ObsSink + Send>>,
-    ) -> Completion {
-        self.inner.submit_full(job, sink, self.inner.deadline)
+        self.inner.submit_full(job, deadline)
     }
 
     /// Runs a sweep grid on the batch-executor pool, returning
@@ -554,7 +531,6 @@ impl Service {
                     ),
                     status: CacheStatus::Miss,
                     wall_ms: 0.0,
-                    sink: None,
                 },
             })
             .collect()
@@ -562,12 +538,7 @@ impl Service {
 }
 
 impl Inner {
-    fn submit_full(
-        self: &Arc<Self>,
-        job: &SimJob,
-        mut sink: Option<Box<dyn ObsSink + Send>>,
-        deadline: Option<Duration>,
-    ) -> Completion {
+    fn submit_full(self: &Arc<Self>, job: &SimJob, deadline: Option<Duration>) -> Completion {
         let start = Instant::now();
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let key = job.key();
@@ -596,17 +567,13 @@ impl Inner {
         };
 
         match plan {
-            Plan::Hit(result, status) => {
-                replay(&result, &mut sink);
-                Completion {
-                    result,
-                    status,
-                    wall_ms: ms_since(start),
-                    sink,
-                }
-            }
-            Plan::Wait(flight) => self.follow(job, sink, deadline, key, &flight, start),
-            Plan::Lead(flight) => self.lead(job, sink, deadline, key, &flight, 1, start),
+            Plan::Hit(result, status) => Completion {
+                result,
+                status,
+                wall_ms: ms_since(start),
+            },
+            Plan::Wait(flight) => self.follow(job, deadline, key, &flight, start),
+            Plan::Lead(flight) => self.lead(job, deadline, key, &flight, 1, start),
         }
     }
 
@@ -615,22 +582,17 @@ impl Inner {
     fn follow(
         self: &Arc<Self>,
         job: &SimJob,
-        mut sink: Option<Box<dyn ObsSink + Send>>,
         deadline: Option<Duration>,
         key: JobKey,
         flight: &Arc<Flight>,
         start: Instant,
     ) -> Completion {
         match self.wait_on_flight(flight, start) {
-            Waited::Done(result) => {
-                replay(&result, &mut sink);
-                Completion {
-                    result,
-                    status: CacheStatus::Coalesced,
-                    wall_ms: ms_since(start),
-                    sink,
-                }
-            }
+            Waited::Done(result) => Completion {
+                result,
+                status: CacheStatus::Coalesced,
+                wall_ms: ms_since(start),
+            },
             Waited::Lead(attempt) => {
                 // Exponential backoff before re-running: 1·b, 2·b, 4·b…
                 // for attempts 2, 3, 4…
@@ -640,7 +602,7 @@ impl Inner {
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
                 }
-                self.lead(job, sink, deadline, key, flight, attempt, start)
+                self.lead(job, deadline, key, flight, attempt, start)
             }
             Waited::WatchdogExpired => {
                 self.watchdog_trips.fetch_add(1, Ordering::Relaxed);
@@ -668,18 +630,15 @@ impl Inner {
                     ),
                     status: CacheStatus::Coalesced,
                     wall_ms: ms_since(start),
-                    sink,
                 }
             }
         }
     }
 
     /// Executes attempt `attempt` of a flight as its leader.
-    #[allow(clippy::too_many_arguments)]
     fn lead(
         self: &Arc<Self>,
         job: &SimJob,
-        sink: Option<Box<dyn ObsSink + Send>>,
         deadline: Option<Duration>,
         key: JobKey,
         flight: &Arc<Flight>,
@@ -696,7 +655,6 @@ impl Inner {
                     result,
                     status: CacheStatus::Miss,
                     wall_ms: ms_since(start),
-                    sink,
                 };
             }
         }
@@ -706,14 +664,13 @@ impl Inner {
             self.retries.fetch_add(1, Ordering::Relaxed);
         }
 
-        match self.execute(job, sink, deadline, key) {
-            Exec::Done(result, sink_back) => {
+        match self.execute(job, deadline, key) {
+            Exec::Done(result) => {
                 self.finish_flight(key, flight, &result);
                 Completion {
                     result,
                     status: CacheStatus::Miss,
                     wall_ms: ms_since(start),
-                    sink: sink_back,
                 }
             }
             Exec::TimedOut(budget) => {
@@ -730,7 +687,6 @@ impl Inner {
                     result,
                     status: CacheStatus::Miss,
                     wall_ms: ms_since(start),
-                    sink: None,
                 }
             }
             Exec::Panicked(message) => {
@@ -760,7 +716,6 @@ impl Inner {
                         result,
                         status: CacheStatus::Miss,
                         wall_ms: ms_since(start),
-                        sink: None,
                     };
                 }
                 flight.cv.notify_all();
@@ -769,7 +724,7 @@ impl Inner {
                 // and retries (after backoff); otherwise an existing
                 // waiter — which arrived earlier, hence lower ticket —
                 // takes over.
-                self.follow(job, None, deadline, key, flight, start)
+                self.follow(job, deadline, key, flight, start)
             }
         }
     }
@@ -778,19 +733,13 @@ impl Inner {
     /// supervised executor thread (with deadline). The admission slot
     /// is released when the *execution* ends, even if the submitter has
     /// already abandoned it.
-    fn execute(
-        self: &Arc<Self>,
-        job: &SimJob,
-        sink: Option<Box<dyn ObsSink + Send>>,
-        deadline: Option<Duration>,
-        key: JobKey,
-    ) -> Exec {
+    fn execute(self: &Arc<Self>, job: &SimJob, deadline: Option<Duration>, key: JobKey) -> Exec {
         let Some(budget) = deadline else {
             let runner = Arc::clone(&self.runner);
-            let outcome = catch_unwind(AssertUnwindSafe(|| runner(job, sink)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| runner(job)));
             self.release_slot();
             return match outcome {
-                Ok((result, sink_back)) => Exec::Done(Arc::new(result), sink_back),
+                Ok(result) => Exec::Done(Arc::new(result)),
                 Err(payload) => Exec::Panicked(pool::panic_message(&*payload)),
             };
         };
@@ -802,12 +751,12 @@ impl Inner {
             .name(format!("dta-serve-run-{}", &key.hex()[..8]))
             .spawn(move || {
                 let runner = Arc::clone(&inner.runner);
-                let outcome = catch_unwind(AssertUnwindSafe(|| runner(&job, sink)));
+                let outcome = catch_unwind(AssertUnwindSafe(|| runner(&job)));
                 inner.release_slot();
                 match outcome {
-                    Ok((result, sink_back)) => {
+                    Ok(result) => {
                         let result = Arc::new(result);
-                        if tx.send(Exec::Done(Arc::clone(&result), sink_back)).is_err()
+                        if tx.send(Exec::Done(Arc::clone(&result))).is_err()
                             && !result.is_host_side()
                         {
                             // The submitter gave up at the deadline, but
@@ -995,13 +944,4 @@ impl Inner {
 
 fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Feeds a cached result's complete stream into a follower's sink.
-fn replay(result: &JobResult, sink: &mut Option<Box<dyn ObsSink + Send>>) {
-    if let (Some(sink), Ok(out)) = (sink.as_mut(), &result.outcome) {
-        if let Some(stream) = &out.obs {
-            stream.feed(sink.as_mut());
-        }
-    }
 }

@@ -19,7 +19,6 @@ use std::sync::Arc;
 fn base_config(pes: u16) -> SystemConfig {
     let mut cfg = SystemConfig::with_pes(pes);
     cfg.obs.mode = ObsMode::Events;
-    cfg.obs.stream_interval = 128;
     cfg
 }
 

@@ -5,7 +5,7 @@
 //! outcomes are never cached, and corrupt cache entries re-simulate
 //! byte-identically.
 
-use dta_core::{run_job_with_sink, JobError, ObsMode, SimJob, SystemConfig};
+use dta_core::{run_job, JobError, ObsMode, SimJob, SystemConfig};
 use dta_serve::{CacheStatus, Runner, Service, ServiceConfig};
 use dta_workloads::{vecscale, Variant};
 use std::collections::HashMap;
@@ -26,7 +26,7 @@ enum Behavior {
 
 /// Wraps the real simulator with a fault table keyed by job key.
 fn chaos_runner(table: HashMap<u128, Behavior>) -> Arc<Runner> {
-    Arc::new(move |job: &SimJob, sink| {
+    Arc::new(move |job: &SimJob| {
         match table.get(&job.key().0) {
             Some(Behavior::PanicAlways(msg)) => panic!("{msg}"),
             Some(Behavior::PanicFirst(left))
@@ -44,7 +44,7 @@ fn chaos_runner(table: HashMap<u128, Behavior>) -> Arc<Runner> {
             // for real.
             _ => {}
         }
-        run_job_with_sink(job, sink)
+        run_job(job)
     })
 }
 
@@ -127,7 +127,7 @@ fn panicking_leader_resolves_every_coalesced_waiter() {
 #[test]
 fn leader_failover_elects_waiter_and_recovers_byte_identically() {
     let j = job(128);
-    let reference = run_job_with_sink(&j, None).0.canonical_string();
+    let reference = run_job(&j).canonical_string();
     let table = HashMap::from([(j.key().0, Behavior::PanicFirst(AtomicU32::new(1)))]);
     let service = service_with(
         chaos_runner(table),

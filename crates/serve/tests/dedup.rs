@@ -1,37 +1,30 @@
 //! In-flight dedup suite: the same job submitted N times concurrently
-//! simulates once, and every subscriber receives the full, identical
+//! simulates once, and every submitter receives the full, identical
 //! observability stream.
 
-use dta_core::{ObsMode, ObsRecord, ObsSink, SimJob, SystemConfig};
-use dta_serve::{CacheStatus, Service};
+use dta_core::{ObsMode, ObsRecord, SimJob, SystemConfig};
+use dta_serve::{CacheStatus, Completion, Service};
 use dta_workloads::{vecscale, Variant};
-use std::sync::{Arc, Mutex};
-
-/// A subscriber that shares its collected records with the test thread
-/// (the boxed sink itself is consumed by the service API).
-struct ShareSink(Arc<Mutex<Vec<ObsRecord>>>);
-
-impl ObsSink for ShareSink {
-    fn record(&mut self, rec: &ObsRecord) {
-        self.0.lock().unwrap().push(*rec);
-    }
-}
+use std::sync::Arc;
 
 fn obs_job() -> SimJob {
     let mut cfg = SystemConfig::with_pes(4);
     cfg.obs.mode = ObsMode::Events;
-    cfg.obs.stream_interval = 64; // leaders stream incrementally
     let wp = vecscale::build(128, 8, Variant::HandPrefetch);
     SimJob::new(Arc::new(wp.program), wp.args, cfg)
 }
 
-/// Sorted-by-key copy (subscribers receive records in wall order; the
-/// canonical stream is stored key-sorted — same order, but sorting both
-/// sides keeps the assertion about *content*, not delivery batching).
-fn sorted(records: Vec<ObsRecord>) -> Vec<ObsRecord> {
-    let mut records = records;
-    records.sort_by_key(|r| r.key());
-    records
+/// The records of a completion's observability stream.
+fn records(done: &Completion) -> &[ObsRecord] {
+    &done
+        .result
+        .outcome
+        .as_ref()
+        .expect("vecscale succeeds")
+        .obs
+        .as_ref()
+        .expect("events on")
+        .records
 }
 
 #[test]
@@ -40,19 +33,12 @@ fn n_concurrent_submissions_simulate_once_with_identical_streams() {
     let service = Service::in_memory(1);
     let job = obs_job();
 
-    let collected: Vec<(CacheStatus, Vec<ObsRecord>)> = std::thread::scope(|s| {
+    let completions: Vec<Completion> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..N)
             .map(|_| {
                 let service = &service;
                 let job = &job;
-                s.spawn(move || {
-                    let seen = Arc::new(Mutex::new(Vec::new()));
-                    let sink = Box::new(ShareSink(Arc::clone(&seen)));
-                    let done = service.submit_with_sink(job, Some(sink));
-                    assert!(done.sink.is_some(), "sink returned to caller");
-                    let records = std::mem::take(&mut *seen.lock().unwrap());
-                    (done.status, records)
-                })
+                s.spawn(move || service.submit(job))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -69,36 +55,27 @@ fn n_concurrent_submissions_simulate_once_with_identical_streams() {
         "everyone but the leader is served without simulating"
     );
     assert_eq!(
-        collected
+        completions
             .iter()
-            .filter(|(s, _)| *s == CacheStatus::Miss)
+            .filter(|c| c.status == CacheStatus::Miss)
             .count(),
         1,
         "exactly one leader"
     );
 
-    // Every subscriber saw the full stream, identical to the canonical
-    // cached one.
-    let reference = sorted(
-        service
-            .submit(&job)
-            .result
-            .outcome
-            .as_ref()
-            .expect("vecscale succeeds")
-            .obs
-            .as_ref()
-            .expect("events on")
-            .records
-            .clone(),
-    );
-    assert!(!reference.is_empty());
-    for (i, (status, records)) in collected.into_iter().enumerate() {
+    // Every submitter got the full stream and the same result as a
+    // later reference submission.
+    let reference = service.submit(&job);
+    assert!(!records(&reference).is_empty());
+    let canonical = reference.result.canonical_string();
+    for (i, done) in completions.iter().enumerate() {
         assert_eq!(
-            sorted(records),
-            reference,
-            "subscriber {i} ({status:?}) must see the full identical stream"
+            records(done),
+            records(&reference),
+            "submitter {i} ({:?}) must see the full identical stream",
+            done.status
         );
+        assert_eq!(done.result.canonical_string(), canonical, "submitter {i}");
     }
 }
 

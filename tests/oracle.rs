@@ -145,7 +145,7 @@ fn bitcnt_hand_prefetch_matches_oracle() {
             0xfd23757bc7f4a6dbed5e172205a3af96,
         ),
         (
-            0x32e8b8edb89c7abc24a35a42a6cdd65e,
+            0xa000d04a87a02dc01862326a82baf4b0,
             0x91c5f15e6705134adf09e0f46e1b1f72,
         ),
         (6447, 5390),
@@ -164,7 +164,7 @@ fn mmul_hand_prefetch_matches_oracle() {
             0x73836d5cb48dab5977d85a9ce7eb7f87,
         ),
         (
-            0x62c6fcc583b05ea859f9a9c8fb6058c1,
+            0x144371e66411af5b2a2cd127936348b8,
             0x856173dd4d49176204ea051b10e24539,
         ),
         (204, 193),
@@ -185,7 +185,7 @@ fn mmul_baseline_matches_oracle() {
             0x2c730d2a0d2a086eb424bd367b16a987,
         ),
         (
-            0x97f9baeace9399f4a57124c32950f203,
+            0xeaff3f4a5e48a9f18a2bf9c4ce7774af,
             0x345b0682e90e14f1b181b0a462f5c8a3,
         ),
         (1172, 1174),
@@ -204,7 +204,7 @@ fn zoom_hand_prefetch_matches_oracle() {
             0xc1edad4df7c180222927d17523bee82a,
         ),
         (
-            0x64b6438dceb45998e0f8068813214e37,
+            0x9d5034433429fa7bfc21294ac7b02439,
             0x1cc315dfffdd02351c796fe976cca19e,
         ),
         (5171, 4112),
@@ -223,7 +223,7 @@ fn gather_on_sixteen_pes_matches_oracle() {
             0xcc200c29a425f76f6af55db07ebd0c5a,
         ),
         (
-            0x9b420e603e9e064d9da7f8b67aa5e4e1,
+            0x07350dedc12b9ef66cb4692929c9ced5,
             0xec2672c19a2e80557b8dc002163e62a2,
         ),
         (572, 560),
@@ -259,7 +259,7 @@ fn bitcnt_under_faults_matches_oracle() {
             0xf25e461698a793f30fd5ac3bacfd5cb8,
         ),
         (
-            0xbd63ff4b2777a4fc91524a44c4479c39,
+            0x5310c8615fe9077ad958e63c98b80fd5,
             0xe432752c9349fcb648fa661f4cac93bf,
         ),
         (6464, 5695),
@@ -288,7 +288,7 @@ fn bitcnt_lse_crash_restart_matches_oracle() {
             0x3251c6fd4f439e9a67f874a90600333a,
         ),
         (
-            0x3c356ce8677e015330ed0b29b9a3fc4d,
+            0xe0d21e3c864111ee66bb5cfa7ec23409,
             0x1fada3f1acc4595786712979b596aff0,
         ),
         (6443, 5521),
@@ -327,7 +327,7 @@ fn bitcnt_crash_orphaning_dma_matches_oracle() {
             0x60c3e232d26b04089518548296b9b944,
         ),
         (
-            0xdbb12c602b3a0fba772ea50a5870cf99,
+            0xe234577e2fa89f3688bc49cb8afd18d6,
             0xf79672bc2115f5f0d4f88ccf45ddbbce,
         ),
         (6762, 6390),
@@ -350,7 +350,7 @@ fn bitcnt_sp_offload_matches_oracle() {
             0x2dcbc83641795dc2d9b84412e3d0cbbe,
         ),
         (
-            0xa0a28ff3f7c7aa287f219fe2b3e4584e,
+            0xed9e2c2e38327e80b03010c5ca778f3b,
             0x81f3c1952b7a9b0143e0102c606677b8,
         ),
         (6167, 5159),
@@ -376,7 +376,7 @@ fn cycle_limit_error_document_matches_oracle() {
     );
     let got = fnv1a128(result.canonical_string().as_bytes());
     assert_eq!(
-        got, 0x4d68e06c5b6ac16c0a0634005a0914bf,
+        got, 0xea0dc39c30cacc6b15a6edaa14d5a38a,
         "cycle-limit document diverged from the oracle (got {got:#034x})"
     );
 }
