@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--quick] [--pes N] [--out DIR]
-//!       [--sweep-threads N] [--cache-dir DIR] [--deadline-ms N]
+//!       [--sweep-threads N] [--cache-dir DIR]
 //!       [--fault-seed N] [--fault-rate PPM] [--lse-crash-ppm PPM] [--obs MODE]
 //!       [--metrics-interval N] [--trace-out PATH]
 //!
@@ -21,10 +21,6 @@
 //!             service's on-disk content-addressed store): repeated
 //!             `repro` invocations replay identical points from disk
 //!             instead of re-simulating
-//! --deadline-ms N  per-job wall-clock budget for service runs: a job
-//!             exceeding it completes as a typed host-side `Timeout`
-//!             (never cached); the deterministic backstop remains each
-//!             job's `max_cycles`
 //! --fault-seed N   base seed for the `faults`/`failover` sweeps
 //!                  (default 0xDA7A)
 //! --fault-rate PPM single injected fault rate for the `faults`
@@ -70,7 +66,6 @@ struct Options {
     pes: u16,
     sweep_threads: Option<usize>,
     cache_dir: Option<PathBuf>,
-    deadline_ms: Option<u64>,
     fault_seed: u64,
     fault_rate: Option<u32>,
     lse_crash_ppm: Option<u32>,
@@ -87,7 +82,6 @@ fn parse_args() -> Result<Options, String> {
         pes: 8,
         sweep_threads: None,
         cache_dir: None,
-        deadline_ms: None,
         fault_seed: 0xDA7A,
         fault_rate: None,
         lse_crash_ppm: None,
@@ -119,14 +113,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.cache_dir = Some(PathBuf::from(
                     args.next().ok_or("--cache-dir needs a value")?,
                 ));
-            }
-            "--deadline-ms" => {
-                opts.deadline_ms = Some(
-                    args.next()
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse()
-                        .map_err(|_| "--deadline-ms needs a millisecond count")?,
-                );
             }
             "--fault-seed" => {
                 let v = args.next().ok_or("--fault-seed needs a value")?;
@@ -224,13 +210,8 @@ fn main() -> ExitCode {
         }
     };
     // One process-wide service carries every untimed run: sweep workers
-    // from --sweep-threads, the on-disk result store from --cache-dir,
-    // the per-job wall-clock budget from --deadline-ms.
-    dta_bench::configure_service(
-        opts.sweep_threads.unwrap_or(1),
-        opts.cache_dir.as_deref(),
-        opts.deadline_ms,
-    );
+    // from --sweep-threads, the on-disk result store from --cache-dir.
+    dta_bench::configure_service(opts.sweep_threads.unwrap_or(1), opts.cache_dir.as_deref());
     if opts.obs.is_some() || opts.metrics_interval.is_some() {
         let mut obs = dta_core::ObsConfig::default();
         if let Some(mode) = opts.obs {

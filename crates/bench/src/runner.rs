@@ -27,15 +27,14 @@ use std::sync::{Arc, OnceLock};
 static SERVICE: OnceLock<Service> = OnceLock::new();
 
 /// Configures the shared service (sweep workers, optional on-disk
-/// result store, optional per-job wall-clock deadline in milliseconds).
+/// result store).
 /// First call wins — call it from `main` before any run; later calls
 /// (and runs before any call) fall back to a sequential, memory-only
 /// service.
-pub fn configure_service(threads: usize, disk_dir: Option<&Path>, deadline_ms: Option<u64>) {
+pub fn configure_service(threads: usize, disk_dir: Option<&Path>) {
     let _ = SERVICE.set(Service::new(dta_serve::ServiceConfig {
         threads,
         disk_dir: disk_dir.map(Path::to_path_buf),
-        deadline: deadline_ms.map(std::time::Duration::from_millis),
         ..dta_serve::ServiceConfig::default()
     }));
 }

@@ -16,10 +16,11 @@
 //!   re-send delivers it `msg_resend_timeout` cycles later with a fresh
 //!   stamp (the original stamp tagged [`RESEND_STAMP_BIT`], preserving
 //!   stamp uniqueness and the deterministic `(time, stamp)` tie-break).
-//! * **duplicate** — a second copy is delivered carrying
-//!   [`DUP_STAMP_BIT`]; receivers discard marked copies at event pop, so
-//!   duplicates cost network determinism nothing and handlers stay
-//!   single-delivery.
+//! * **duplicate** — a second copy arrives with its primary and the
+//!   receiver discards it, so handlers stay single-delivery. The copy
+//!   would land in the primary's own cycle and never deliver, wake a PE
+//!   or add a visited cycle, so it is counted and recorded but never
+//!   queued.
 //! * **delay** — delivery slips by `msg_delay_jitter` cycles.
 //!
 //! `FallocRetry` (the denial-recovery timer) is exempt: faulting the
@@ -33,8 +34,6 @@ use dta_mem::fault::{
 use dta_sched::{Message, MsgSeq};
 use std::cmp::Reverse;
 
-/// Stamp-sequence bit marking a duplicated copy (discarded at delivery).
-pub const DUP_STAMP_BIT: u64 = 1 << 62;
 /// Stamp-sequence bit marking the re-send of a dropped message.
 pub const RESEND_STAMP_BIT: u64 = 1 << 61;
 
@@ -43,7 +42,7 @@ pub const RESEND_STAMP_BIT: u64 = 1 << 61;
 pub struct FaultCounters {
     /// Messages dropped on the wire (each recovered by one re-send).
     pub msgs_dropped: u64,
-    /// Duplicate copies injected (each discarded at delivery).
+    /// Duplicate copies injected (each discarded by its receiver).
     pub msgs_duplicated: u64,
     /// Messages whose delivery slipped by the configured jitter.
     pub msgs_delayed: u64,
@@ -396,15 +395,15 @@ impl FailoverSchedule {
 }
 
 /// Applies the message-fault rolls of `plan` to a delivery scheduled at
-/// `(time, stamp)`. Returns the (possibly transformed) primary delivery
-/// and an optional duplicate copy. The caller must have checked
-/// [`msg_exempt`] first.
+/// `(time, stamp)`. Returns the (possibly transformed) delivery; a
+/// duplicate is only counted, since its receiver discards it. The
+/// caller must have checked [`msg_exempt`] first.
 pub fn transform(
     plan: &FaultPlan,
     time: u64,
     stamp: MsgSeq,
     counts: &mut FaultCounters,
-) -> ((u64, MsgSeq), Option<(u64, MsgSeq)>) {
+) -> (u64, MsgSeq) {
     let key = ((stamp.src_rank as u64) << 40) ^ stamp.seq;
     if roll(plan.seed, SITE_MSG_DROP, key, plan.msg_drop_ppm) {
         // Lost on the wire; the idempotent re-send is the only delivery.
@@ -413,26 +412,17 @@ pub fn transform(
             src_rank: stamp.src_rank,
             seq: stamp.seq | RESEND_STAMP_BIT,
         };
-        return ((time + plan.msg_resend_timeout, resent), None);
+        return (time + plan.msg_resend_timeout, resent);
     }
     let mut at = time;
     if roll(plan.seed, SITE_MSG_DELAY, key, plan.msg_delay_ppm) {
         counts.msgs_delayed += 1;
         at += plan.msg_delay_jitter;
     }
-    let dup = if roll(plan.seed, SITE_MSG_DUP, key, plan.msg_dup_ppm) {
+    if roll(plan.seed, SITE_MSG_DUP, key, plan.msg_dup_ppm) {
         counts.msgs_duplicated += 1;
-        Some((
-            at,
-            MsgSeq {
-                src_rank: stamp.src_rank,
-                seq: stamp.seq | DUP_STAMP_BIT,
-            },
-        ))
-    } else {
-        None
-    };
-    ((at, stamp), dup)
+    }
+    (at, stamp)
 }
 
 #[cfg(test)]
@@ -459,9 +449,7 @@ mod tests {
     fn benign_plan_is_identity() {
         let p = plan(0, 0, 0);
         let mut c = FaultCounters::default();
-        let ((t, s), dup) = transform(&p, 100, stamp(3, 7), &mut c);
-        assert_eq!((t, s), (100, stamp(3, 7)));
-        assert!(dup.is_none());
+        assert_eq!(transform(&p, 100, stamp(3, 7), &mut c), (100, stamp(3, 7)));
         assert!(!c.any());
     }
 
@@ -469,12 +457,11 @@ mod tests {
     fn drop_resends_later_with_marked_stamp() {
         let p = plan(1_000_000, 1_000_000, 1_000_000);
         let mut c = FaultCounters::default();
-        let ((t, s), dup) = transform(&p, 100, stamp(1, 5), &mut c);
+        let (t, s) = transform(&p, 100, stamp(1, 5), &mut c);
         assert_eq!(t, 100 + p.msg_resend_timeout);
         assert_eq!(s.seq, 5 | RESEND_STAMP_BIT);
         assert_eq!(s.src_rank, 1);
         // Drop excludes the other faults.
-        assert!(dup.is_none());
         assert_eq!(
             (c.msgs_dropped, c.msgs_duplicated, c.msgs_delayed),
             (1, 0, 0)
@@ -482,15 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn dup_copies_the_delayed_time() {
+    fn dup_is_counted_and_delivers_only_the_primary() {
         let p = plan(0, 1_000_000, 1_000_000);
         let mut c = FaultCounters::default();
-        let ((t, s), dup) = transform(&p, 100, stamp(2, 9), &mut c);
+        let (t, s) = transform(&p, 100, stamp(2, 9), &mut c);
         assert_eq!(t, 100 + p.msg_delay_jitter);
         assert_eq!(s, stamp(2, 9), "primary stamp is unchanged");
-        let (dt, ds) = dup.expect("dup fires at 100%");
-        assert_eq!(dt, t);
-        assert_eq!(ds.seq, 9 | DUP_STAMP_BIT);
         assert_eq!(
             (c.msgs_dropped, c.msgs_duplicated, c.msgs_delayed),
             (0, 1, 1)
@@ -502,11 +486,8 @@ mod tests {
         let p = plan(400_000, 400_000, 400_000);
         let mut c = FaultCounters::default();
         for seq in 0..2_000u64 {
-            let ((t, _), dup) = transform(&p, 50, stamp(0, seq), &mut c);
+            let (t, _) = transform(&p, 50, stamp(0, seq), &mut c);
             assert!(t >= 50);
-            if let Some((dt, _)) = dup {
-                assert!(dt >= 50);
-            }
         }
         assert!(c.any(), "40% rates must fire over 2000 rolls");
     }

@@ -254,31 +254,11 @@ pub enum JobError {
     },
     /// The *host* panicked while executing the job (a simulator or
     /// service bug, not a property of the job). Host-side: never
-    /// cached — a retry on a healthy host may legitimately succeed.
+    /// cached — the outcome describes this process, not the job's
+    /// content-addressed result.
     HostPanic {
-        /// Rendered panic payload of the last failed attempt.
+        /// Rendered panic payload.
         message: String,
-        /// Execution attempts made before giving up.
-        attempts: u32,
-    },
-    /// A host-side wall-clock budget expired before the job finished.
-    /// The deterministic backstop remains `max_cycles` (which yields
-    /// [`JobError::CycleLimit`]); this variant reports *host* time and
-    /// is therefore never cached.
-    Timeout {
-        /// The expired budget, in milliseconds.
-        budget_ms: u64,
-        /// Which budget expired (job deadline vs in-flight watchdog).
-        message: String,
-    },
-    /// The service shed this job at admission: too many executions in
-    /// flight and the bounded admission queue was full. Host-side —
-    /// purely a statement about load, never cached.
-    Overloaded {
-        /// Submissions queued for an execution slot at shed time.
-        queued: u64,
-        /// The admission-queue bound.
-        limit: u64,
     },
 }
 
@@ -335,34 +315,18 @@ impl fmt::Display for JobError {
             JobError::Deadlock { detail, .. }
             | JobError::Watchdog { detail, .. }
             | JobError::CycleLimit { detail, .. } => f.write_str(detail),
-            JobError::HostPanic { message, attempts } => {
-                write!(f, "host panic after {attempts} attempt(s): {message}")
-            }
-            JobError::Timeout { budget_ms, message } => {
-                write!(f, "host deadline exceeded ({budget_ms} ms): {message}")
-            }
-            JobError::Overloaded { queued, limit } => {
-                write!(
-                    f,
-                    "service overloaded: admission queue full ({queued}/{limit})"
-                )
-            }
+            JobError::HostPanic { message } => write!(f, "host panic: {message}"),
         }
     }
 }
 
 impl JobError {
-    /// Whether this error describes the *host* (panic, wall-clock
-    /// budget, load shedding) rather than the job itself. Host-side
-    /// outcomes are transient — a retry on a healthy, idle host may
-    /// succeed — so they must never enter the result cache; only
-    /// deterministic outcomes (success or the simulation-defined errors)
-    /// are content-addressable.
+    /// Whether this error describes the *host* (a panic) rather than
+    /// the job itself. Host-side outcomes must never enter the result
+    /// cache; only deterministic outcomes (success or the
+    /// simulation-defined errors) are content-addressable.
     pub fn is_host_side(&self) -> bool {
-        matches!(
-            self,
-            JobError::HostPanic { .. } | JobError::Timeout { .. } | JobError::Overloaded { .. }
-        )
+        matches!(self, JobError::HostPanic { .. })
     }
 
     /// Canonical encoding: `{"kind": ..., ...fields}`.
@@ -412,20 +376,9 @@ impl JobError {
                 ("live", u64_json(*live)),
                 ("detail", Json::Str(detail.clone())),
             ]),
-            JobError::HostPanic { message, attempts } => Json::obj([
+            JobError::HostPanic { message } => Json::obj([
                 ("kind", Json::Str("host-panic".into())),
                 ("message", Json::Str(message.clone())),
-                ("attempts", u64_json(*attempts as u64)),
-            ]),
-            JobError::Timeout { budget_ms, message } => Json::obj([
-                ("kind", Json::Str("timeout".into())),
-                ("budget_ms", u64_json(*budget_ms)),
-                ("message", Json::Str(message.clone())),
-            ]),
-            JobError::Overloaded { queued, limit } => Json::obj([
-                ("kind", Json::Str("overloaded".into())),
-                ("queued", u64_json(*queued)),
-                ("limit", u64_json(*limit)),
             ]),
         }
     }
@@ -467,15 +420,6 @@ impl JobError {
             },
             "host-panic" => JobError::HostPanic {
                 message: v.get("message")?.as_str()?.to_string(),
-                attempts: v.get("attempts").and_then(u64_from_json)? as u32,
-            },
-            "timeout" => JobError::Timeout {
-                budget_ms: v.get("budget_ms").and_then(u64_from_json)?,
-                message: v.get("message")?.as_str()?.to_string(),
-            },
-            "overloaded" => JobError::Overloaded {
-                queued: v.get("queued").and_then(u64_from_json)?,
-                limit: v.get("limit").and_then(u64_from_json)?,
             },
             _ => return None,
         })
@@ -663,7 +607,7 @@ pub fn run_job(job: &SimJob) -> JobResult {
             stats,
             engine: sys.engine_report().clone(),
             globals: sys.snapshot_globals(),
-            obs: sys.obs().cloned(),
+            obs: sys.obs.take(),
         }),
         Err(e) => Err(JobError::from(&e)),
     };
@@ -869,33 +813,20 @@ mod tests {
     #[test]
     fn host_side_errors_roundtrip_and_are_flagged() {
         let key = tiny_job().key();
-        let host_side = [
-            JobError::HostPanic {
-                message: "injected panic".into(),
-                attempts: 3,
-            },
-            JobError::Timeout {
-                budget_ms: 250,
-                message: "job deadline".into(),
-            },
-            JobError::Overloaded {
-                queued: 64,
-                limit: 64,
-            },
-        ];
-        for err in host_side {
-            assert!(err.is_host_side());
-            let result = JobResult {
-                format: JOB_FORMAT_VERSION,
-                key,
-                outcome: Err(err.clone()),
-            };
-            assert!(result.is_host_side());
-            // Host-side completions still transport over the canonical
-            // codec (for clients) even though the cache refuses them.
-            let back = JobResult::from_canonical_str(&result.canonical_string()).unwrap();
-            assert_eq!(back.outcome, Err(err));
-        }
+        let err = JobError::HostPanic {
+            message: "injected panic".into(),
+        };
+        assert!(err.is_host_side());
+        let result = JobResult {
+            format: JOB_FORMAT_VERSION,
+            key,
+            outcome: Err(err.clone()),
+        };
+        assert!(result.is_host_side());
+        // Host-side completions still transport over the canonical codec
+        // (for clients) even though the cache refuses them.
+        let back = JobResult::from_canonical_str(&result.canonical_string()).unwrap();
+        assert_eq!(back.outcome, Err(err));
         // The deterministic errors stay cacheable.
         let det = JobError::CycleLimit {
             cycle: 1,

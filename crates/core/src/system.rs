@@ -15,7 +15,7 @@
 //! pair always produces identical results.
 
 use crate::config::{FaultPlan, SystemConfig};
-use crate::fault::{msg_exempt, transform, FailoverSchedule, FaultCounters, DUP_STAMP_BIT};
+use crate::fault::{msg_exempt, transform, FailoverSchedule, FaultCounters};
 use crate::pipeline::{OutMsg, Pe, PipelineParams, SysCtx};
 use crate::stats::{EngineReport, PeStats, RunStats};
 use crate::uop::UopTable;
@@ -229,7 +229,7 @@ fn transform_obs(
     counts: &mut FaultCounters,
     events_on: bool,
     obs: &mut Vec<ObsRecord>,
-) -> ((u64, MsgSeq), Option<(u64, MsgSeq)>) {
+) -> (u64, MsgSeq) {
     let before = *counts;
     let out = transform(plan, time, stamp, counts);
     if events_on {
@@ -244,7 +244,7 @@ fn transform_obs(
                 0,
                 ObsEvent::MsgDropped {
                     src: stamp.src_rank,
-                    resend_at: out.0 .0,
+                    resend_at: out.0,
                 },
             ));
         }
@@ -1152,8 +1152,9 @@ pub struct System {
     dse_obs: Vec<ObsLog>,
     /// Message-fault records (keyed by message stamps; see `post`).
     obs_misc: Vec<ObsRecord>,
-    /// The merged wall-order stream, built once at run end.
-    obs: Option<ObsStream>,
+    /// The merged wall-order stream, built once at run end (`run_job`
+    /// moves it into the job's output).
+    pub(crate) obs: Option<ObsStream>,
     obs_finalized: bool,
     /// Message-fault bookkeeping.
     fault_counts: FaultCounters,
@@ -1385,11 +1386,11 @@ impl System {
         )
     }
 
-    fn post(&mut self, time: u64, to: Dest, msg: Message, stamp: MsgSeq) {
-        let time = time.max(self.now + 1);
+    fn post(&mut self, time: u64, to: Dest, msg: Message, mut stamp: MsgSeq) {
+        let mut time = time.max(self.now + 1);
         if let Some(f) = self.config.faults {
             if f.has_msg_faults() && !msg_exempt(&msg) {
-                let ((t1, s1), dup) = transform_obs(
+                (time, stamp) = transform_obs(
                     &f,
                     time,
                     stamp,
@@ -1397,21 +1398,6 @@ impl System {
                     self.config.obs.events_on(),
                     &mut self.obs_misc,
                 );
-                if let Some((t2, s2)) = dup {
-                    self.events.push(Event {
-                        time: t2,
-                        stamp: s2,
-                        to,
-                        msg,
-                    });
-                }
-                self.events.push(Event {
-                    time: t1,
-                    stamp: s1,
-                    to,
-                    msg,
-                });
-                return;
             }
         }
         self.events.push(Event {
@@ -1563,12 +1549,6 @@ impl System {
     ) {
         while self.events.peek().is_some_and(|e| e.time <= self.now) {
             let e = self.events.pop().expect("peeked");
-            if e.stamp.seq & DUP_STAMP_BIT != 0 {
-                // An injected duplicate: the primary copy already
-                // delivered (or will, under the unmarked stamp);
-                // discard so handlers stay single-delivery.
-                continue;
-            }
             match e.to {
                 Dest::Lse(pe) | Dest::Pipeline(pe) => {
                     report.pe_deliveries += 1;

@@ -315,9 +315,11 @@ impl Lse {
         self.by_id.len()
     }
 
-    /// Number of frames currently occupied (observability gauge).
+    /// Number of frames currently occupied (observability gauge). Counts
+    /// grown virtual frames too: every free index is distinct and below
+    /// the table's length.
     pub fn frames_in_use(&self) -> u32 {
-        self.params.frame_capacity - self.free_frames.len() as u32
+        (self.frames.len() - self.free_frames.len()) as u32
     }
 
     /// Number of live instances blocked in `WaitDma` (observability
@@ -1109,6 +1111,31 @@ mod tests {
         let mut idx = vec![g1.frame.index, g2.frame.index, g3.frame.index];
         idx.dedup();
         assert_eq!(idx.len(), 3, "distinct virtual frames");
+    }
+
+    #[test]
+    fn frames_in_use_counts_grown_virtual_frames() {
+        let mut l = Lse::new(
+            0,
+            LseParams {
+                frame_capacity: 1,
+                virtual_frames: true,
+                ..LseParams::default()
+            },
+        );
+        let g1 = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        assert_eq!(l.frames_in_use(), 1);
+        let g2 = l
+            .alloc_frame(0, InstanceId(900), ThreadId(0), 0, 0, false)
+            .unwrap();
+        assert_eq!(l.frames_in_use(), 2, "the grown frame is in use");
+        l.ffree(g1.frame);
+        assert_eq!(l.frames_in_use(), 1);
+        l.ffree(g2.frame);
+        assert_eq!(l.frames_in_use(), 0);
+        assert_eq!(l.free_frames(), 2, "both indices are back in the pool");
     }
 
     #[test]

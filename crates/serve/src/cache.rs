@@ -52,9 +52,8 @@ impl LruCache {
     }
 
     /// Inserts (or refreshes) a result, evicting the least-recently-used
-    /// entry when over capacity. Host-side outcomes (panics, timeouts,
-    /// shed load) are refused: only deterministic results are
-    /// content-addressable.
+    /// entry when over capacity. Host-side outcomes (host panics) are
+    /// refused: only deterministic results are content-addressable.
     pub fn insert(&mut self, key: JobKey, value: Arc<JobResult>) {
         debug_assert!(!value.is_host_side(), "host-side outcomes are never cached");
         if value.is_host_side() {
@@ -280,8 +279,7 @@ mod tests {
         let host = Arc::new(JobResult {
             format: JOB_FORMAT_VERSION,
             key: JobKey(5),
-            outcome: Err(JobError::Timeout {
-                budget_ms: 1,
+            outcome: Err(JobError::HostPanic {
                 message: "t".into(),
             }),
         });
@@ -382,7 +380,6 @@ mod tests {
             key: JobKey(14),
             outcome: Err(JobError::HostPanic {
                 message: "boom".into(),
-                attempts: 1,
             }),
         };
         assert_eq!(

@@ -8,10 +8,7 @@
 //!
 //! Panic isolation: each item runs under `catch_unwind`, so one
 //! panicking item yields a per-item failure while the worker survives
-//! and the rest of the batch completes ([`try_par_map_with`]). The
-//! pre-supervision behaviour — one panic aborts the whole batch — is
-//! gone; [`par_map_with`] still re-raises after the batch finishes for
-//! callers with no failure channel.
+//! and the rest of the batch completes ([`try_par_map_with`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,20 +69,6 @@ where
     tagged.into_iter().map(|(_, o)| o).collect()
 }
 
-/// [`try_par_map_with`] for infallible maps: panics (with the first
-/// item's panic message) only after the whole batch has completed.
-pub fn par_map_with<I, O, F>(threads: usize, items: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    try_par_map_with(threads, items, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|msg| panic!("pool item panicked: {msg}")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,15 +77,15 @@ mod tests {
     fn preserves_input_order() {
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 4, 7] {
-            let out = par_map_with(threads, &items, |&i| i * 2);
-            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+            let out = try_par_map_with(threads, &items, |&i| i * 2);
+            assert_eq!(out, (0..100).map(|i| Ok(i * 2)).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn handles_empty_and_single() {
-        assert!(par_map_with::<u32, u32, _>(4, &[], |&i| i).is_empty());
-        assert_eq!(par_map_with(4, &[9], |&i: &u32| i + 1), vec![10]);
+        assert!(try_par_map_with::<u32, u32, _>(4, &[], |&i| i).is_empty());
+        assert_eq!(try_par_map_with(4, &[9], |&i: &u32| i + 1), vec![Ok(10)]);
     }
 
     #[test]

@@ -1,48 +1,22 @@
 //! Service-chaos suite: host faults injected through the
-//! [`ServiceConfig::runner`] seam — panicking leaders, slow jobs, torn
-//! disk writes, overload — must all resolve to *typed* completions
-//! within the watchdog bound. No submitter ever hangs, host-side
-//! outcomes are never cached, and corrupt cache entries re-simulate
-//! byte-identically.
+//! [`ServiceConfig::runner`] seam — panicking leaders and torn disk
+//! writes — must all resolve to *typed* completions. No submitter ever
+//! hangs, host-side outcomes are never cached, and corrupt cache entries
+//! re-simulate byte-identically.
 
 use dta_core::{run_job, JobError, ObsMode, SimJob, SystemConfig};
 use dta_serve::{CacheStatus, Runner, Service, ServiceConfig};
 use dta_workloads::{vecscale, Variant};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Per-key fault injected around the real simulator.
-enum Behavior {
-    /// Every execution attempt of this key panics.
-    PanicAlways(&'static str),
-    /// The first `n` attempts panic; later attempts run for real.
-    PanicFirst(AtomicU32),
-    /// Sleep before running for real; `started` flips once the
-    /// execution is underway (so tests can coalesce onto it reliably).
-    Sleep { ms: u64, started: Arc<AtomicBool> },
-}
-
-/// Wraps the real simulator with a fault table keyed by job key.
-fn chaos_runner(table: HashMap<u128, Behavior>) -> Arc<Runner> {
+/// Wraps the real simulator: every execution of a tabled key panics
+/// with that key's message.
+fn chaos_runner(panics: HashMap<u128, &'static str>) -> Arc<Runner> {
     Arc::new(move |job: &SimJob| {
-        match table.get(&job.key().0) {
-            Some(Behavior::PanicAlways(msg)) => panic!("{msg}"),
-            Some(Behavior::PanicFirst(left))
-                if left
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok() =>
-            {
-                panic!("injected first-attempt panic");
-            }
-            Some(Behavior::Sleep { ms, started }) => {
-                started.store(true, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(*ms));
-            }
-            // Exhausted PanicFirst countdowns and untabled keys run
-            // for real.
-            _ => {}
+        if let Some(msg) = panics.get(&job.key().0) {
+            panic!("{msg}");
         }
         run_job(job)
     })
@@ -78,17 +52,9 @@ fn service_with(runner: Arc<Runner>, config: ServiceConfig) -> Service {
 #[test]
 fn panicking_leader_resolves_every_coalesced_waiter() {
     let j = job(96);
-    let table = HashMap::from([(j.key().0, Behavior::PanicAlways("chaos: leader down"))]);
-    let service = service_with(
-        chaos_runner(table),
-        ServiceConfig {
-            max_attempts: 2,
-            retry_backoff: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
-    );
+    let table = HashMap::from([(j.key().0, "chaos: leader down")]);
+    let service = service_with(chaos_runner(table), ServiceConfig::default());
 
-    let started = Instant::now();
     let outcomes: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..6)
             .map(|_| {
@@ -101,22 +67,21 @@ fn panicking_leader_resolves_every_coalesced_waiter() {
 
     // Every submitter resolved (the scope returning at all proves no
     // hang) to a typed HostPanic carrying the injected message.
-    assert!(started.elapsed() < Duration::from_secs(60));
     for done in &outcomes {
         match &done.result.outcome {
-            Err(JobError::HostPanic { message, attempts }) => {
-                assert_eq!(message, "chaos: leader down");
-                assert!(*attempts >= 1);
-            }
+            Err(JobError::HostPanic { message }) => assert_eq!(message, "chaos: leader down"),
             other => panic!("expected HostPanic, got {other:?}"),
         }
     }
+    // Each flight ran once. A panic is never cached, so a submitter that
+    // arrived after a flight resolved led a flight of its own.
     let health = service.health();
-    assert!(health.host_panics >= 2, "both attempts of a flight panic");
+    assert!(health.executions >= 1);
     assert_eq!(
         health.host_panics, health.executions,
         "every execution of this key panicked"
     );
+    assert_eq!(health.executions + health.coalesced_waits, 6);
 
     // The service itself survived: a different (healthy) job runs fine.
     let ok = service.submit(&job(100));
@@ -125,194 +90,13 @@ fn panicking_leader_resolves_every_coalesced_waiter() {
 }
 
 #[test]
-fn leader_failover_elects_waiter_and_recovers_byte_identically() {
-    let j = job(128);
-    let reference = run_job(&j).canonical_string();
-    let table = HashMap::from([(j.key().0, Behavior::PanicFirst(AtomicU32::new(1)))]);
-    let service = service_with(
-        chaos_runner(table),
-        ServiceConfig {
-            retry_backoff: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
-    );
-
-    let outcomes: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let (service, j) = (&service, &j);
-                s.spawn(move || service.submit(j))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Attempt 1 panicked, the elected successor re-ran it, and every
-    // submitter — including the fallen leader — got the real result.
-    for done in &outcomes {
-        assert!(done.result.outcome.is_ok(), "failover must recover");
-        assert_eq!(done.result.canonical_string(), reference);
-    }
-    let health = service.health();
-    assert_eq!(health.host_panics, 1);
-    assert_eq!(health.retries, 1, "exactly one re-execution");
-    assert_eq!(health.executions, 2, "panicking attempt + recovery");
-
-    // The recovered (deterministic) result was cached normally.
-    let again = service.submit(&j);
-    assert_eq!(again.status, CacheStatus::Memory);
-    assert_eq!(again.result.canonical_string(), reference);
-}
-
-#[test]
-fn deadline_exceeded_is_typed_and_nothing_cached_at_expiry() {
-    let j = job(64);
-    let dir = scratch("deadline");
-    let table = HashMap::from([(
-        j.key().0,
-        Behavior::Sleep {
-            ms: 250,
-            started: Arc::new(AtomicBool::new(false)),
-        },
-    )]);
-    let service = service_with(
-        chaos_runner(table),
-        ServiceConfig {
-            disk_dir: Some(dir.clone()),
-            deadline: Some(Duration::from_millis(25)),
-            ..ServiceConfig::default()
-        },
-    );
-
-    let done = service.submit(&j);
-    match &done.result.outcome {
-        Err(JobError::Timeout { budget_ms, .. }) => assert_eq!(*budget_ms, 25),
-        other => panic!("expected Timeout, got {other:?}"),
-    }
-    assert_eq!(service.health().timeouts, 1);
-    // Nothing was cached at expiry: no disk entry, no memory entry.
-    let entry = dir.join(format!("{}.json", j.key().hex()));
-    assert!(!entry.exists(), "host-side timeout must not be cached");
-
-    // The abandoned execution finishes deterministically ~225ms later
-    // and is banked — future submitters hit the cache.
-    let wait_start = Instant::now();
-    while service.health().late_results == 0 {
-        assert!(
-            wait_start.elapsed() < Duration::from_secs(10),
-            "late result never banked"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let again = service.submit_with_deadline(&j, None);
-    assert!(again.result.outcome.is_ok());
-    assert_eq!(again.status, CacheStatus::Memory);
-    assert_eq!(
-        service.stats().executed,
-        1,
-        "the banked run is reused, not re-executed"
-    );
-    assert!(entry.exists(), "late result reaches the disk store too");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn wait_watchdog_unsticks_coalesced_waiters() {
-    let j = job(80);
-    let started = Arc::new(AtomicBool::new(false));
-    let table = HashMap::from([(
-        j.key().0,
-        Behavior::Sleep {
-            ms: 400,
-            started: Arc::clone(&started),
-        },
-    )]);
-    let service = service_with(
-        chaos_runner(table),
-        ServiceConfig {
-            wait_watchdog: Duration::from_millis(50),
-            ..ServiceConfig::default()
-        },
-    );
-
-    std::thread::scope(|s| {
-        let leader = s.spawn(|| service.submit(&j));
-        // Coalesce only once the leader is genuinely executing.
-        while !started.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let waited = Instant::now();
-        let follower = service.submit(&j);
-        assert!(
-            waited.elapsed() < Duration::from_millis(300),
-            "watchdog must release the waiter long before the leader finishes"
-        );
-        match &follower.result.outcome {
-            Err(JobError::Timeout { message, .. }) => {
-                assert!(message.contains("watchdog"), "typed watchdog timeout")
-            }
-            other => panic!("expected watchdog Timeout, got {other:?}"),
-        }
-        assert_eq!(follower.status, CacheStatus::Coalesced);
-        // The slow leader still completes normally.
-        let led = leader.join().unwrap();
-        assert!(led.result.outcome.is_ok());
-    });
-    assert_eq!(service.health().watchdog_trips, 1);
-}
-
-#[test]
-fn saturated_admission_sheds_with_typed_overloaded() {
-    let (j1, j2) = (job(72), job(76));
-    let started = Arc::new(AtomicBool::new(false));
-    let table = HashMap::from([(
-        j1.key().0,
-        Behavior::Sleep {
-            ms: 200,
-            started: Arc::clone(&started),
-        },
-    )]);
-    let service = service_with(
-        chaos_runner(table),
-        ServiceConfig {
-            max_running: 1,
-            max_queued: 0,
-            ..ServiceConfig::default()
-        },
-    );
-
-    std::thread::scope(|s| {
-        let slow = s.spawn(|| service.submit(&j1));
-        while !started.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // The only execution slot is busy and the queue holds zero:
-        // a distinct job is shed immediately, not blocked.
-        let shed = service.submit(&j2);
-        match &shed.result.outcome {
-            Err(JobError::Overloaded { limit, .. }) => assert_eq!(*limit, 0),
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert!(slow.join().unwrap().result.outcome.is_ok());
-    });
-    assert_eq!(service.health().sheds, 1);
-
-    // Overload is a host-side verdict — never cached. With the slot
-    // free again the same job now runs for real.
-    let retry = service.submit(&j2);
-    assert!(retry.result.outcome.is_ok());
-    assert_eq!(retry.status, CacheStatus::Miss);
-}
-
-#[test]
 fn run_grid_completes_despite_a_panicking_point() {
     let jobs: Vec<SimJob> = (0..4).map(|i| job(40 + 8 * i)).collect();
-    let table = HashMap::from([(jobs[2].key().0, Behavior::PanicAlways("chaos: grid point"))]);
+    let table = HashMap::from([(jobs[2].key().0, "chaos: grid point")]);
     let service = service_with(
         chaos_runner(table),
         ServiceConfig {
             threads: 4,
-            max_attempts: 1,
             ..ServiceConfig::default()
         },
     );
@@ -322,10 +106,7 @@ fn run_grid_completes_despite_a_panicking_point() {
     for (i, done) in completions.iter().enumerate() {
         if i == 2 {
             match &done.result.outcome {
-                Err(JobError::HostPanic { message, attempts }) => {
-                    assert_eq!(message, "chaos: grid point");
-                    assert_eq!(*attempts, 1);
-                }
+                Err(JobError::HostPanic { message }) => assert_eq!(message, "chaos: grid point"),
                 other => panic!("expected HostPanic, got {other:?}"),
             }
         } else {
@@ -354,12 +135,11 @@ fn deterministic_errors_cache_but_host_outcomes_never_do() {
 
     // HostPanic is host-side: re-submission re-executes every time.
     let flaky = job(60);
-    let table = HashMap::from([(flaky.key().0, Behavior::PanicAlways("chaos: flaky"))]);
+    let table = HashMap::from([(flaky.key().0, "chaos: flaky")]);
     let chaotic = service_with(
         chaos_runner(table),
         ServiceConfig {
             disk_dir: Some(dir.clone()),
-            max_attempts: 1,
             ..ServiceConfig::default()
         },
     );
@@ -429,83 +209,58 @@ fn bit_flipped_disk_entry_quarantines_and_resimulates() {
     });
 }
 
-/// Seeded end-to-end mix: a grid of healthy, panicking, and slow jobs
-/// under a deadline. Everything resolves typed; nothing hangs.
+/// Seeded end-to-end mix: a grid of healthy and panicking jobs.
+/// Everything resolves typed; nothing hangs.
 #[test]
 fn seeded_chaos_grid_resolves_every_point_typed() {
     const SEED: u64 = 0xC0FFEE;
     let mut rng = SEED;
-    let mut step = move || {
+    let mut panics = move || {
         rng = rng
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (rng >> 33) % 3
+        (rng >> 33) % 2 == 1
     };
 
     let jobs: Vec<SimJob> = (0..12).map(|i| job(32 + 8 * i)).collect();
-    let mut table = HashMap::new();
-    let mut kinds = Vec::new(); // 0 = healthy, 1 = panics, 2 = slow
-    for j in &jobs {
-        let kind = step();
-        kinds.push(kind);
-        match kind {
-            1 => {
-                table.insert(j.key().0, Behavior::PanicAlways("chaos: seeded"));
-            }
-            2 => {
-                table.insert(
-                    j.key().0,
-                    Behavior::Sleep {
-                        ms: 400,
-                        started: Arc::new(AtomicBool::new(false)),
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
+    let kinds: Vec<bool> = jobs.iter().map(|_| panics()).collect();
+    let table: HashMap<u128, &'static str> = jobs
+        .iter()
+        .zip(&kinds)
+        .filter(|&(_, &p)| p)
+        .map(|(j, _)| (j.key().0, "chaos: seeded"))
+        .collect();
     assert!(
-        kinds.contains(&1) && kinds.contains(&2),
-        "seed covers all kinds"
+        kinds.contains(&true) && kinds.contains(&false),
+        "seed covers both kinds"
     );
 
     let service = service_with(
         chaos_runner(table),
         ServiceConfig {
             threads: 4,
-            deadline: Some(Duration::from_millis(100)),
-            max_attempts: 2,
-            retry_backoff: Duration::from_millis(1),
-            wait_watchdog: Duration::from_secs(30),
             ..ServiceConfig::default()
         },
     );
 
-    let started = Instant::now();
     let completions = service.run_grid(&jobs);
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "the grid resolves well inside the watchdog bound"
-    );
     assert_eq!(completions.len(), 12);
     for (i, done) in completions.iter().enumerate() {
-        match kinds[i] {
-            1 => assert!(
+        if kinds[i] {
+            assert!(
                 matches!(done.result.outcome, Err(JobError::HostPanic { .. })),
                 "point {i} must be a typed HostPanic"
-            ),
-            2 => assert!(
-                matches!(done.result.outcome, Err(JobError::Timeout { .. })),
-                "point {i} must be a typed Timeout"
-            ),
-            _ => assert!(done.result.outcome.is_ok(), "point {i} must succeed"),
+            );
+        } else {
+            assert!(done.result.outcome.is_ok(), "point {i} must succeed");
         }
     }
+    // Distinct points: one execution each, and exactly the panicking
+    // ones counted as host panics.
     let health = service.health();
-    assert_eq!(health.executions, service.stats().executed);
+    assert_eq!(health.executions, 12);
     assert_eq!(
-        health.timeouts as usize,
-        kinds.iter().filter(|&&k| k == 2).count()
+        health.host_panics as usize,
+        kinds.iter().filter(|&&p| p).count()
     );
-    assert!(health.host_panics >= kinds.iter().filter(|&&k| k == 1).count() as u64);
 }
