@@ -3,7 +3,7 @@
 
 use dta_compiler::{prefetch_program, TransformOptions};
 use dta_core::{simulate, SystemConfig};
-use dta_isa::asm::assemble;
+use dta_isa::asm::{assemble, program_to_asm};
 use std::sync::Arc;
 
 #[test]
@@ -22,6 +22,9 @@ fn dotprod_example_assembles_and_computes() {
     // And the prefetched version agrees.
     let (pf, report) = prefetch_program(&program, &TransformOptions::default());
     assert_eq!(report.total_decoupled(), 2);
+    // Its text form keeps everything, the compiler's fallback links too.
+    assert!(pf.threads.iter().any(|t| t.fallback.is_some()));
+    assert_eq!(assemble(&program_to_asm(&pf)).expect("reassembles"), pf);
     let (stats, sys) = simulate(SystemConfig::with_pes(4), Arc::new(pf), &[]).unwrap();
     assert_eq!(sys.read_global_word("out", 0), Some(expected));
     assert_eq!(stats.aggregate.reads, 0);

@@ -8,7 +8,7 @@
 //! job's identity *is* its content:
 //!
 //! ```text
-//! JobKey = fnv1a128("dta-job\0" ‖ format ‖ program bytes ‖ args ‖ canonical config)
+//! JobKey = fnv1a128("dta-job\0" ‖ format ‖ code text ‖ global bytes ‖ args ‖ canonical config)
 //! ```
 //!
 //! which is what makes results content-addressable — the `dta-serve`
@@ -25,7 +25,8 @@
 use crate::config::SystemConfig;
 use crate::stats::{EngineReport, RunStats};
 use crate::system::{RunError, System};
-use dta_isa::{encode_program, Program};
+use dta_isa::asm::code_to_asm;
+use dta_isa::Program;
 use dta_json::{fnv1a128, u64_from_json, u64_json, Json, ParseError, Reader, ToJson, Writer};
 use dta_obs::codec as obs_codec;
 use dta_obs::{ObsEvent, ObsStream, PerfettoWriter, ThreadEvent, TrackLayout};
@@ -41,9 +42,9 @@ use std::sync::Arc;
 /// [`JobResult`], so bumping it atomically invalidates all previously
 /// cached results (they simply stop matching any key, and entries whose
 /// stored format disagrees are discarded on load). Bump it whenever the
-/// canonical config form, the program byte encoding, or the result
+/// canonical config form, the key's program preimage, or the result
 /// encoding changes meaning.
-pub const JOB_FORMAT_VERSION: u32 = 9;
+pub const JOB_FORMAT_VERSION: u32 = 10;
 
 /// Content hash identifying a job (see the module docs for the exact
 /// preimage). Rendered as 32 lowercase hex digits in reports and file
@@ -96,18 +97,39 @@ impl SimJob {
     }
 
     /// The job's content hash. Pure function of the job value; any
-    /// behavioural field perturbation (one instruction, one argument,
-    /// one config field) yields a different key.
+    /// behavioural field perturbation (one instruction, one fallback
+    /// link, one global byte, one argument, one config field) yields a
+    /// different key.
+    ///
+    /// The code enters as its assembly text ([`code_to_asm`]) and the
+    /// globals as raw bytes: most of a program's text would be its
+    /// global data in decimal, which costs far more to print than to
+    /// hash.
     pub fn key(&self) -> JobKey {
-        let prog = encode_program(&self.program);
+        let code = code_to_asm(&self.program);
+        let globals = &self.program.globals;
         let cfg = self.config.canonical_json().to_string_compact();
-        let mut bytes = Vec::with_capacity(16 + prog.len() + 8 * self.args.len() + cfg.len() + 16);
+        let global_bytes: usize = globals
+            .iter()
+            .map(|g| 24 + g.name.len() + g.data.len())
+            .sum();
+        let mut bytes =
+            Vec::with_capacity(36 + code.len() + global_bytes + 8 * self.args.len() + cfg.len());
+        let section = |bytes: &mut Vec<u8>, data: &[u8]| {
+            // Length-prefix the variable-size sections so field
+            // boundaries cannot alias across sections.
+            bytes.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(data);
+        };
         bytes.extend_from_slice(b"dta-job\0");
         bytes.extend_from_slice(&JOB_FORMAT_VERSION.to_le_bytes());
-        // Length-prefix the variable-size sections so field boundaries
-        // cannot alias across sections.
-        bytes.extend_from_slice(&(prog.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&prog);
+        section(&mut bytes, code.as_bytes());
+        bytes.extend_from_slice(&(globals.len() as u64).to_le_bytes());
+        for g in globals {
+            section(&mut bytes, g.name.as_bytes());
+            bytes.extend_from_slice(&g.addr.to_le_bytes());
+            section(&mut bytes, &g.data);
+        }
         bytes.extend_from_slice(&(self.args.len() as u64).to_le_bytes());
         for a in &self.args {
             bytes.extend_from_slice(&a.to_le_bytes());
@@ -711,7 +733,7 @@ pub fn lifecycle_table(program: &Program, stream: &ObsStream) -> String {
 mod tests {
     use super::*;
     use crate::config::ObsMode;
-    use dta_isa::{reg::r, ProgramBuilder, ThreadBuilder};
+    use dta_isa::{reg::r, Instr, ProgramBuilder, Src, ThreadBuilder, ThreadId};
 
     fn tiny_program() -> Arc<Program> {
         let mut pb = ProgramBuilder::new();
@@ -749,6 +771,45 @@ mod tests {
         let mut other_pes = base.clone();
         other_pes.config.pes_per_node = 2;
         assert_ne!(k, other_pes.key());
+
+        let with_program = |job: &SimJob, edit: &dyn Fn(&mut Program)| {
+            let mut p = (*job.program).clone();
+            edit(&mut p);
+            SimJob::new(Arc::new(p), job.args.clone(), job.config.clone())
+        };
+        let other_instr = with_program(&base, &|p| {
+            let Instr::Alu { rb, .. } = &mut p.threads[0].code[1] else {
+                panic!("instruction 1 is the add");
+            };
+            *rb = Src::Imm(2);
+        });
+        assert_ne!(k, other_instr.key(), "one instruction");
+        let other_byte = with_program(&base, &|p| p.globals[0].data[3] ^= 1);
+        assert_ne!(k, other_byte.key(), "one global byte");
+        let other_entry_args = with_program(&base, &|p| p.entry_args = 2);
+        assert_ne!(k, other_entry_args.key(), "entry_args");
+
+        // Two programs that differ only in a fallback link.
+        let linked = with_program(&base, &|p| {
+            let mut twin = p.threads[0].clone();
+            twin.name = "main__nopf".into();
+            p.threads.push(twin);
+            p.threads[0].fallback = Some(ThreadId(1));
+        });
+        let unlinked = with_program(&linked, &|p| p.threads[0].fallback = None);
+        assert_ne!(linked.key(), unlinked.key(), "one fallback link cleared");
+
+        // A dangling entry (a validation error) and an entry on a thread
+        // whose name is that id's `tN` form.
+        let named = with_program(&base, &|p| p.threads[0].name = "t5".into());
+        let dangling = with_program(&named, &|p| p.entry = ThreadId(5));
+        assert_ne!(named.key(), dangling.key(), "dangling entry");
+
+        // Two same-named threads: programs that differ only in which one
+        // is the entry.
+        let twins = with_program(&base, &|p| p.threads.push(p.threads[0].clone()));
+        let second = with_program(&twins, &|p| p.entry = ThreadId(1));
+        assert_ne!(twins.key(), second.key(), "entry among same-named threads");
     }
 
     #[test]

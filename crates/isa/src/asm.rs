@@ -26,6 +26,15 @@
 //! Comments start with `;` or `#` (hash-immediates are only recognised in
 //! operand position). Branch targets may be label names or absolute
 //! instruction indices (the disassembler emits indices).
+//!
+//! Inside a thread section, `.fallback NAME` links the thread to its
+//! degradation fallback ([`ThreadCode::fallback`](crate::ThreadCode)),
+//! the PF-free twin a PE runs once its DMA engine is unusable. The
+//! disassembler emits it after `.prefetch`.
+//!
+//! [`code_to_asm`] is the text of the code alone: the `.entry` line and
+//! every thread section, without the globals. `SimJob::key` in
+//! `dta-core` hashes it next to the globals' raw bytes.
 
 use crate::builder::{ProgramBuilder, ThreadBuilder};
 use crate::instr::{AluOp, BrCond, Instr, Src};
@@ -199,6 +208,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
     }
 
     let mut entry: Option<(String, u16, usize)> = None;
+    let mut fallbacks: Vec<(ThreadId, ThreadId)> = Vec::new();
     let mut current: Option<ThreadAsm> = None;
 
     struct ThreadAsm {
@@ -349,6 +359,15 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         }
         if let Some(rest) = line.strip_prefix(".prefetch") {
             t.tb.prefetch_bytes(parse_i64(rest, lineno)? as u32);
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix(".fallback") {
+            let name = rest.trim();
+            let &fb = thread_ids.get(name).ok_or_else(|| AsmError {
+                line: lineno,
+                msg: format!("unknown fallback thread {name:?}"),
+            })?;
+            fallbacks.push((t.id, fb));
             continue;
         }
         if let Some(rest) = line.strip_prefix(".block") {
@@ -561,10 +580,15 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         return err(lineno, format!("entry thread {entry_name:?} not defined"));
     };
     pb.set_entry(id, args);
-    Ok(pb.build())
+    let mut program = pb.build();
+    for (thread, fb) in fallbacks {
+        program.threads[thread.index()].fallback = Some(fb);
+    }
+    Ok(program)
 }
 
-/// Disassembles a program into re-assemblable text.
+/// Disassembles a program into re-assemblable text: the globals, then
+/// [`code_to_asm`].
 pub fn program_to_asm(program: &Program) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -604,18 +628,30 @@ pub fn program_to_asm(program: &Program) -> String {
             );
         }
     }
-    let _ = writeln!(
-        out,
-        ".entry {} {}",
-        program.thread(program.entry).name,
-        program.entry_args
-    );
+    out.push_str(&code_to_asm(program));
+    out
+}
+
+/// Disassembles a program's code: the `.entry` line and every thread
+/// section, with no globals. Two programs whose thread names hold no
+/// line break print the same text only if their code is the same,
+/// invalid programs included: a thread reference that no name pins
+/// down (an id outside the thread table, or a name that several threads
+/// share) prints as the id, `tN`.
+pub fn code_to_asm(program: &Program) -> String {
+    use std::fmt::Write as _;
+    let name = |id: ThreadId| ThreadRef(program, id);
+    let mut out = String::new();
+    let _ = writeln!(out, ".entry {} {}", name(program.entry), program.entry_args);
 
     for t in &program.threads {
         let _ = writeln!(out, "\n.thread {}", t.name);
         let _ = writeln!(out, ".frame_slots {}", t.frame_slots);
         if t.prefetch_bytes > 0 {
             let _ = writeln!(out, ".prefetch {}", t.prefetch_bytes);
+        }
+        if let Some(fb) = t.fallback {
+            let _ = writeln!(out, ".fallback {}", name(fb));
         }
         let mut last_block: Option<CodeBlock> = None;
         for (pc, instr) in t.code.iter().enumerate() {
@@ -625,20 +661,54 @@ pub fn program_to_asm(program: &Program) -> String {
                 last_block = Some(block);
             }
             // FALLOC: use @name so the text stays valid when thread order
-            // changes.
-            if let Instr::Falloc { rd, thread, sc } = instr {
-                let _ = writeln!(
-                    out,
-                    "    falloc {rd}, @{}, {sc}",
-                    program.thread(*thread).name
-                );
-            } else {
-                let _ = writeln!(out, "    {instr}");
+            // changes; the plain form prints the target as `tN`.
+            match instr {
+                &Instr::Falloc { rd, thread, sc } => match unique_name(program, thread) {
+                    Some(target) => {
+                        let _ = writeln!(out, "    falloc {rd}, @{target}, {sc}");
+                    }
+                    None => {
+                        let _ = writeln!(out, "    {instr}");
+                    }
+                },
+                _ => {
+                    let _ = writeln!(out, "    {instr}");
+                }
             }
         }
         let _ = writeln!(out, ".end");
     }
     out
+}
+
+/// The name of thread `id`, if the program has that thread and no
+/// other thread shares its name.
+fn unique_name(program: &Program, id: ThreadId) -> Option<&str> {
+    let name = &program.threads.get(id.index())?.name;
+    let mut same = program.threads.iter().filter(|t| &t.name == name);
+    same.next();
+    same.next().is_none().then_some(name.as_str())
+}
+
+/// A thread reference in the text: the thread's name, when exactly one
+/// thread has it. Any other id (one outside the thread table, which
+/// validation rejects, or one whose name several threads share) prints
+/// as `tN`, with `?`s appended until it names no thread of the program,
+/// so it never reads as a reference to a named thread.
+struct ThreadRef<'a>(&'a Program, ThreadId);
+
+impl fmt::Display for ThreadRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ThreadRef(program, id) = *self;
+        if let Some(name) = unique_name(program, id) {
+            return f.write_str(name);
+        }
+        let mut text = id.to_string();
+        while program.threads.iter().any(|t| t.name == text) {
+            text.push('?');
+        }
+        f.write_str(&text)
+    }
 }
 
 #[cfg(test)]
@@ -722,10 +792,71 @@ loop:
         let p1 = assemble(HELLO).unwrap();
         let text = program_to_asm(&p1);
         let p2 = assemble(&text).unwrap_or_else(|e| panic!("re-assembly failed: {e}\n{text}"));
-        assert_eq!(p1.threads, p2.threads);
-        assert_eq!(p1.entry, p2.entry);
-        assert_eq!(p1.entry_args, p2.entry_args);
-        assert_eq!(p1.globals, p2.globals);
+        assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn fallback_links_roundtrip_and_unknown_names_report_line() {
+        // `.fallback` may name a thread defined later in the file.
+        let src = HELLO.replace(".frame_slots 1\n", ".frame_slots 1\n.fallback worker\n");
+        let p = assemble(&src).unwrap();
+        let (worker_id, _) = p.thread_by_name("worker").unwrap();
+        assert_eq!(p.threads[0].fallback, Some(worker_id));
+        assert_eq!(p.threads[1].fallback, None);
+        let text = program_to_asm(&p);
+        assert!(
+            text.contains("\n.frame_slots 1\n.fallback worker\n"),
+            "{text}"
+        );
+        assert_eq!(assemble(&text).unwrap(), p);
+
+        let src = ".entry main 0\n.thread main\n.fallback nobody\n    stop\n.end\n";
+        let e = assemble(src).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("nobody"), "{e}");
+    }
+
+    #[test]
+    fn code_text_prints_dangling_thread_ids() {
+        // Validation rejects these references; the text of the code (which
+        // keys jobs) must still print them, and never as a real thread's
+        // name.
+        let mut p = assemble(HELLO).unwrap();
+        p.threads[1].name = "t8".into();
+        p.entry = ThreadId(7);
+        p.threads[0].fallback = Some(ThreadId(8));
+        p.threads[0].code[1] = Instr::Falloc {
+            rd: r(4),
+            thread: ThreadId(9),
+            sc: 2,
+        };
+        let text = code_to_asm(&p);
+        assert!(text.starts_with(".entry t7 1\n"), "{text}");
+        assert!(text.contains("\n.fallback t8?\n"), "{text}");
+        assert!(text.contains("    falloc r4, t9, 2\n"), "{text}");
+        assert!(!text.contains(".global"));
+        assert!(program_to_asm(&p).ends_with(&text));
+    }
+
+    #[test]
+    fn code_text_prints_shared_thread_names_as_ids() {
+        // Two threads named `worker`: references to either print as its
+        // id, so programs that differ only in which one they name print
+        // different text.
+        let mut p = assemble(HELLO).unwrap();
+        let mut twin = p.threads[1].clone();
+        twin.fallback = Some(ThreadId(1));
+        p.threads.push(twin);
+        p.entry = ThreadId(1);
+        let text = code_to_asm(&p);
+        assert!(text.starts_with(".entry t1 1\n"), "{text}");
+        assert!(text.contains("\n.fallback t1\n"), "{text}");
+        assert!(text.contains("    falloc r4, t1, 2\n"), "{text}");
+        p.entry = ThreadId(2);
+        assert!(code_to_asm(&p).starts_with(".entry t2 1\n"));
+        // A thread named like the id form does not capture the reference.
+        p.threads[0].name = "t2".into();
+        assert!(code_to_asm(&p).starts_with(".entry t2? 1\n"));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * whole programs ([`Program`]) — a set of thread codes plus a global
 //!   data segment laid out in main memory;
 //! * an ergonomic [`builder`] DSL used to hand-code benchmarks (as the
-//!   paper's authors did), a text [`asm`] assembler / disassembler, and a
-//!   structural [`validate`] pass.
+//!   paper's authors did), a text [`asm`] assembler / disassembler (the
+//!   one serialisation of program code; a `.fallback NAME` line carries a
+//!   thread's degradation fallback), and a structural [`validate`] pass.
 //!
 //! The ISA is deliberately scalar (the SPU's SIMD width is orthogonal to
 //! the decoupling mechanism under study) but keeps the SPU properties that
@@ -35,7 +36,6 @@
 
 pub mod asm;
 pub mod builder;
-pub mod encode;
 pub mod frame;
 pub mod hash;
 pub mod instr;
@@ -44,7 +44,6 @@ pub mod reg;
 pub mod validate;
 
 pub use builder::{ProgramBuilder, ThreadBuilder};
-pub use encode::{decode_program, encode_program, DecodeError};
 pub use frame::FramePtr;
 pub use hash::{IdBuild, IdHasher};
 pub use instr::{AluOp, BrCond, IClass, Instr, Src};

@@ -2,10 +2,10 @@
 //! validator → prefetch compiler → simulator → verified results.
 
 use dta::compiler::{prefetch_program, TransformOptions};
-use dta::core::{simulate, RunError, StallCat, System, SystemConfig};
+use dta::core::{simulate, GlobalRead, RunError, StallCat, System, SystemConfig};
 use dta::isa::asm::{assemble, program_to_asm};
 use dta::isa::validate_program;
-use dta::workloads::{bitcnt, colsum, mmul, stencil, vecscale, zoom, Variant};
+use dta::workloads::{bitcnt, colsum, mmul, stencil, vecscale, zoom, Variant, WorkloadProgram};
 use std::sync::Arc;
 
 /// The full toolchain on a textual program: assemble, validate,
@@ -81,28 +81,49 @@ fn effective_addresses_wrap_in_every_executor() {
     assert_eq!(sys.read_global_word("out", 0), Some(77));
 }
 
-/// DTA's multi-node scheduler: a 2-node × 4-PE system must produce the
-/// same results as a 1-node × 8-PE system, exercising DSE forwarding.
+/// A 2-node × 4-PE system computes what a 1-node × 8-PE system computes,
+/// with the same instructions and instances, but it does not exercise
+/// inter-node forwarding. A DSE forwards a FALLOC only once its own
+/// node's frames are exhausted (the paper's §2 rule), and with 64 frames
+/// per PE node 0 never runs out. So node 1 issues nothing and the 2×4
+/// run uses four PEs; the per-node `issued` pins say so. The forwarding
+/// test is `inter_node_forwarding_handles_frame_pressure`.
 #[test]
 fn multi_node_systems_compute_identical_results() {
-    let n = 16;
-    let wp1 = mmul::build(n, Variant::HandPrefetch);
-    let (s1, sys1) = simulate(SystemConfig::with_pes(8), Arc::new(wp1.program), &[]).unwrap();
-    mmul::verify(&sys1, n).unwrap();
+    type Build = fn(usize, Variant) -> WorkloadProgram;
+    type Verify = fn(&dyn GlobalRead, usize) -> Result<(), String>;
+    let cases: [(Build, Verify, usize, [u64; 2]); 3] = [
+        (mmul::build, mmul::verify, 16, [35_700, 0]),
+        (zoom::build, zoom::verify, 16, [74_180, 0]),
+        (bitcnt::build, bitcnt::verify, 200, [17_298, 0]),
+    ];
+    for (build, verify, n, want_issued) in cases {
+        let run = |cfg: SystemConfig| {
+            let wp = build(n, Variant::HandPrefetch);
+            let (stats, sys) = simulate(cfg, Arc::new(wp.program), &wp.args).unwrap();
+            verify(&sys, n).unwrap_or_else(|e| panic!("{}: {e}", wp.name));
+            stats
+        };
+        let s1 = run(SystemConfig::with_pes(8));
+        let mut cfg = SystemConfig::paper_default();
+        cfg.nodes = 2;
+        cfg.pes_per_node = 4;
+        let s2 = run(cfg);
 
-    let wp2 = mmul::build(n, Variant::HandPrefetch);
-    let mut cfg = SystemConfig::paper_default();
-    cfg.nodes = 2;
-    cfg.pes_per_node = 4;
-    let (s2, sys2) = simulate(cfg, Arc::new(wp2.program), &[]).unwrap();
-    mmul::verify(&sys2, n).unwrap();
-
-    assert_eq!(s1.instructions, s2.instructions);
-    assert_eq!(s1.instances, s2.instances);
-    // Same machine width; broadly similar time (inter-node messages may
-    // differ slightly).
-    let ratio = s1.cycles as f64 / s2.cycles as f64;
-    assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
+        assert_eq!(s1.instructions, s2.instructions);
+        assert_eq!(s1.instances, s2.instances);
+        let issued: Vec<u64> = s2
+            .per_pe
+            .chunks(4)
+            .map(|node| node.iter().map(|pe| pe.issued).sum())
+            .collect();
+        assert_eq!(issued, want_issued, "per-node issued (n = {n})");
+        assert_eq!(issued[0], s2.instructions, "node 0 issues everything");
+        // Node 1 idles, so the 2×4 run issues on half as many PEs as the
+        // 1×8 run: 1×8 takes 0.55–0.73 of its cycles on these sizes.
+        let ratio = s1.cycles as f64 / s2.cycles as f64;
+        assert!((0.5..2.0).contains(&ratio), "n = {n}: ratio {ratio}");
+    }
 }
 
 /// Forwarding kicks in when one node's frames are exhausted: a tiny
